@@ -138,7 +138,7 @@ class SimStats:
         # requested vectorized backend had to fall back to python.  The
         # backend equivalence harness pins every exported counter to be
         # byte-identical across backends, so provenance must stay out of
-        # ``dataclasses.asdict`` (goldens, baseline cache, checkpoints)
+        # ``dataclasses.asdict`` (goldens, result-store entries)
         # and :meth:`to_dict` — both iterate ``fields()`` and therefore
         # skip these automatically.
         self.backend: str = "python"

@@ -14,8 +14,9 @@ Examples::
 ``--jobs N`` fans each experiment's sweep points out over N worker
 processes; results are bit-identical to a serial run.  Completed points
 are published to a content-addressed result store under ``--cache-dir``
-(default ``.repro-cache/store/``) and interrupted sweeps resume from a
-per-experiment checkpoint file there.  ``sweep --shard i/n --store DIR``
+(default ``.repro-cache/store/``) as they finish, so re-running an
+interrupted sweep serves them from the store and computes only the
+rest.  ``sweep --shard i/n --store DIR``
 runs a deterministic slice of the grid on one host; ``shard-merge``
 unions the shard stores and renders a result set byte-identical to the
 single-host run (EXPERIMENTS.md "Distributed sweeps").
@@ -79,21 +80,18 @@ TENANT_EXPERIMENTS = ("sweep", "chaos")
 def _run_info(pool: SweepPool) -> str:
     info = pool.last_run_info or {}
     return (f"{info.get('computed', 0)} simulated,"
-            f" {info.get('resumed', 0)} resumed,"
-            f" {info.get('cached', 0)} cached,"
             f" {info.get('store_hits', 0)} from store")
 
 
 def make_pool(args, experiment: str, window: int) -> SweepPool:
-    """One pool per experiment: shared result store, own checkpoint."""
+    """One pool per experiment: shared result store, own failed-points
+    log."""
     cache_dir = None if args.no_cache else args.cache_dir
     checkpoint = None
     if cache_dir is not None:
         checkpoint = (
             Path(cache_dir) / "checkpoints" / f"{experiment}-w{window}.jsonl"
         )
-        if args.no_resume and checkpoint.exists():
-            checkpoint.unlink()
     return SweepPool(
         jobs=args.jobs,
         cache_dir=cache_dir,
@@ -147,7 +145,7 @@ def _cache_main(argv: list[str]) -> int:
     parser.add_argument(
         "--jobs", action="store_true",
         help="with 'clear': clear the service job store (journal, results,"
-             " per-job checkpoints) instead of the compiled traces",
+             " per-job failed-points logs) instead of the compiled traces",
     )
     parser.add_argument(
         "--store", action="store_true",
@@ -156,7 +154,7 @@ def _cache_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--max-bytes", metavar="SIZE", default=None,
-        help="with 'gc': byte budget for traces+baselines+store combined"
+        help="with 'gc': byte budget for traces+store combined"
              " (suffixes K/M/G, e.g. 200M); oldest files evicted first",
     )
     parser.add_argument(
@@ -225,11 +223,9 @@ def _cache_main(argv: list[str]) -> int:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be recompiled on next use)")
     print(f"  total: {len(entries)} file(s), {_fmt_bytes(total)}")
-    grand_total = total
-    for label, sub in (("baselines", "baselines"), ("checkpoints", "checkpoints")):
-        files, size = _dir_size(base / sub)
-        grand_total += size
-        print(f"{label}: {files} file(s), {_fmt_bytes(size)}")
+    files, size = _dir_size(base / "checkpoints")
+    grand_total = total + size
+    print(f"checkpoints: {files} file(s), {_fmt_bytes(size)}")
     from repro.store import ResultStore, store_dir
 
     store = ResultStore(store_dir(base))
@@ -392,13 +388,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         default=os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
-        help=f"result store + checkpoint directory"
+        help=f"result store + failed-points log directory"
              f" (default ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the on-disk result store and checkpointing",
+        help="keep results in memory only (no on-disk result store)",
     )
     parser.add_argument(
         "--store",
@@ -421,11 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="abort on the first failed sweep point instead of retrying"
              " crashed workers and summarizing failures at the end",
-    )
-    parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="discard any existing checkpoint instead of resuming from it",
     )
     parser.add_argument(
         "--backend",
@@ -545,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         index, count = shard
         pool = make_pool(args, f"sweep-shard{index}of{count}", window)
-        if pool.store is None:
+        if pool.store.directory is None:
             parser.error(
                 "--shard needs a result store: pass --store DIR or drop"
                 " --no-cache"

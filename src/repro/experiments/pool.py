@@ -16,22 +16,23 @@ Three properties the harness guarantees:
   ``tests/goldens/`` enforce this.
 * **Result reuse** — every completed point (baseline, PFM, oracle,
   telemetry alike) is published to a content-addressed
-  :class:`~repro.store.ResultStore` under the cache directory (CLI
-  default ``.repro-cache/store/``) and every requested point is looked
-  up there first, so concurrent workers, later invocations, resident
-  daemons, and merged stores from other hosts never rerun a point
-  anyone has already paid for.
-* **Checkpoint/resume** — with a checkpoint path set, every finished
-  point is appended to a JSONL file as it completes; a re-invocation of
-  an interrupted sweep replays the file and only computes the remainder.
-  The checkpoint is removed once the whole sweep has succeeded.
+  :class:`~repro.store.ResultStore` and every requested point is looked
+  up there first.  The store is the one result cache: memory-only for
+  library pools, on disk under the cache directory for the CLI (default
+  ``.repro-cache/store/``), so concurrent workers, later invocations,
+  resident daemons, and merged stores from other hosts never rerun a
+  point anyone has already paid for.
+* **Resume** — a store entry is fsynced and published the moment its
+  point finishes, so an interrupted sweep resumes by simply running it
+  again: finished points are store hits, only the remainder computes.
 * **Crash containment** — a point that raises, or a worker process that
   dies (OOM-killed, segfaulted), is retried up to ``retries`` times with
   ``retry_backoff``-second exponential backoff, in a fresh executor when
   the pool itself broke.  Points that still fail are appended to the
-  checkpoint as ``{"key": ..., "failed": true, "error": ...}`` records —
-  skipped on replay so a resume retries them — the checkpoint is *kept*,
-  and :class:`SweepFailure` summarizes what was lost.  ``fail_fast=True``
+  ``checkpoint`` file (an fsynced JSONL log of
+  ``{"key": ..., "failed": true, "error": ...}`` records) which is
+  *kept* for inspection, and :class:`SweepFailure` summarizes what was
+  lost; a fully successful run removes the file.  ``fail_fast=True``
   (CLI ``--fail-fast``) restores the old raise-on-first-error behavior.
   ``KeyboardInterrupt`` always propagates immediately.
 """
@@ -100,14 +101,12 @@ class SweepPoint:
 
     @property
     def is_baseline(self) -> bool:
-        """True for plain-core runs, the ones worth persisting on disk."""
+        """True for plain-core runs (the cheap ones, dispatched last)."""
         return (
             self.pfm is None
             and not self.perfect_branch_prediction
             and not self.perfect_dcache
             and self.oracle is None
-            # Telemetry-carrying runs haul their event snapshot along;
-            # never serve them as (or poison) a cached plain baseline.
             and self.telemetry is None
         )
 
@@ -133,7 +132,7 @@ class SweepPoint:
         return digest.hexdigest()[:16]
 
     def key(self) -> str:
-        """Stable identity used by the memory memo and checkpoints."""
+        """Stable in-process identity: dedup, shards, memory-only stores."""
         return f"{self.workload}-w{self.window}-{self.config_key()}"
 
     def store_key(self) -> str:
@@ -163,8 +162,9 @@ class SweepFailure(RuntimeError):
     """One or more sweep points failed after exhausting their retries.
 
     ``errors`` maps point labels to the final error message; successful
-    points were checkpointed before this was raised, so re-running the
-    sweep resumes from them and recomputes only the failures.
+    points were published to the store before this was raised, so
+    re-running the sweep serves them from it and recomputes only the
+    failures.
     """
 
     def __init__(self, errors: dict[str, str]):
@@ -179,10 +179,6 @@ class SweepFailure(RuntimeError):
 
 def stats_to_dict(stats: SimStats) -> dict:
     return dataclasses.asdict(stats)
-
-
-def stats_from_dict(payload: dict) -> SimStats:
-    return SimStats(**payload)
 
 
 def run_point(point: SweepPoint) -> SimStats:
@@ -236,15 +232,15 @@ class SweepPool:
     collected as they complete but always keyed by label, so callers
     see an order-independent mapping.
 
-    ``cache_dir=None`` keeps result reuse purely in-memory (the default
-    for library use, e.g. under pytest); pass a directory (the CLI
-    passes ``.repro-cache``) to attach a content-addressed
-    :class:`~repro.store.ResultStore` under ``<cache_dir>/store/`` that
-    persists *every* completed point across processes, invocations, and
-    hosts.  Pass ``store`` explicitly (a :class:`ResultStore` or a
-    directory) to share one store between pools or point several
-    shard runs at separate stores.  ``checkpoint`` names a JSONL file
-    recording each finished point for crash recovery.
+    Results live in one :class:`~repro.store.ResultStore`.
+    ``cache_dir=None`` keeps it memory-only (the default for library
+    use, e.g. under pytest); pass a directory (the CLI passes
+    ``.repro-cache``) to store *every* completed point under
+    ``<cache_dir>/store/`` across processes, invocations, and hosts.
+    Pass ``store`` explicitly (a :class:`ResultStore` or a directory) to
+    share one store between pools or point several shard runs at
+    separate stores.  ``checkpoint`` names the JSONL log that failed
+    points are recorded in.
     """
 
     def __init__(
@@ -255,7 +251,6 @@ class SweepPool:
         retries: int = 2,
         retry_backoff: float = 0.5,
         fail_fast: bool = False,
-        memoize_all: bool = False,
         store: ResultStore | str | os.PathLike | None = None,
     ):
         if jobs < 1:
@@ -272,62 +267,37 @@ class SweepPool:
         self.fail_fast = fail_fast
         if store is None and self.cache_dir is not None:
             store = store_dir(self.cache_dir)
-        if store is not None and not isinstance(store, ResultStore):
+        if not isinstance(store, ResultStore):
             store = ResultStore(store)
-        #: Content-addressed disk store serving *all* point kinds, or
-        #: ``None`` for memory-only pools.
-        self.store: ResultStore | None = store
-        #: With ``memoize_all`` the in-memory cache serves *every* point
-        #: kind, not just plain baselines — sound because all points are
-        #: deterministic functions of their key.  The resident service
-        #: turns this on over a shared cache dict so repeated identical
-        #: requests (PFM configs included) are pure cache hits without
-        #: paying a store-key workload build.
-        self.memoize_all = memoize_all
-        self._memory_cache: dict[str, SimStats] = {}
+        self.store: ResultStore = store
         self._store_keys: dict[str, str] = {}
         #: Accounting for the most recent run(): distinct points computed
-        #: vs replayed from checkpoint vs served from the memory memo vs
-        #: served from the result store.
+        #: vs served from the result store vs failed.
         self.last_run_info: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
-    # result store + memory memo
+    # result store
     # ------------------------------------------------------------------ #
 
     def _store_key(self, point: SweepPoint) -> str:
-        """Store address for *point*, memoized per pool (the digest pays
-        one workload build per distinct point, see ``store_key``)."""
+        """Store address for *point*, memoized per pool.
+
+        A memory-only store uses ``point.key()``: its entries die with
+        the process, so the workload ``trace_key`` that ``store_key``
+        folds in (one workload build per distinct point) buys nothing.
+        """
         key = point.key()
+        if self.store.directory is None:
+            return key
         skey = self._store_keys.get(key)
         if skey is None:
             skey = point.store_key()
             self._store_keys[key] = skey
         return skey
 
-    def _remember(self, point: SweepPoint, stats: SimStats) -> None:
-        if point.is_baseline or self.memoize_all:
-            self._memory_cache[point.key()] = stats
-
-    def _cached_in_memory(self, point: SweepPoint) -> SimStats | None:
-        if not (point.is_baseline or self.memoize_all):
-            return None
-        return self._memory_cache.get(point.key())
-
-    def _store_lookup(self, point: SweepPoint) -> SimStats | None:
-        if self.store is None:
-            return None
-        return self.store.get(self._store_key(point))
-
-    def _publish(self, point: SweepPoint, stats: SimStats,
-                 overwrite: bool = True) -> None:
-        if self.store is None:
-            return
-        skey = self._store_key(point)
-        if not overwrite and skey in self.store:
-            return
+    def _publish(self, point: SweepPoint, stats: SimStats) -> None:
         self.store.put(
-            skey,
+            self._store_key(point),
             stats,
             meta={
                 "workload": point.workload,
@@ -337,62 +307,20 @@ class SweepPool:
         )
 
     # ------------------------------------------------------------------ #
-    # checkpointing
+    # failed-points log
     # ------------------------------------------------------------------ #
 
-    def _load_checkpoint(self) -> dict[str, SimStats]:
-        done: dict[str, SimStats] = {}
-        if self.checkpoint is None or not self.checkpoint.exists():
-            return done
-        with self.checkpoint.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from a killed run
-                if not isinstance(record, dict) or "key" not in record:
-                    continue  # foreign or half-schema line
-                if record.get("failed"):
-                    # Recorded so humans can see what died; a resumed
-                    # sweep retries the point rather than trusting it.
-                    done.pop(record["key"], None)
-                    continue
-                try:
-                    done[record["key"]] = stats_from_dict(record["stats"])
-                except (KeyError, TypeError):
-                    # Stats payload from a different SimStats schema (or
-                    # torn mid-object yet still valid JSON): recompute
-                    # the point rather than resume from a bad record.
-                    continue
-        return done
-
-    def _append_record(self, record: dict) -> None:
+    def _append_failure(self, point: SweepPoint, error: str) -> None:
         """Crash-safe append: flush makes the line visible to concurrent
-        readers, fsync makes it survive the machine dying — a record is
-        either fully durable or a torn trailing line the loader skips."""
-        assert self.checkpoint is not None
+        readers, fsync makes it survive the machine dying."""
+        if self.checkpoint is None:
+            return
         self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
+        record = {"key": point.key(), "failed": True, "error": error}
         with self.checkpoint.open("a") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-
-    def _append_checkpoint(self, point: SweepPoint, stats: SimStats) -> None:
-        if self.checkpoint is None:
-            return
-        self._append_record(
-            {"key": point.key(), "stats": stats_to_dict(stats)}
-        )
-
-    def _append_failure(self, point: SweepPoint, error: str) -> None:
-        if self.checkpoint is None:
-            return
-        self._append_record(
-            {"key": point.key(), "failed": True, "error": error}
-        )
 
     def _clear_checkpoint(self) -> None:
         if self.checkpoint is not None and self.checkpoint.exists():
@@ -413,46 +341,27 @@ class SweepPool:
             duplicates = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate sweep point labels: {duplicates}")
 
-        results: dict[str, SimStats] = {}
-        finished = self._load_checkpoint()
-        resumed = 0
-        cached = 0
-        store_hits = 0
-
+        finished: dict[str, SimStats] = {}
         pending: dict[str, SweepPoint] = {}  # key -> representative point
         waiting: dict[str, list[SweepPoint]] = {}  # key -> all points
-        seen: set[str] = set()
         for point in points:
             key = point.key()
-            waiting.setdefault(key, []).append(point)
-            if key in seen:
+            if key in waiting:
+                waiting[key].append(point)
                 continue
-            seen.add(key)
-            if key in finished:
-                # Checkpointed by an interrupted run: reuse, and publish
-                # to the store so the result outlives the checkpoint.
-                resumed += 1
-                self._remember(point, finished[key])
-                self._publish(point, finished[key], overwrite=False)
-                continue
-            stats = self._cached_in_memory(point)
+            waiting[key] = [point]
+            # Published by this pool, an earlier or interrupted run,
+            # another worker, a daemon sharing the store, or a merged
+            # shard from another host.
+            stats = self.store.get(self._store_key(point))
             if stats is not None:
-                cached += 1
-                continue
-            stats = self._store_lookup(point)
-            if stats is not None:
-                # Published by an earlier run, another worker, a daemon
-                # sharing the store, or a merged shard from another host.
-                store_hits += 1
-                self._remember(point, stats)
                 finished[key] = stats
-                continue
-            pending[key] = point
+            else:
+                pending[key] = point
+        store_hits = len(finished)
 
         def record(point: SweepPoint, stats: SimStats) -> None:
-            self._remember(point, stats)
             self._publish(point, stats)
-            self._append_checkpoint(point, stats)
             finished[point.key()] = stats
 
         todo = list(pending.values())
@@ -462,23 +371,20 @@ class SweepPool:
         failures = self._execute(todo, record)
 
         self.last_run_info = {
-            "computed": len(todo), "resumed": resumed, "cached": cached,
-            "store_hits": store_hits, "failed": len(failures),
+            "computed": len(todo), "store_hits": store_hits,
+            "failed": len(failures),
         }
         if failures:
-            # Successful points are already checkpointed; keep the file so
-            # a re-invocation resumes from them and retries the failures.
+            # Successes are already in the store; the kept checkpoint
+            # lists what failed, and a re-run recomputes only that.
             raise SweepFailure(failures)
 
-        for key, siblings in waiting.items():
-            stats = finished.get(key)
-            if stats is None:
-                stats = self._memory_cache[key]
-            for point in siblings:
-                results[point.label] = stats
-
         self._clear_checkpoint()
-        return results
+        return {
+            point.label: finished[key]
+            for key, siblings in waiting.items()
+            for point in siblings
+        }
 
     def _execute(self, todo: list[SweepPoint], record) -> dict[str, str]:
         """Run every point in *todo*, retrying crashes; map label->error.
@@ -562,6 +468,7 @@ def add_speedup_rows(result, pool: SweepPool, points: list[SweepPoint],
 
 
 def default_pool() -> SweepPool:
-    """Serial in-memory pool, used when a sweep runs without the CLI."""
+    """Serial pool used when a sweep runs without the CLI: memory-only
+    unless ``$REPRO_CACHE_DIR`` names a cache directory."""
     cache_dir = os.environ.get(CACHE_DIR_ENV) or None
     return SweepPool(jobs=1, cache_dir=cache_dir)

@@ -2,14 +2,12 @@
 
 Workloads are resolved by name through the registry layer
 (:mod:`repro.registry`); graphs and grids are deterministic (seeded), so
-each build returns a fresh workload with identical initial state.
-Baselines are cached per (workload, window, overrides-digest) to avoid
-rerunning them for every sweep point.
+each build returns a fresh workload with identical initial state.  These
+are plain runs; sweeps that reuse results go through
+:class:`~repro.experiments.pool.SweepPool` and its result store.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from repro.core import CoreParams, PFMParams, SimConfig, SimStats, simulate
 from repro.registry import build_workload
@@ -41,43 +39,18 @@ def _core_params(backend: str) -> CoreParams:
     return CoreParams() if backend == "auto" else CoreParams(backend=backend)
 
 
-_baseline_cache: dict[tuple[str, int, str], SimStats] = {}
-
-
-def _overrides_digest(overrides: dict) -> str:
-    """Canonical digest of builder overrides for the baseline-cache key.
-
-    Two calls with the same overrides under different spellings (keyword
-    order) collapse to one entry; calls with *different* overrides no
-    longer collide on the bare (name, window) pair.
-    """
-    if not overrides:
-        return ""
-    from repro.experiments.pool import _canonical_bytes
-
-    return hashlib.sha256(_canonical_bytes(overrides)).hexdigest()[:16]
-
-
 def run_baseline(
     name: str,
     window: int = DEFAULT_WINDOW,
     backend: str = "auto",
     **overrides,
 ) -> SimStats:
-    """Baseline (plain core) run, cached per (workload, window, overrides).
-
-    Because every backend is bit-identical, the cache deliberately does
-    NOT key on *backend*: a hit may carry stats computed by a different
-    engine (only the non-field provenance attrs differ).
-    """
-    key = (name, window, _overrides_digest(overrides))
-    if key not in _baseline_cache:
-        _baseline_cache[key] = run_config(
-            name,
-            SimConfig(core=_core_params(backend), max_instructions=window),
-            **overrides,
-        )
-    return _baseline_cache[key]
+    """Baseline (plain core) run."""
+    return run_config(
+        name,
+        SimConfig(core=_core_params(backend), max_instructions=window),
+        **overrides,
+    )
 
 
 def run_pfm(
@@ -107,7 +80,7 @@ def pfm_speedup_pct(
     window: int = DEFAULT_WINDOW,
     **overrides,
 ) -> float:
-    """Speedup of a PFM configuration over the cached baseline, in %.
+    """Speedup of a PFM configuration over the baseline, in %.
 
     Builder overrides apply to *both* runs — the baseline must simulate
     the same workload instance the PFM run does.

@@ -178,7 +178,7 @@ def run_sweep_shard(
     single-host ``sweep`` run.  The returned payload summarizes what
     this shard computed (deterministic, sorted keys).
     """
-    if pool.store is None:
+    if pool.store.directory is None:
         raise ValueError(
             "shard runs need a result store (pass --store or --cache-dir);"
             " without one there is nothing to merge"

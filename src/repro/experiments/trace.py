@@ -1,7 +1,7 @@
 """The ``trace`` experiment: one workload, probes on, exported artifacts.
 
 Runs a single workload twice through the :class:`SweepPool` — a plain
-baseline (served from the shared cache when warm) and a PFM run with the
+baseline (served from the result store when warm) and a PFM run with the
 :mod:`repro.telemetry` ring sink attached — then renders a summary and
 hands the traced stats back so the CLI can write the Perfetto JSON, the
 event CSV, and the metrics manifest.

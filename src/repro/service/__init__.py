@@ -1,12 +1,13 @@
 """Simulation-as-a-service: a resident daemon over the sweep substrate.
 
 Every CLI invocation of this reproduction pays interpreter startup,
-registry autoload, and cold trace/baseline caches; at fleet scale those
-costs dominate the simulations themselves.  This package keeps one
-process resident — the same shell-vs-role split the paper applies to
-hardware (a fixed shell, post-fabrication roles loaded into it): the
-daemon is the shell, typed requests (``simulate``, ``sweep``, ``trace``)
-are the roles, and the warm caches are the shared fabric.
+registry autoload, and a cold trace memo and result store; at fleet
+scale those costs dominate the simulations themselves.  This package
+keeps one process resident — the same shell-vs-role split the paper
+applies to hardware (a fixed shell, post-fabrication roles loaded into
+it): the daemon is the shell, typed requests (``simulate``, ``sweep``,
+``trace``) are the roles, and the result store is the shared fabric: a
+repeated request, queued or finished, is served from it.
 
 Layers (one module each):
 
@@ -16,8 +17,8 @@ Layers (one module each):
 * :mod:`repro.service.handlers` — request kinds (registered in
   :data:`repro.registry.service.SERVICE_KINDS`) running through
   :class:`~repro.experiments.pool.SweepPool`
-* :mod:`repro.service.executor` — the persistent warm backend (shared
-  baseline memory cache + compiled-trace memo + registries)
+* :mod:`repro.service.executor` — the persistent warm backend (one
+  shared result store + compiled-trace memo + registries)
 * :mod:`repro.service.server`   — the asyncio daemon (HTTP front door,
   dispatcher, graceful SIGTERM drain)
 * :mod:`repro.service.client`   — blocking stdlib client
@@ -26,7 +27,7 @@ Layers (one module each):
 
 Determinism contract: a result fetched from the daemon is byte-identical
 to running the same request directly through a ``SweepPool`` — the
-daemon adds scheduling and caching, never content.
+daemon adds scheduling and result reuse, never content.
 """
 
 from repro.service.client import (

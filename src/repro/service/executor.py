@@ -1,28 +1,29 @@
 """The daemon's persistent execution backend: one warm pool, many jobs.
 
 A cold CLI invocation pays interpreter startup, registry autoload, trace
-compilation, and baseline simulation on every run.  The daemon pays them
-once: this module owns the state that stays warm across requests —
+compilation, and simulation on every run.  The daemon pays them once:
+this module owns the state that stays warm across requests —
 
-* one shared **memory cache** (``{point-key: SimStats}``) threaded into
-  every per-job :class:`SweepPool`, so a point computed for any request
-  is served from memory to all later ones;
 * one shared content-addressed **result store**
-  (:class:`repro.store.ResultStore` under ``<cache-dir>/store/``),
-  consulted before every simulation and published to after — it is the
-  disk tier under the memory cache, survives restarts, and merges with
-  stores from other hosts (``shard-merge``);
+  (:class:`repro.store.ResultStore` under ``<cache-dir>/store/``, or
+  memory-only without a cache dir) that every per-job
+  :class:`SweepPool` consults before simulating and publishes into
+  after.  Its in-process memo holds every point any request computed,
+  so a repeated or duplicate request is served from it; its disk tier
+  survives restarts and merges with stores from other hosts
+  (``shard-merge``);
 * the process-global **compiled-trace memo**
   (:mod:`repro.workloads.tracecache`), warmed by in-process (``jobs=1``)
   runs and re-used by every later replay;
 * the **registries**, autoloaded once at daemon startup instead of once
   per CLI invocation.
 
-Each job still gets its *own* pool object (its own checkpoint file, its
-own ``last_run_info``) so concurrent jobs never interleave journal
-writes — only the caches are shared, and those are append-only maps of
+Each job still gets its *own* pool object (its own failed-points log,
+its own ``last_run_info``) so concurrent jobs never interleave log
+writes — only the store is shared, and it is an append-only map of
 content-addressed results, safe under the GIL for the thread-per-job
-execution model the daemon uses.
+execution model the daemon uses.  Two concurrent duplicates may each
+compute a point; both publish identical bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core import SimStats
 from repro.experiments.pool import SweepPool
 from repro.registry.service import resolve_request_kind
 from repro.service.jobs import JobStore
@@ -41,7 +41,7 @@ from repro.workloads.tracecache import STATS as TRACE_STATS
 
 
 class ServiceBackend:
-    """Runs admitted jobs through per-job pools over shared warm caches."""
+    """Runs admitted jobs through per-job pools over one shared store."""
 
     def __init__(
         self,
@@ -53,20 +53,16 @@ class ServiceBackend:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.store = store
         self.worker_budget = worker_budget or (os.cpu_count() or 1)
-        #: Shared across every per-job pool: content key -> SimStats.
-        self.shared_memory_cache: dict[str, SimStats] = {}
         if store_dir is None and self.cache_dir is not None:
             store_dir = result_store_dir(self.cache_dir)
         #: One content-addressed result store for the whole daemon; every
         #: per-job pool consults it before simulating and publishes into
-        #: it, so results survive restarts and merge across a fleet.
-        self.result_store: ResultStore | None = (
-            ResultStore(store_dir) if store_dir is not None else None
-        )
+        #: it, so results are shared across jobs, survive restarts (when
+        #: on disk) and merge across a fleet.
+        self.result_store = ResultStore(store_dir)
         #: Cumulative SweepPool accounting across all finished jobs.
         self.pool_totals: dict[str, int] = {
-            "computed": 0, "resumed": 0, "cached": 0, "store_hits": 0,
-            "failed": 0,
+            "computed": 0, "store_hits": 0, "failed": 0,
         }
 
     def warm_registries(self) -> None:
@@ -88,18 +84,12 @@ class ServiceBackend:
         request_kind_names()
 
     def make_pool(self, jobs: int, job_id: str) -> SweepPool:
-        """A per-job pool wired into the shared warm caches."""
-        pool = SweepPool(
+        """A per-job pool over the shared result store."""
+        return SweepPool(
             jobs=jobs,
-            cache_dir=self.cache_dir,
             checkpoint=self.store.checkpoint_path(job_id),
-            memoize_all=True,
             store=self.result_store,
         )
-        # Content-addressed results are interchangeable between pools;
-        # sharing the dict is what makes the second request warm.
-        pool._memory_cache = self.shared_memory_cache
-        return pool
 
     def run_job(self, job: JobRecord) -> tuple[str, dict]:
         """Execute one job (called from a worker thread); returns
@@ -120,32 +110,20 @@ class ServiceBackend:
             trace["memo_hits"] + trace["disk_hits"] + trace["compiles"]
         )
         pool = dict(self.pool_totals)
-        pool_lookups = (
-            pool["computed"] + pool["resumed"] + pool["cached"]
-            + pool["store_hits"]
-        )
-        store = (
-            dict(self.result_store.counters)
-            if self.result_store is not None else {}
-        )
-        store_warm = store.get("hits", 0) + store.get("memo_hits", 0)
-        store_lookups = store_warm + store.get("misses", 0)
+        pool_lookups = pool["computed"] + pool["store_hits"]
+        store = dict(self.result_store.counters)
+        store_warm = store["hits"] + store["memo_hits"]
+        store_lookups = store_warm + store["misses"]
         return {
-            "baseline_memory_entries": len(self.shared_memory_cache),
             "pool": pool,
             "pool_warm_rate": (
-                (pool["resumed"] + pool["cached"] + pool["store_hits"])
-                / pool_lookups
-                if pool_lookups else 0.0
+                pool["store_hits"] / pool_lookups if pool_lookups else 0.0
             ),
             "store": store,
             "store_hit_rate": (
                 store_warm / store_lookups if store_lookups else 0.0
             ),
-            "store_entries": (
-                len(self.result_store)
-                if self.result_store is not None else 0
-            ),
+            "store_entries": len(self.result_store),
             "trace": trace,
             "trace_hit_rate": (
                 (trace["memo_hits"] + trace["disk_hits"]) / trace_lookups

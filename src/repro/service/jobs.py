@@ -1,9 +1,8 @@
 """Job persistence and queueing for the simulation service.
 
 :class:`JobStore` journals every job state transition to an append-only
-JSONL file — the same substrate as the sweep engine's checkpoints, with
-the same crash discipline (flush + fsync per record, torn trailing
-lines skipped on load) — and owns the per-job result files.  A killed
+JSONL file — flush + fsync per record, torn trailing lines skipped on
+load — and owns the per-job result files.  A killed
 daemon restarts by replaying the journal: the last snapshot of each job
 wins, jobs that were ``queued`` or ``running`` are re-enqueued, and
 terminal jobs stay queryable.
@@ -122,7 +121,7 @@ class JobStore:
         return self.directory / f"{job_id}.result.json"
 
     def checkpoint_path(self, job_id: str) -> Path:
-        """Per-job SweepPool checkpoint (resume for multi-point jobs)."""
+        """Per-job SweepPool failed-points log."""
         return self.directory / "checkpoints" / f"{job_id}.jsonl"
 
     def write_result(self, job_id: str, text: str) -> None:

@@ -17,14 +17,11 @@ is linear with two terminal branches::
     queued -> cancelled
 
 Every transition is journaled by :class:`repro.service.jobs.JobStore`
-(append-only JSONL, the same substrate as sweep checkpoints), so a
-killed daemon resumes with full knowledge of what was queued.
+(fsynced append-only JSONL), so a killed daemon resumes with full knowledge of what was queued.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -35,21 +32,6 @@ DEFAULT_WINDOW = 40_000
 
 class RequestError(ValueError):
     """A submitted payload failed validation (HTTP 400 at the front door)."""
-
-
-def request_digest(kind: str, request: dict) -> str:
-    """Content digest of a validated wire request, for coalescing.
-
-    Two submits with the same digest ask for the same deterministic
-    result, so the daemon runs one and fans the bytes out to both.
-    ``jobs`` is excluded: worker count changes how a result is computed,
-    never what it is (``tests/test_determinism.py``).  The input is the
-    *validated* ``to_wire()`` payload, so spelling differences in the
-    submitted JSON (defaults omitted vs explicit) cannot split a digest.
-    """
-    spec = {key: value for key, value in request.items() if key != "jobs"}
-    blob = json.dumps({"kind": kind, "request": spec}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -176,8 +158,8 @@ class SweepRequest:
             "jobs": self.jobs,
         }
         if self.shard is not None:
-            # Added only when set so pre-shard journal records (and their
-            # coalescing digests) keep their exact shape.
+            # Added only when set so pre-shard journal records keep
+            # their exact shape.
             wire["shard"] = list(self.shard)
         return wire
 

@@ -46,7 +46,6 @@ from repro.service.models import (
     JobRecord,
     RequestError,
     job_id_for,
-    request_digest,
 )
 from repro.telemetry import CounterBank
 from repro.workloads.tracecache import DEFAULT_CACHE_DIR
@@ -58,7 +57,7 @@ ENDPOINTS = (
     ("GET", "/status/<job-id>", "job lifecycle state"),
     ("GET", "/result/<job-id>", "deterministic result payload (done jobs)"),
     ("POST", "/cancel/<job-id>", "cancel a still-queued job"),
-    ("GET", "/stats", "uptime, queue, store/cache hit rates, coalescing"),
+    ("GET", "/stats", "uptime, queue, store/cache hit rates"),
     ("GET", "/healthz", "liveness"),
 )
 
@@ -117,14 +116,6 @@ class SimulationService:
         self.queue = JobQueue(config.max_queue)
         self.counters = CounterBank()
         self.jobs: dict[str, JobRecord] = {}
-        #: Request coalescing: identical queued/running requests share one
-        #: execution.  ``_primary_by_digest`` maps a live (queued or
-        #: running) primary's request digest to its job id;
-        #: ``_followers`` maps a primary to the coalesced jobs waiting on
-        #: its bytes.  All three maps are mutated only under ``_work``.
-        self._primary_by_digest: dict[str, str] = {}
-        self._digest_by_job: dict[str, str] = {}
-        self._followers: dict[str, list[str]] = {}
         self.port: int | None = None
         self._seq = 1
         self._hold = config.hold
@@ -160,17 +151,7 @@ class SimulationService:
                 job.state = QUEUED
                 job.error = None
                 self.store.record(job)
-            digest = request_digest(job.kind, job.request)
-            primary_id = self._primary_by_digest.get(digest)
-            if primary_id is not None:
-                # Identical to an already-resumed job (including a
-                # follower whose primary died with it): coalesce again.
-                self._followers.setdefault(primary_id, []).append(job.id)
-                self.counters.inc("jobs_coalesced")
-            else:
-                self.queue.requeue(job)
-                self._primary_by_digest[digest] = job.id
-                self._digest_by_job[job.id] = digest
+            self.queue.requeue(job)
             self.jobs[job.id] = job
             resumed += 1
         if resumed:
@@ -269,7 +250,6 @@ class SimulationService:
         self.store.record(job)
         self.counters.inc("jobs_started")
         loop = asyncio.get_running_loop()
-        text: str | None = None
         try:
             text, meta = await loop.run_in_executor(
                 self._threads, self.backend.run_job, job
@@ -290,30 +270,6 @@ class SimulationService:
         self.store.record(job)
         assert self._work is not None
         async with self._work:
-            # Fan the primary's outcome out to every coalesced follower:
-            # the identical result *bytes* on success (one simulation,
-            # N results), the same error on failure.  Under the lock so
-            # a concurrent cancel/submit sees digests and followers
-            # change atomically with the primary finishing.
-            digest = self._digest_by_job.pop(job.id, None)
-            if digest is not None:
-                if self._primary_by_digest.get(digest) == job.id:
-                    del self._primary_by_digest[digest]
-            for follower_id in self._followers.pop(job.id, []):
-                follower = self.jobs.get(follower_id)
-                if follower is None or follower.state != QUEUED:
-                    continue
-                if job.state == DONE and text is not None:
-                    self.store.write_result(follower.id, text)
-                    follower.state = DONE
-                    follower.error = None
-                    self.counters.inc("jobs_done")
-                    self.counters.inc(f"jobs_kind_{follower.kind}")
-                else:
-                    follower.state = FAILED
-                    follower.error = job.error or "coalesced primary failed"
-                    self.counters.inc("jobs_failed")
-                self.store.record(follower)
             self._inflight -= 1
             self._work.notify_all()
 
@@ -428,32 +384,8 @@ class SimulationService:
 
         assert self._work is not None
         async with self._work:
-            digest = request_digest(handler.kind, request.to_wire())
-            primary_id = self._primary_by_digest.get(digest)
-            if primary_id is not None:
-                # Identical request already queued or running: admit the
-                # job as a *follower* — journaled and pollable like any
-                # job, but never dispatched; it takes no queue slot and
-                # receives the primary's result bytes when it finishes.
-                job = JobRecord(
-                    id=job_id_for(self._seq),
-                    kind=handler.kind,
-                    priority=priority,
-                    seq=self._seq,
-                    request=request.to_wire(),
-                )
-                self._seq += 1
-                self.jobs[job.id] = job
-                self.store.record(job)
-                self._followers.setdefault(primary_id, []).append(job.id)
-                self.counters.inc("jobs_admitted")
-                self.counters.inc("jobs_coalesced")
-                return 202, {
-                    "job_id": job.id,
-                    "state": QUEUED,
-                    "queue_depth": len(self.queue),
-                    "coalesced_with": primary_id,
-                }
+            # A duplicate of a queued, running or finished request is an
+            # ordinary job: its points are result-store hits.
             job = JobRecord(
                 id=job_id_for(self._seq),
                 kind=handler.kind,
@@ -469,8 +401,6 @@ class SimulationService:
             self._seq += 1
             self.jobs[job.id] = job
             self.store.record(job)
-            self._primary_by_digest[digest] = job.id
-            self._digest_by_job[job.id] = digest
             self.counters.inc("jobs_admitted")
             depth = len(self.queue)
             self._work.notify_all()
@@ -506,53 +436,15 @@ class SimulationService:
             job = self.jobs.get(job_id)
             if job is None:
                 return 404, {"error": f"unknown job {job_id!r}"}
-            if job.state == QUEUED:
-                if self.queue.remove(job_id) is not None:
-                    job.state = CANCELLED
-                    self.store.record(job)
-                    self.counters.inc("jobs_cancelled")
-                    digest = self._digest_by_job.pop(job_id, None)
-                    if digest is not None:
-                        self._primary_by_digest.pop(digest, None)
-                        self._promote_follower(job_id, digest)
-                    return 200, job.status_payload()
-                primary_id = self._primary_of_follower(job_id)
-                if primary_id is not None:
-                    # A coalesced follower: detach it from its primary
-                    # (which keeps running for the other waiters).
-                    self._followers[primary_id].remove(job_id)
-                    job.state = CANCELLED
-                    self.store.record(job)
-                    self.counters.inc("jobs_cancelled")
-                    return 200, job.status_payload()
+            if job.state == QUEUED and self.queue.remove(job_id) is not None:
+                job.state = CANCELLED
+                self.store.record(job)
+                self.counters.inc("jobs_cancelled")
+                return 200, job.status_payload()
             return 409, {
                 "error": f"job {job_id} is {job.state};"
                 " only queued jobs can be cancelled"
             }
-
-    def _primary_of_follower(self, job_id: str) -> str | None:
-        for primary_id, followers in self._followers.items():
-            if job_id in followers:
-                return primary_id
-        return None
-
-    def _promote_follower(self, primary_id: str, digest: str) -> None:
-        """A queued primary was cancelled: its oldest follower inherits
-        the run (and the remaining followers).  Called under ``_work``;
-        uses ``requeue`` because followers were already admitted once —
-        promotion must never bounce off a full queue."""
-        followers = self._followers.pop(primary_id, [])
-        if not followers:
-            return
-        new_primary = self.jobs[followers.pop(0)]
-        self.queue.requeue(new_primary)
-        self._primary_by_digest[digest] = new_primary.id
-        self._digest_by_job[new_primary.id] = digest
-        if followers:
-            self._followers[new_primary.id] = followers
-        self.counters.inc("jobs_promoted")
-        assert self._work is not None
-        self._work.notify_all()  # caller holds the lock; wake the dispatcher
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -570,9 +462,6 @@ class SimulationService:
                 "max_depth": self.config.max_queue,
                 "inflight": self._inflight,
                 "max_inflight": self.config.max_inflight,
-                "coalesced_waiting": sum(
-                    len(f) for f in self._followers.values()
-                ),
                 "hold": self._hold,
                 "draining": self._draining,
             },

@@ -1,9 +1,9 @@
 """LRU-by-mtime eviction across the on-disk cache sections.
 
-``.repro-cache/`` accumulates three kinds of content-addressed files —
-compiled traces, legacy baseline entries, and result-store entries —
-and at fleet scale the store grows without bound.  ``cache gc
---max-bytes SIZE`` walks all three sections, sorts by mtime (every
+``.repro-cache/`` accumulates two kinds of content-addressed files —
+compiled traces and result-store entries — and at fleet scale the store
+grows without bound.  ``cache gc --max-bytes SIZE`` walks both
+sections, sorts by mtime (every
 cache read touches its file via :func:`os.utime`-free reads, so mtime
 is write-recency: least-recently *published* goes first), and deletes
 oldest-first until the total fits the budget.
@@ -18,11 +18,10 @@ import os
 from pathlib import Path
 
 #: ``(section name, glob pattern relative to the cache dir)`` — the
-#: evictable sections.  Checkpoints and the service job journal are
-#: deliberately absent: those are state, not cache.
+#: evictable sections.  Failed-points logs and the service job journal
+#: are deliberately absent: those are state, not cache.
 SECTIONS: tuple[tuple[str, str], ...] = (
     ("traces", "traces/*.trace.pkl"),
-    ("baselines", "baselines/*.json"),
     ("store", "store/??/*.json"),
 )
 

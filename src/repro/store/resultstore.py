@@ -12,14 +12,19 @@ every distributed sweep sits on:
   changes the trace_key and silently invalidates every dependent entry;
   the execution backend is *excluded* because results are byte-identical
   across backends by construction (``tests/test_backend_equivalence.py``).
-* **Atomicity** — entries are written to a unique temp file and
-  ``os.replace``d into place, so concurrent writers (threads, worker
+* **Atomicity** — entries are written to a unique temp file, fsynced,
+  and ``os.replace``d into place, so concurrent writers (threads, worker
   processes, or two daemons sharing a directory) always leave a whole
-  entry behind: last writer wins, readers never see a torn file.
+  entry behind: last writer wins, readers never see a torn file, and a
+  published entry survives a machine crash.  That durability is what
+  makes resuming an interrupted sweep a plain re-run against the store.
 * **Validation** — every read checks the envelope version, the embedded
-  key, and the stats schema; anything torn, corrupted, or written by an
-  older store version reads as a miss (counted in ``recoveries``) and
-  gets recomputed rather than trusted.
+  key, the stats schema and the type of every stats value; anything
+  torn, corrupted, or written by an older store version reads as a miss
+  (counted in ``recoveries``) and gets recomputed rather than trusted.
+* **Memory-only mode** — ``ResultStore(None)`` keeps entries in its
+  in-process memo alone, so a library pool without a cache directory
+  still computes each distinct point once.
 * **Union** — :meth:`ResultStore.merge_from` copies validated entries
   between stores, so N hosts each running a shard produce stores that
   merge into one result set byte-identical to a single-host run.
@@ -131,16 +136,47 @@ def shard_of(key: str, count: int) -> int:
 # --------------------------------------------------------------------- #
 
 
-class ResultStore:
-    """Content-addressed ``{digest: SimStats}`` map on disk.
+def _stats_field_types() -> dict[str, tuple[type, ...]]:
+    """Accepted JSON value types per :class:`SimStats` field, read off
+    the field defaults (counters are ints, labels strs, tables dicts)."""
+    types: dict[str, tuple[type, ...]] = {}
+    for f in dataclasses.fields(SimStats):
+        if f.default_factory is not dataclasses.MISSING:
+            types[f.name] = (type(f.default_factory()),)
+        elif f.default is None:
+            types[f.name] = (dict, type(None))
+        else:
+            types[f.name] = (type(f.default),)
+    return types
 
-    Reads are validated (version/key/schema) and memoized in-process;
-    writes are atomic.  All methods tolerate a read-only or missing
-    directory — the store then behaves as always-miss.
+
+_STATS_FIELD_TYPES = _stats_field_types()
+
+
+def _stats_types_match(payload: dict) -> bool:
+    for name, value in payload.items():
+        expected = _STATS_FIELD_TYPES.get(name)
+        if expected is None:
+            return False
+        if isinstance(value, bool) and bool not in expected:
+            return False  # JSON true/false is not a counter
+        if not isinstance(value, expected):
+            return False
+    return True
+
+
+class ResultStore:
+    """Content-addressed ``{digest: SimStats}`` map, on disk or in memory.
+
+    Reads are validated (version/key/schema/types) and memoized
+    in-process; writes are atomic and durable.  All methods tolerate a
+    read-only or missing directory — the store then behaves as
+    always-miss.  ``directory=None`` makes a memory-only store.
     """
 
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = Path(directory)
+    def __init__(self, directory: str | os.PathLike | None):
+        #: ``None`` for a memory-only store (the memo is all there is).
+        self.directory = Path(directory) if directory is not None else None
         self._memo: dict[str, SimStats] = {}
         self.counters: dict[str, int] = {
             "hits": 0,
@@ -188,6 +224,8 @@ class ResultStore:
         stats_payload = payload.get("stats")
         if not isinstance(stats_payload, dict):
             return None
+        if not _stats_types_match(stats_payload):
+            return None  # e.g. "cycles": "garbage"; recompute instead
         try:
             return SimStats(**stats_payload)
         except TypeError:
@@ -200,6 +238,9 @@ class ResultStore:
         if stats is not None:
             self.counters["memo_hits"] += 1
             return stats
+        if self.directory is None:
+            self.counters["misses"] += 1
+            return None
         try:
             raw = self.path_for(key).read_bytes()
         except OSError:
@@ -217,12 +258,15 @@ class ResultStore:
     def put(self, key: str, stats: SimStats,
             meta: dict | None = None) -> None:
         self._memo[key] = stats
-        self._write_raw(self.path_for(key), self.encode(key, stats, meta))
+        if self.directory is not None:
+            self._write_raw(self.path_for(key), self.encode(key, stats, meta))
         self.counters["publishes"] += 1
 
     @staticmethod
     def _write_raw(path: Path, raw: bytes) -> None:
-        """Atomic publish; a failed write degrades to memory-only."""
+        """Atomic, durable publish: the temp file is fsynced before the
+        rename, so the entry is whole on disk once it is visible.  A
+        failed write degrades to memory-only."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
@@ -231,6 +275,8 @@ class ResultStore:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(raw)
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 os.replace(tmp_name, path)
             except BaseException:
                 os.unlink(tmp_name)
@@ -238,13 +284,10 @@ class ResultStore:
         except OSError:
             pass
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._memo or self.path_for(key).exists()
-
     # -- introspection ------------------------------------------------- #
 
     def files(self) -> list[Path]:
-        if not self.directory.is_dir():
+        if self.directory is None or not self.directory.is_dir():
             return []
         return sorted(self.directory.glob("??/*.json"))
 

@@ -3,7 +3,7 @@
 Each event is a slotted dataclass with a class-level ``kind`` tag and a
 ``ts`` (core-cycle timestamp) the exporters sort on.  ``as_dict`` returns
 a JSON-safe mapping — the form events take inside
-``SimStats.telemetry`` snapshots, checkpoint files, and ``--json``
+``SimStats.telemetry`` snapshots, result-store entries, and ``--json``
 payloads, so two runs of the same point serialize byte-identically
 regardless of worker count.
 """

@@ -3,8 +3,8 @@
 All exporters consume the JSON-safe snapshot produced by
 :meth:`~repro.telemetry.hub.TelemetryHub.snapshot` (the form stored in
 ``SimStats.telemetry``), not live hub objects, so they work identically
-on in-process runs, sweep-pool worker results, and reloaded checkpoint
-payloads.  Serialization is deterministic — sorted keys, stable event
+on in-process runs, sweep-pool worker results, and reloaded result-store
+entries.  Serialization is deterministic — sorted keys, stable event
 order — so traces are byte-identical across ``--jobs`` values.
 
 The Perfetto layout:

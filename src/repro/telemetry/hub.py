@@ -154,8 +154,8 @@ class TelemetryHub:
         """JSON-safe summary of everything the hub captured.
 
         This is what lands in ``SimStats.telemetry`` — plain dicts and
-        lists only, so it survives the sweep pool's pickling, checkpoint
-        JSONL, and ``--json`` serialization without loss.
+        lists only, so it survives the sweep pool's pickling, result-store
+        JSON, and ``--json`` serialization without loss.
         """
         return {
             "ring_capacity": self.sink.capacity,

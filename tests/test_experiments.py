@@ -8,7 +8,6 @@ from repro.experiments.runner import (
     build_workload,
     parse_config_label,
     pfm_speedup_pct,
-    run_baseline,
 )
 
 SMALL = 8_000
@@ -73,12 +72,6 @@ def test_sweep_grid_covers_all_nine_workloads():
 def test_build_workload_unknown_name():
     with pytest.raises(ValueError):
         build_workload("doom")
-
-
-def test_baseline_caching_returns_same_object():
-    a = run_baseline("libquantum", SMALL)
-    b = run_baseline("libquantum", SMALL)
-    assert a is b
 
 
 def test_pfm_speedup_pct_runs():

@@ -17,7 +17,6 @@ from repro.experiments.pool import (
     SweepPool,
     baseline_point,
     pfm_point,
-    stats_from_dict,
     stats_to_dict,
 )
 
@@ -81,10 +80,8 @@ def test_is_baseline():
 def test_stats_round_trip():
     stats = _fake_stats()
     stats.memory_levels = {"L1": {"accesses": 10.0, "misses": 1.0}}
-    assert stats_from_dict(stats_to_dict(stats)) == stats
-    assert stats_from_dict(
-        json.loads(json.dumps(stats_to_dict(stats)))
-    ) == stats
+    assert SimStats(**stats_to_dict(stats)) == stats
+    assert SimStats(**json.loads(json.dumps(stats_to_dict(stats)))) == stats
 
 
 # ---------------------------------------------------------------------- #
@@ -142,7 +139,7 @@ def test_results_persist_to_disk_store(tmp_path, counted_run_point):
     assert len(list((tmp_path / "store").glob("??/*.json"))) == 1
 
     # a brand-new pool (fresh memory cache) must hit the disk store
-    fresh = SweepPool(cache_dir=tmp_path)
+    fresh = SweepPool(cache_dir=tmp_path)  # fresh store, empty memo
     second = fresh.run([point])[point.label]
     assert len(counted_run_point) == 1  # only the first run computed
     assert fresh.last_run_info["store_hits"] == 1
@@ -150,42 +147,37 @@ def test_results_persist_to_disk_store(tmp_path, counted_run_point):
 
 
 def test_pfm_points_served_from_store(tmp_path, counted_run_point):
-    """Every point kind is store-backed now, not just plain baselines
-    (the pre-store engine persisted a baselines/ dir; the store subsumed
-    it, so a second invocation replays PFM points too)."""
+    """Every point kind is store-backed, not just plain baselines, so a
+    second invocation replays PFM points too."""
     point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
     SweepPool(cache_dir=tmp_path).run([point])
     second = SweepPool(cache_dir=tmp_path)
     second.run([point])
     assert len(counted_run_point) == 1
     assert second.last_run_info == {
-        "computed": 0, "resumed": 0, "cached": 0, "store_hits": 1,
-        "failed": 0,
+        "computed": 0, "store_hits": 1, "failed": 0,
     }
-    assert not (tmp_path / "baselines").exists()  # legacy dir never written
-
-
-def test_pfm_store_hits_skip_the_memory_memo(tmp_path, counted_run_point):
-    """Without memoize_all, a PFM point stays out of the in-pool memory
-    memo even when it was served from the store (the memo gating is what
-    keeps a long-lived pool's footprint bounded to baselines)."""
-    point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
-    SweepPool(cache_dir=tmp_path).run([point])
-    pool = SweepPool(cache_dir=tmp_path)
-    pool.run([point])
-    assert point.key() not in pool._memory_cache
 
 
 def test_memory_cache_without_disk(counted_run_point):
-    point = baseline_point("libquantum", WINDOW)
+    """Without a cache dir the store is memory-only: every point kind is
+    reused within the pool, addressed by point.key() (no workload build
+    for a trace_key), and nothing touches the disk."""
+    points = [
+        baseline_point("libquantum", WINDOW),
+        pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0)),
+    ]
     pool = SweepPool()  # no cache_dir
-    pool.run([point])
-    pool.run([point])
-    assert len(counted_run_point) == 1  # in-memory reuse within the pool
+    assert pool.store.directory is None
+    pool.run(points)
+    pool.run(points)
+    assert len(counted_run_point) == 2  # in-memory reuse within the pool
+    assert pool.last_run_info == {"computed": 0, "store_hits": 2, "failed": 0}
+    assert set(pool.store._memo) == {point.key() for point in points}
 
 
 # ---------------------------------------------------------------------- #
-# checkpoint / resume
+# resume = re-run against the store
 # ---------------------------------------------------------------------- #
 
 
@@ -196,64 +188,52 @@ def test_checkpoint_written_and_cleared_on_success(tmp_path, counted_run_point):
     assert not checkpoint.exists()  # finished sweeps leave no checkpoint
 
 
-def test_resume_skips_finished_points(tmp_path, counted_run_point):
+def test_resume_skips_finished_points(tmp_path, monkeypatch):
+    """A sweep interrupted after its first point resumes from the store:
+    the next pool serves the finished point and computes the rest."""
     points = [
-        pfm_point("done", "libquantum", WINDOW, PFMParams(delay=0)),
-        pfm_point("todo", "libquantum", WINDOW, PFMParams(delay=2)),
+        pfm_point(f"p{delay}", "libquantum", WINDOW, PFMParams(delay=delay))
+        for delay in (0, 2, 4)
     ]
-    checkpoint = tmp_path / "ck.jsonl"
-    finished = _fake_stats(cycles=777)
-    checkpoint.write_text(
-        json.dumps({"key": points[0].key(), "stats": stats_to_dict(finished)})
-        + "\n"
-    )
+    calls: list[str] = []
 
-    results = SweepPool(checkpoint=checkpoint).run(points)
-    assert counted_run_point == ["todo"]  # "done" replayed from checkpoint
-    assert results["done"].cycles == 777
-    assert not checkpoint.exists()
+    def interrupt_after_first(point):
+        if calls:
+            raise KeyboardInterrupt
+        calls.append(point.label)
+        return _fake_stats()
+
+    monkeypatch.setattr(pool_module, "run_point", interrupt_after_first)
+    with pytest.raises(KeyboardInterrupt):
+        SweepPool(cache_dir=tmp_path).run(points)
+    assert len(calls) == 1
+
+    monkeypatch.setattr(pool_module, "run_point", lambda point: _fake_stats())
+    pool = SweepPool(cache_dir=tmp_path)
+    results = pool.run(points)
+    assert set(results) == {point.label for point in points}
+    assert pool.last_run_info == {
+        "computed": len(points) - 1, "store_hits": 1, "failed": 0,
+    }
 
 
 def test_resume_short_circuits_through_store(tmp_path, counted_run_point):
-    """Resuming an interrupted sweep must not re-run points whose results
-    already sit in the result store (e.g. published by another daemon or
-    a previous partial run): checkpoint hits resume, store hits replay,
-    and only genuinely new work computes."""
+    """Re-running a sweep must not re-run points whose results already
+    sit in the result store (published by another daemon or a previous
+    partial run): only genuinely new work computes."""
     points = [
-        pfm_point("ckpt", "libquantum", WINDOW, PFMParams(delay=0)),
         pfm_point("stored", "libquantum", WINDOW, PFMParams(delay=2)),
         pfm_point("new", "libquantum", WINDOW, PFMParams(delay=4)),
     ]
-    # first run publishes "stored" into the shared store
-    SweepPool(cache_dir=tmp_path).run([points[1]])
-    # interrupted run left "ckpt" in a checkpoint file
-    checkpoint = tmp_path / "ck.jsonl"
-    checkpoint.write_text(
-        json.dumps(
-            {"key": points[0].key(), "stats": stats_to_dict(_fake_stats())}
-        ) + "\n"
-    )
+    SweepPool(cache_dir=tmp_path).run([points[0]])
 
-    pool = SweepPool(cache_dir=tmp_path, checkpoint=checkpoint)
+    pool = SweepPool(cache_dir=tmp_path)
     results = pool.run(points)
-    assert set(results) == {"ckpt", "stored", "new"}
+    assert set(results) == {"stored", "new"}
     assert counted_run_point == ["stored", "new"]  # "stored" from run 1
     assert pool.last_run_info == {
-        "computed": 1, "resumed": 1, "cached": 0, "store_hits": 1,
-        "failed": 0,
+        "computed": 1, "store_hits": 1, "failed": 0,
     }
-    # the checkpoint-resumed point was also published for other hosts
-    from repro.store import ResultStore, store_dir
-    assert points[0].store_key() in ResultStore(store_dir(tmp_path))
-
-
-def test_resume_tolerates_torn_final_line(tmp_path, counted_run_point):
-    points = [pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))]
-    checkpoint = tmp_path / "ck.jsonl"
-    checkpoint.write_text('{"key": "x", "stats": {"instr')  # killed mid-write
-    results = SweepPool(checkpoint=checkpoint).run(points)
-    assert counted_run_point == ["p"]
-    assert "p" in results
 
 
 # ---------------------------------------------------------------------- #
@@ -303,21 +283,23 @@ def test_persistent_failure_raises_and_keeps_checkpoint(
         pfm_point("bad", "libquantum", WINDOW, PFMParams(delay=2)),
     ]
     checkpoint = tmp_path / "ck.jsonl"
-    pool = _retry_pool(checkpoint=checkpoint)
+    pool = _retry_pool(cache_dir=tmp_path, checkpoint=checkpoint)
     with pytest.raises(SweepFailure) as exc_info:
         pool.run(points)
     assert exc_info.value.errors == {"bad": "RuntimeError: always dies"}
     assert pool.last_run_info["failed"] == 1
 
-    # The checkpoint survives: the success as stats, the failure marked.
+    # The checkpoint survives as the failed-points log; the success is
+    # in the store.
     assert checkpoint.exists()
     records = [
         json.loads(line) for line in checkpoint.read_text().splitlines()
     ]
-    by_key = {record["key"]: record for record in records}
-    assert "stats" in by_key[points[0].key()]
-    assert by_key[points[1].key()]["failed"] is True
-    assert "always dies" in by_key[points[1].key()]["error"]
+    assert len(records) == 1
+    assert records[0]["key"] == points[1].key()
+    assert records[0]["failed"] is True
+    assert "always dies" in records[0]["error"]
+    assert pool.store.get(points[0].store_key()) is not None
 
 
 def test_resume_retries_previously_failed_point(tmp_path, monkeypatch):
@@ -326,16 +308,17 @@ def test_resume_retries_previously_failed_point(tmp_path, monkeypatch):
         pfm_point("bad", "libquantum", WINDOW, PFMParams(delay=2)),
     ]
     checkpoint = tmp_path / "ck.jsonl"
-    checkpoint.write_text(
-        json.dumps(
-            {"key": points[0].key(), "stats": stats_to_dict(_fake_stats())}
-        )
-        + "\n"
-        + json.dumps(
-            {"key": points[1].key(), "failed": True, "error": "boom"}
-        )
-        + "\n"
-    )
+
+    def half_broken(point):
+        if point.label == "bad":
+            raise RuntimeError("boom")
+        return _fake_stats()
+
+    monkeypatch.setattr(pool_module, "run_point", half_broken)
+    with pytest.raises(SweepFailure):
+        _retry_pool(retries=0, cache_dir=tmp_path,
+                    checkpoint=checkpoint).run(points)
+    assert checkpoint.exists()
 
     calls: list[str] = []
 
@@ -344,7 +327,7 @@ def test_resume_retries_previously_failed_point(tmp_path, monkeypatch):
         return _fake_stats()
 
     monkeypatch.setattr(pool_module, "run_point", healed)
-    results = _retry_pool(checkpoint=checkpoint).run(points)
+    results = _retry_pool(cache_dir=tmp_path, checkpoint=checkpoint).run(points)
     assert calls == ["bad"]  # only the failed point recomputed
     assert set(results) == {"ok", "bad"}
     assert not checkpoint.exists()  # fully successful sweep cleans up
@@ -406,91 +389,32 @@ def test_worker_crash_retried_in_fresh_executor(tmp_path, monkeypatch):
     assert os.path.exists(str(tmp_path / "crashed-once"))
 
 
-def test_interrupted_sweep_leaves_checkpoint(tmp_path, monkeypatch):
-    """A crash mid-sweep preserves completed points for the next run."""
-    points = [
-        pfm_point("ok", "libquantum", WINDOW, PFMParams(delay=0)),
-        pfm_point("boom", "libquantum", WINDOW, PFMParams(delay=2)),
-    ]
-
-    def explode_on_second(point):
-        if point.label == "boom":
-            raise KeyboardInterrupt
-        return _fake_stats()
-
-    monkeypatch.setattr(pool_module, "run_point", explode_on_second)
-    checkpoint = tmp_path / "ck.jsonl"
-    with pytest.raises(KeyboardInterrupt):
-        SweepPool(checkpoint=checkpoint).run(points)
-    assert checkpoint.exists()
-    lines = checkpoint.read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["key"] == points[0].key()
-
-
 # ---------------------------------------------------------------------- #
-# checkpoint robustness (crash-safe appends / tolerant loads)
+# durability
 # ---------------------------------------------------------------------- #
 
 
-def test_torn_trailing_checkpoint_line_is_skipped(tmp_path, counted_run_point):
-    """A run killed mid-append leaves a torn final JSONL line; resuming
-    must skip it (recomputing that point) instead of raising."""
-    done = pfm_point("done", "libquantum", WINDOW, PFMParams(delay=0))
-    torn = pfm_point("torn", "libquantum", WINDOW, PFMParams(delay=2))
-    checkpoint = tmp_path / "ck.jsonl"
-    good = json.dumps({"key": done.key(), "stats": stats_to_dict(_fake_stats())})
-    half = json.dumps({"key": torn.key(), "stats": stats_to_dict(_fake_stats())})
-    checkpoint.write_text(good + "\n" + half[: len(half) // 2])
-
-    results = SweepPool(checkpoint=checkpoint).run([done, torn])
-    assert set(results) == {"done", "torn"}
-    assert counted_run_point == ["torn"]  # only the torn point recomputed
-
-
-def test_checkpoint_record_with_foreign_stats_schema_is_recomputed(
-    tmp_path, counted_run_point
-):
-    """Valid JSON whose stats payload doesn't match SimStats (e.g. written
-    by an older schema) is recomputed, not trusted or fatal."""
-    point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
-    checkpoint = tmp_path / "ck.jsonl"
-    checkpoint.write_text(
-        json.dumps({"key": point.key(), "stats": "not-a-dict"}) + "\n"
-        + json.dumps(["not", "a", "record"]) + "\n"
-        + json.dumps({"no_key": True}) + "\n"
-    )
-    results = SweepPool(checkpoint=checkpoint).run([point])
-    assert set(results) == {"p"}
-    assert counted_run_point == ["p"]
-
-
-def test_checkpoint_appends_are_fsynced(tmp_path, monkeypatch, counted_run_point):
-    """Every checkpoint append must reach the disk before the next point
-    starts: flush + fsync per record."""
+def test_checkpoint_appends_are_fsynced(tmp_path, monkeypatch):
+    """Every result reaches the disk before the next point starts: one
+    fsync per published store entry plus one per failure record."""
     synced: list[int] = []
     real_fsync = os.fsync
     monkeypatch.setattr(
         pool_module.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
     )
+
+    def half_broken(point):
+        if point.label == "bad":
+            raise RuntimeError("always dies")
+        return _fake_stats()
+
+    monkeypatch.setattr(pool_module, "run_point", half_broken)
     points = [
         pfm_point("a", "libquantum", WINDOW, PFMParams(delay=0)),
         pfm_point("b", "libquantum", WINDOW, PFMParams(delay=2)),
+        pfm_point("bad", "libquantum", WINDOW, PFMParams(delay=4)),
     ]
-    SweepPool(checkpoint=tmp_path / "ck.jsonl").run(points)
-    assert len(synced) == len(points)
-
-
-def test_memoize_all_serves_pfm_points_from_memory(counted_run_point):
-    """With memoize_all (the service's warm mode) repeated PFM points are
-    pure memory-cache hits; the default pool recomputes them."""
-    point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
-    warm = SweepPool(memoize_all=True)
-    warm.run([point])
-    warm.run([point])
-    assert counted_run_point == ["p"]  # second run served from memory
-
-    cold = SweepPool()
-    cold.run([point])
-    cold.run([point])
-    assert counted_run_point == ["p", "p", "p"]
+    with pytest.raises(SweepFailure):
+        _retry_pool(retries=0, cache_dir=tmp_path,
+                    checkpoint=tmp_path / "ck.jsonl").run(points)
+    assert len(synced) == 2 + 1

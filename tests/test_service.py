@@ -242,12 +242,13 @@ def test_second_identical_request_is_warm_and_identical(tmp_path):
     request = SweepRequest(window=WINDOW, workloads=("astar",), configs=(CONFIG,))
     with running_service(tmp_path / "cache") as (service, client):
         first = client.run("sweep", request.to_wire(), timeout=120)
+        computed = client.stats()["cache"]["pool"]["computed"]
         second = client.run("sweep", request.to_wire(), timeout=120)
         assert first == second
-        cache = client.stats()["cache"]
-        # The warm request was served entirely from the shared memo.
-        assert cache["pool"]["cached"] >= cache["pool"]["computed"]
-        assert cache["baseline_memory_entries"] >= 1
+        pool = client.stats()["cache"]["pool"]
+        # The warm request was served entirely from the shared store.
+        assert pool["computed"] == computed
+        assert pool["store_hits"] >= computed
 
 
 # --------------------------------------------------------------------- #
@@ -260,7 +261,6 @@ def test_submit_rejections_name_the_reason(tmp_path):
         tmp_path / "cache", max_queue=1, worker_budget=1, hold=True
     ) as (service, client):
         client.submit("simulate", {"workload": "astar", "window": WINDOW})
-        # distinct request: an identical one would coalesce, not reject
         with pytest.raises(ServiceError, match="queue full") as excinfo:
             client.submit("simulate", {"workload": "milc", "window": WINDOW})
         assert excinfo.value.status == 429
@@ -321,7 +321,7 @@ def test_failed_job_reports_error_through_status(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# request coalescing (identical queued requests share one run)
+# duplicate requests (ordinary jobs served from the shared store)
 # --------------------------------------------------------------------- #
 
 
@@ -331,92 +331,37 @@ def _release(service):
     asyncio.run_coroutine_threadsafe(service.release(), loop).result(10)
 
 
-def test_identical_queued_requests_coalesce_to_one_run(tmp_path):
-    """Duplicate submits admit pollable jobs but execute once; every
-    waiter receives the primary's exact result bytes."""
+def test_duplicate_queued_request_is_an_ordinary_job(tmp_path):
+    """A duplicate submit takes its own queue slot and runs as its own
+    job; its point is a store hit, and both jobs return the same bytes."""
     request = {"workload": "astar", "window": WINDOW}
     with running_service(tmp_path / "cache", hold=True) as (service, client):
-        primary = client.submit("simulate", request)
-        dup = client.submit("simulate", request)
-        other = client.submit("simulate", {"workload": "lbm",
-                                           "window": WINDOW})
-        assert dup["coalesced_with"] == primary["job_id"]
-        assert "coalesced_with" not in other
+        first = client.submit("simulate", request)["job_id"]
+        dup = client.submit("simulate", request)["job_id"]
+        assert client.stats()["queue"]["depth"] == 2
+
+        _release(service)
+        assert client.wait(first, timeout=120)["state"] == DONE
+        assert client.wait(dup, timeout=120)["state"] == DONE
+        assert client.result(first) == client.result(dup)
         stats = client.stats()
-        assert stats["queue"]["depth"] == 2  # followers take no slot
-        assert stats["queue"]["coalesced_waiting"] == 1
-        assert stats["counters"]["jobs_coalesced"] == 1
-
-        _release(service)
-        first = client.wait(primary["job_id"], timeout=120)
-        second = client.wait(dup["job_id"], timeout=120)
-        client.wait(other["job_id"], timeout=120)
-        assert first["state"] == second["state"] == DONE
-        assert client.result(primary["job_id"]) == client.result(dup["job_id"])
-        counters = client.stats()["counters"]
-        assert counters["jobs_started"] == 2  # primary + "other", not dup
-        assert counters["jobs_done"] == 3
+        assert stats["counters"]["jobs_started"] == 2
+        assert stats["cache"]["pool"] == {
+            "computed": 1, "store_hits": 1, "failed": 0,
+        }
 
 
-def test_coalesced_submit_bypasses_full_queue(tmp_path):
-    """A duplicate of a queued request is accepted even when the queue is
-    full — it needs no slot — while a novel request is rejected."""
-    request = {"workload": "astar", "window": WINDOW}
-    with running_service(
-        tmp_path / "cache", max_queue=1, hold=True
-    ) as (service, client):
-        client.submit("simulate", request)
-        dup = client.submit("simulate", request)
-        assert "coalesced_with" in dup
-        with pytest.raises(ServiceError, match="queue full"):
-            client.submit("simulate", {"workload": "lbm", "window": WINDOW})
-        _release(service)  # drain cleanly instead of journaling the pair
-
-
-def test_cancel_primary_promotes_oldest_follower(tmp_path):
-    request = {"workload": "astar", "window": WINDOW}
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
-        primary = client.submit("simulate", request)["job_id"]
-        follower_a = client.submit("simulate", request)["job_id"]
-        follower_b = client.submit("simulate", request)["job_id"]
-
-        assert client.cancel(primary)["state"] == CANCELLED
-        # oldest follower inherits the run and the remaining follower
-        assert [job.id for job in service.queue.snapshot()] == [follower_a]
-        stats = client.stats()
-        assert stats["counters"]["jobs_promoted"] == 1
-        assert stats["queue"]["coalesced_waiting"] == 1
-
-        _release(service)
-        assert client.wait(follower_a, timeout=120)["state"] == DONE
-        assert client.wait(follower_b, timeout=120)["state"] == DONE
-        assert client.result(follower_a) == client.result(follower_b)
-
-
-def test_cancel_follower_leaves_primary_running(tmp_path):
-    request = {"workload": "astar", "window": WINDOW}
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
-        primary = client.submit("simulate", request)["job_id"]
-        follower = client.submit("simulate", request)["job_id"]
-        assert client.cancel(follower)["state"] == CANCELLED
-        assert [job.id for job in service.queue.snapshot()] == [primary]
-        assert client.stats()["queue"]["coalesced_waiting"] == 0
-        _release(service)
-        assert client.wait(primary, timeout=120)["state"] == DONE
-
-
-def test_completed_request_is_not_coalesced_with(tmp_path):
-    """Coalescing applies to *live* duplicates only; a resubmit after the
-    primary finished runs again (served warm by the store, not welded to
-    a dead job)."""
+def test_duplicate_request_is_served_from_store(tmp_path):
+    """A resubmit after the first job finished is served from the store:
+    same bytes, no new simulation."""
     request = {"workload": "astar", "window": WINDOW}
     with running_service(tmp_path / "cache") as (service, client):
         first = client.submit("simulate", request)["job_id"]
         assert client.wait(first, timeout=120)["state"] == DONE
-        again = client.submit("simulate", request)
-        assert "coalesced_with" not in again
-        assert client.wait(again["job_id"], timeout=120)["state"] == DONE
-        assert client.result(first) == client.result(again["job_id"])
+        again = client.submit("simulate", request)["job_id"]
+        assert client.wait(again, timeout=120)["state"] == DONE
+        assert client.result(first) == client.result(again)
+        assert client.stats()["cache"]["pool"]["computed"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -476,12 +421,13 @@ def test_stats_shape_and_health(tmp_path):
         assert set(stats["request_kinds"]) >= {"simulate", "sweep", "trace"}
         assert stats["counters"]["jobs_admitted"] == 1
         assert {"pool", "trace", "pool_warm_rate", "trace_hit_rate",
-                "store", "store_hit_rate", "store_entries",
-                "baseline_memory_entries"} <= set(stats["cache"])
+                "store", "store_hit_rate",
+                "store_entries"} <= set(stats["cache"])
         assert {"hits", "memo_hits", "misses", "publishes",
                 "recoveries"} <= set(stats["cache"]["store"])
-        assert "store_hits" in stats["cache"]["pool"]
-        assert "coalesced_waiting" in stats["queue"]
+        assert set(stats["cache"]["pool"]) == {
+            "computed", "store_hits", "failed",
+        }
         assert stats["uptime_s"] >= 0
 
 

@@ -130,6 +130,19 @@ def test_memo_serves_repeat_reads(tmp_path):
     assert store.counters["memo_hits"] == 1  # put() primed the memo
 
 
+def test_memory_only_store_keeps_entries_in_its_memo():
+    store = ResultStore(None)
+    key = "ab" + "0" * 62
+    assert store.get(key) is None
+    store.put(key, _stats())
+    assert store.get(key) == _stats()
+    assert len(store) == 0 and store.files() == []  # nothing on disk
+    assert store.counters == {
+        "hits": 0, "memo_hits": 1, "misses": 1, "publishes": 1,
+        "recoveries": 0,
+    }
+
+
 # ---------------------------------------------------------------------- #
 # corruption / recovery
 # ---------------------------------------------------------------------- #
@@ -156,8 +169,10 @@ def _poisoned(tmp_path, raw: bytes) -> tuple[ResultStore, str]:
                 "stats": "not-a-dict"}).encode(),
     json.dumps({"version": STORE_VERSION, "key": "cd" + "1" * 62,
                 "stats": {"no_such_field": True}}).encode(),
+    json.dumps({"version": STORE_VERSION, "key": "cd" + "1" * 62,
+                "stats": {"instructions": 1, "cycles": "garbage"}}).encode(),
 ], ids=["torn", "binary", "non-dict", "stale-version", "wrong-key",
-        "stats-shape", "stats-schema"])
+        "stats-shape", "stats-schema", "stats-types"])
 def test_defective_entries_read_as_misses(tmp_path, raw):
     store, key = _poisoned(tmp_path, raw)
     assert store.get(key) is None
@@ -386,7 +401,7 @@ def _touch(path, size: int, mtime: float) -> None:
 
 def test_gc_evicts_lru_across_sections(tmp_path):
     _touch(tmp_path / "traces" / "old.trace.pkl", 100, 1_000)
-    _touch(tmp_path / "baselines" / "mid.json", 100, 2_000)
+    _touch(tmp_path / "store" / "ef" / ("e" * 64 + ".json"), 100, 2_000)
     _touch(tmp_path / "store" / "ab" / ("a" * 64 + ".json"), 100, 3_000)
     _touch(tmp_path / "store" / "cd" / ("c" * 64 + ".json"), 100, 4_000)
 
@@ -395,9 +410,8 @@ def test_gc_evicts_lru_across_sections(tmp_path):
     assert summary["evicted_bytes"] == 200
     assert summary["kept_bytes"] == 200
     assert summary["sections"]["traces"]["evicted_files"] == 1
-    assert summary["sections"]["baselines"]["evicted_files"] == 1
-    assert summary["sections"]["store"]["evicted_files"] == 0
-    # the two newest (both store entries) survived
+    assert summary["sections"]["store"]["evicted_files"] == 1
+    # the two newest store entries survived
     assert not (tmp_path / "traces" / "old.trace.pkl").exists()
     assert len(ResultStore(store_dir(tmp_path))) == 2
 
