@@ -25,25 +25,26 @@ def main() -> None:
     )
     stats = core.run()
     fabric = core.fabric
+    slot = fabric.slots[0]  # the primary tenant: this workload's component
     print("--- time slice 1 (component programmed) ---")
     print(f"IPC {stats.ipc:.3f}, MPKI {stats.mpki:.1f}, "
           f"predictions supplied {stats.pfm_predicted_branches}")
 
     print("\n--- context switch out: deprogram the fabric ---")
     fabric.deprogram(now=10**7)
-    print(f"fabric enabled: {fabric.enabled}")
-    print(f"queues flushed: ObsQ-R={fabric.obs_q.occupancy}, "
-          f"IntQ-IS={fabric.intq_is.occupancy}, "
-          f"IntQ-F pending={fabric.fetch_agent.pending_count()}")
+    print(f"fabric enabled: {slot.enabled}")
+    print(f"queues flushed: ObsQ-R={slot.obs_q.occupancy}, "
+          f"IntQ-IS={slot.intq_is.occupancy}, "
+          f"IntQ-F pending={slot.fetch_agent.pending_count()}")
     print("the swapped-in context now runs with a plain core —")
     print("nothing of this context's behaviour is observable from RF")
 
     print("\n--- context switch back in: reprogram from the bitstream ---")
-    old = id(fabric.component)
+    old = id(slot.component)
     fabric.reprogram(now=2 * 10**7)
-    print(f"fabric enabled: {fabric.enabled}")
-    print(f"fresh component instance: {id(fabric.component) != old}")
-    print(f"ROI re-entry required: roi_active={fabric.roi_active}")
+    print(f"fabric enabled: {slot.enabled}")
+    print(f"fresh component instance: {id(slot.component) != old}")
+    print(f"ROI re-entry required: roi_active={slot.roi_active}")
     print("\n(a fresh run of the same workload re-trains from zero:)")
 
     core2 = SuperscalarCore(

@@ -33,7 +33,7 @@ def main() -> None:
     for clk, width in [(1, 1), (4, 1), (4, 4), (8, 1)]:
         pfm = PFMParams(clk_ratio=clk, width=width, delay=0)
         core, stats = run(pfm)
-        component = core.fabric.component
+        component = core.fabric.slots[0].component
         print(f"clk{clk}_w{width:<6} {100 * stats.speedup_over(baseline):+7.0f}%"
               f"   {stats.agent_prefetches:>8}   {component.controller.distance:>8}")
 

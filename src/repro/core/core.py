@@ -172,9 +172,12 @@ class SuperscalarCore:
             self.stats.watchdog_overrides_suppressed = wd["overrides_suppressed"]
             self.stats.watchdog_load_throttle_events = wd["load_throttle_events"]
             self.stats.watchdog_loads_dropped = wd["loads_dropped"]
-            if self.fabric.injector is not None:
-                self.stats.fault_events = dict(self.fabric.injector.counts)
-            self.stats.fabric_state = self.fabric.state
+            # Slot 0 (the primary tenant) is the only slot that carries a
+            # fault injector, and its lifecycle is the run's fabric state.
+            primary = self.fabric.slots[0]
+            if primary.injector is not None:
+                self.stats.fault_events = dict(primary.injector.counts)
+            self.stats.fabric_state = primary.state
             rc_totals = self.fabric.reconfig_totals()
             if rc_totals is not None:
                 self.stats.reconfigs = rc_totals["reconfigs"]

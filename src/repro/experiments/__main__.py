@@ -125,9 +125,8 @@ def _fmt_bytes(n: int) -> str:
 def _cache_main(argv: list[str]) -> int:
     """The ``cache`` subcommand: inspect or clear the `.repro-cache/` store.
 
-    Parsed by its own parser (not the experiments one) so maintenance
-    flags like ``clear --jobs`` don't collide with the sweep ``--jobs N``
-    worker-count option.
+    Parsed by its own parser (not the experiments one): its maintenance
+    flags share no meaning with the experiment options.
     """
     from repro.workloads import tracecache
 
@@ -138,14 +137,9 @@ def _cache_main(argv: list[str]) -> int:
     parser.add_argument(
         "action", nargs="?", default="list", choices=("list", "clear", "gc"),
         help="list (default): report per-section sizes; clear: delete"
-             " compiled traces (the result store with --store, the service"
-             " job store with --jobs); gc: evict least-recently-written"
-             " cache files until the total fits --max-bytes",
-    )
-    parser.add_argument(
-        "--jobs", action="store_true",
-        help="with 'clear': clear the service job store (journal, results,"
-             " per-job failed-points logs) instead of the compiled traces",
+             " compiled traces (the result store with --store); gc: evict"
+             " least-recently-written cache files until the total fits"
+             " --max-bytes",
     )
     parser.add_argument(
         "--store", action="store_true",
@@ -187,13 +181,6 @@ def _cache_main(argv: list[str]) -> int:
         return 0
 
     if args.action == "clear":
-        if args.jobs:
-            from repro.service import JobStore, jobs_dir
-
-            removed, freed = JobStore(jobs_dir(base)).clear()
-            print(f"removed {removed} job-store file(s), freed"
-                  f" {_fmt_bytes(freed)} from {jobs_dir(base)}")
-            return 0
         if args.store:
             from repro.store import ResultStore, store_dir
 
@@ -235,12 +222,6 @@ def _cache_main(argv: list[str]) -> int:
           f" entr{'y' if store_count == 1 else 'ies'},"
           f" {_fmt_bytes(store_bytes)}"
           f"  (evict with 'cache gc --max-bytes SIZE')")
-    from repro.service import jobs_dir
-
-    files, size = _dir_size(jobs_dir(base))
-    grand_total += size
-    print(f"service jobs: {files} file(s), {_fmt_bytes(size)}"
-          f"  (clear with 'cache clear --jobs')")
     print(f"total cache footprint: {_fmt_bytes(grand_total)}")
     return 0
 
@@ -572,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         print("  shape  (aggregate shape-agreement metrics)")
         print("  cache  (inspect/clear/gc the on-disk caches)")
         print("  shard-merge  (union shard result stores; see --shard)")
-        print("  serve / submit / status / result / cancel / stats"
+        print("  serve / submit / status / result / stats"
               "  (simulation service; see repro.service)")
         for title, names in (
             ("workloads", workload_names()),

@@ -62,11 +62,12 @@ class FabricFetchHook:
     The forwarding methods are bound at construction (the partitioned FST
     and the slot layout are fixed for the fabric's lifetime); with a
     single slot they bind the slot's own methods, so a hook call costs
-    the same as the pre-tenancy direct fabric call.
+    the same as the pre-tenancy direct fabric call.  The fetch-side ROI
+    is active while any slot's is.
     """
 
     __slots__ = (
-        "_roi_src", "_fabric", "on_fetch", "lookup", "predict",
+        "_solo", "_fabric", "on_fetch", "lookup", "predict",
         "record_override",
     )
 
@@ -76,17 +77,19 @@ class FabricFetchHook:
         self.predict = fabric.predict_hit
         if fabric._single:
             slot = fabric._slot0
-            self._roi_src: Any = slot
+            self._solo: FabricSlot | None = slot
             self.on_fetch = slot.on_fetch
             self.record_override = slot.watchdog.record_override
         else:
-            self._roi_src = fabric
+            self._solo = None
             self.on_fetch = fabric._on_fetch_multi
             self.record_override = fabric._record_override
 
     @property
     def roi_fetch_active(self) -> bool:
-        return self._roi_src.roi_fetch_active
+        if self._solo is not None:
+            return self._solo.roi_fetch_active
+        return any(s.roi_fetch_active for s in self._fabric.slots)
 
     @property
     def stall_cycles(self) -> int:
@@ -130,26 +133,29 @@ class FabricRetireHook:
 
     Forwarding methods are bound at construction (the partitioned RST is
     fixed for the fabric's lifetime), matching the cost of direct calls;
-    a single-slot fabric binds the slot's methods directly.
+    a single-slot fabric binds the slot's methods directly.  The
+    retire-side ROI is active while any slot's is.
     """
 
-    __slots__ = ("_roi_src", "_fabric", "lookup", "on_retire", "on_squash")
+    __slots__ = ("_solo", "_fabric", "lookup", "on_retire", "on_squash")
 
     def __init__(self, fabric: "PFMFabric"):
         self._fabric = fabric
         self.lookup = fabric.rst.lookup
         if fabric._single:
-            self._roi_src: Any = fabric._slot0
+            self._solo: FabricSlot | None = fabric._slot0
             self.on_retire = fabric._on_retire_single
             self.on_squash = fabric._slot0.on_core_squash
         else:
-            self._roi_src = fabric
+            self._solo = None
             self.on_retire = fabric._on_retire_multi
             self.on_squash = fabric.on_core_squash
 
     @property
     def roi_active(self) -> bool:
-        return self._roi_src.roi_active
+        if self._solo is not None:
+            return self._solo.roi_active
+        return any(s.roi_active for s in self._fabric.slots)
 
     @property
     def port_delay_cycles(self) -> int:
@@ -161,9 +167,9 @@ class PFMFabric:
 
     A container of fabric slots (one per tenant) plus the partitioned
     snoop tables, the contention-aware scheduler, and the routing layer
-    the pipeline hooks call into.  Single-tenant attribute access
-    (``fabric.component``, ``fabric.obs_q``, ...) delegates to slot 0 —
-    the primary tenant — preserving the pre-tenancy surface.
+    the pipeline hooks call into.  Per-tenant state (component, queues,
+    agents, ROI flags) lives on the slots: ``fabric.slots[0]`` is the
+    primary tenant.
     """
 
     def __init__(
@@ -313,147 +319,8 @@ class PFMFabric:
         return done
 
     # ------------------------------------------------------------------ #
-    # single-tenant compatibility surface (delegates to the primary slot)
+    # context switch (§2.4)
     # ------------------------------------------------------------------ #
-
-    @property
-    def component(self) -> Any:
-        return self._slot0.component
-
-    @component.setter
-    def component(self, value: Any) -> None:
-        self._slot0.component = value
-
-    @property
-    def enabled(self) -> bool:
-        return self._slot0.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._slot0.enabled = value
-
-    @property
-    def roi_active(self) -> bool:
-        if self._single:
-            return self._slot0.roi_active
-        return any(s.roi_active for s in self.slots)
-
-    @roi_active.setter
-    def roi_active(self, value: bool) -> None:
-        self._slot0.roi_active = value
-
-    @property
-    def roi_fetch_active(self) -> bool:
-        if self._single:
-            return self._slot0.roi_fetch_active
-        return any(s.roi_fetch_active for s in self.slots)
-
-    @roi_fetch_active.setter
-    def roi_fetch_active(self, value: bool) -> None:
-        self._slot0.roi_fetch_active = value
-
-    @property
-    def timings(self) -> Any:
-        return self._slot0.timings
-
-    @property
-    def rf_cycle(self) -> int:
-        return self._slot0.rf_cycle
-
-    @property
-    def obs_q(self) -> Any:
-        return self._slot0.obs_q
-
-    @property
-    def intq_is(self) -> Any:
-        return self._slot0.intq_is
-
-    @property
-    def retq(self) -> Any:
-        return self._slot0.retq
-
-    @property
-    def fetch_agent(self) -> Any:
-        return self._slot0.fetch_agent
-
-    @property
-    def retire_agent(self) -> Any:
-        return self._slot0.retire_agent
-
-    @property
-    def load_agent(self) -> Any:
-        return self._slot0.load_agent
-
-    @property
-    def watchdog(self) -> Any:
-        return self._slot0.watchdog
-
-    @property
-    def injector(self) -> Any:
-        return self._slot0.injector
-
-    @property
-    def reconfig(self) -> Any:
-        return self._slot0.reconfig
-
-    @property
-    def call_marker_pcs(self) -> frozenset[int]:
-        return self._slot0.call_marker_pcs
-
-    @property
-    def squashes_signalled(self) -> int:
-        if self._single:
-            return self._slot0.squashes_signalled
-        return sum(s.squashes_signalled for s in self.slots)
-
-    @property
-    def obs_dropped(self) -> int:
-        if self._single:
-            return self._slot0.obs_dropped
-        return sum(s.obs_dropped for s in self.slots)
-
-    @property
-    def last_roi_value(self) -> Any:
-        return self._slot0.last_roi_value
-
-    @property
-    def _pending_squashes(self) -> list[int]:
-        return self._slot0._pending_squashes
-
-    @property
-    def probe(self) -> Any:
-        return self._slot0.probe
-
-    @probe.setter
-    def probe(self, value: Any) -> None:
-        for slot in self.slots:
-            slot.probe = value
-
-    @property
-    def state(self) -> str:
-        """Primary tenant's lifecycle state ("active", "disabled", ...)."""
-        return self._slot0.state
-
-    def predict(self, fst_tag: str, fetch_time: int) -> tuple[bool, int] | None:
-        """Tag-addressed prediction on the primary slot (compat path)."""
-        return self._slot0.predict_entry(fst_tag, fetch_time)
-
-    def advance_to(self, core_time: int) -> None:
-        """Run every slot's RF cycles ending at or before *core_time*."""
-        if self._single:
-            self._slot0.advance_to(core_time)
-            return
-        for slot in self.slots:
-            slot.advance_to(core_time)
-
-    def obs_peek(self, now: int) -> Any:
-        return self._slot0.obs_peek(now)
-
-    def obs_pop(self, now: int) -> Any:
-        return self._slot0.obs_pop(now)
-
-    def rearm_roi(self, now: int, roi_value: Any) -> None:
-        self._slot0.rearm_roi(now, roi_value)
 
     def deprogram(self, now: int) -> None:
         """Context switch out: every tenant's component leaves RF (§2.4)."""

@@ -76,8 +76,8 @@ class ReconfigController:
     the bitstream "loads".
     """
 
-    def __init__(self, fabric: "FabricSlot", policy: "RecoveryPolicy"):
-        self.fabric = fabric
+    def __init__(self, slot: "FabricSlot", policy: "RecoveryPolicy"):
+        self.slot = slot
         self.policy = policy
         self.state = FabricState.ACTIVE
         #: Completed reloads (scheduled swaps included).
@@ -110,7 +110,7 @@ class ReconfigController:
             return
         self.transitions.append((now, self.state.value, state.value, reason))
         self.state = state
-        probe = self.fabric.probe
+        probe = self.slot.probe
         if probe is not None:
             probe.agent(now, "fabric", f"reconfig_{state.value}", self.reconfigs)
 
@@ -134,7 +134,7 @@ class ReconfigController:
             self._scheduled_done = True
             self.reload(now, "scheduled-swap", scheduled=True)
             return self.state is not FabricState.DISABLED and now >= self.available_at
-        wd = self.fabric.watchdog
+        wd = self.slot.watchdog
         if wd.breaker_trip_pending:
             wd.breaker_trip_pending = False
             if pol.reload_on_breaker:
@@ -181,12 +181,12 @@ class ReconfigController:
         if not scheduled and self.reload_attempts >= pol.max_reloads:
             self.reloads_abandoned += 1
             self._goto(now, FabricState.DISABLED, f"abandoned:{reason}")
-            self.fabric.enabled = False
+            self.slot.enabled = False
             return False
 
-        fabric = self.fabric
-        was_roi = fabric.roi_active
-        roi_value = fabric.last_roi_value
+        slot = self.slot
+        was_roi = slot.roi_active
+        roi_value = slot.last_roi_value
         self._goto(now, FabricState.QUIESCING, reason)
         drained_at = self._drain(now)
         self._goto(drained_at, FabricState.DRAINED, reason)
@@ -197,26 +197,26 @@ class ReconfigController:
             self.reload_attempts += 1
         self._goto(drained_at, FabricState.LOADING, reason)
         resume = drained_at + latency
-        c = fabric.timings.clk_ratio
-        injector = fabric.injector
+        c = slot.timings.clk_ratio
+        injector = slot.injector
         if injector is not None:
             # The reload may itself be faulty: stalled, or dead on arrival.
             resume += injector.on_reconfig(resume // c)
-        fabric.component = rebuild_component(
-            fabric.bitstream,
-            fabric.timings,
-            fabric.load_agent._memory,
-            fabric.params.component_overrides,
+        slot.component = rebuild_component(
+            slot.bitstream,
+            slot.timings,
+            slot.load_agent._memory,
+            slot.params.component_overrides,
         )
-        fabric.rf_cycle = max(fabric.rf_cycle, -(-resume // c))
-        fabric.watchdog.on_reload()
-        fabric.enabled = True
+        slot.rf_cycle = max(slot.rf_cycle, -(-resume // c))
+        slot.watchdog.on_reload()
+        slot.enabled = True
         self.available_at = resume
         self.reconfigs += 1
         self.reconfig_cycles += resume - now
         self._goto(resume, FabricState.ACTIVE, reason)
         if was_roi:
-            fabric.rearm_roi(resume, roi_value)
+            slot.rearm_roi(resume, roi_value)
         return True
 
     def _drain(self, start: int) -> int:
@@ -229,29 +229,29 @@ class ReconfigController:
         ``(D + 3) * C`` is the drain's floor — quiescing is never cheaper
         than a pipeline squash.
         """
-        fabric = self.fabric
-        t = fabric.timings
+        slot = self.slot
+        t = slot.timings
         c = t.clk_ratio
-        fabric._pending_squashes.append(start + c)
-        fabric.rf_cycle = max(fabric.rf_cycle, start // c)
+        slot._pending_squashes.append(start + c)
+        slot.rf_cycle = max(slot.rf_cycle, start // c)
         limit = (start + self.policy.drain_timeout_cycles) // c
-        while fabric.rf_cycle < limit and not self._settled():
-            if not fabric._step_rf():
+        while slot.rf_cycle < limit and not self._settled():
+            if not slot._step_rf():
                 break
         handshake_done = start + (t.delay + 3) * c
-        end = max(t.core_time(fabric.rf_cycle), handshake_done)
+        end = max(t.core_time(slot.rf_cycle), handshake_done)
         self.drain_stall_cycles += end - start
-        self.flushed_packets += fabric._flush_inflight(end)
+        self.flushed_packets += slot._flush_inflight(end)
         return end
 
     def _settled(self) -> bool:
         """All queues empty, no in-flight loads, component idle."""
-        fabric = self.fabric
+        slot = self.slot
         return (
-            not fabric._pending_squashes
-            and fabric.obs_q.occupancy == 0
-            and fabric.intq_is.occupancy == 0
-            and fabric.retq.occupancy == 0
-            and fabric.load_agent.in_flight == 0
-            and fabric.component.is_idle()
+            not slot._pending_squashes
+            and slot.obs_q.occupancy == 0
+            and slot.intq_is.occupancy == 0
+            and slot.retq.occupancy == 0
+            and slot.load_agent.in_flight == 0
+            and slot.component.is_idle()
         )

@@ -12,18 +12,20 @@ repeated request, queued or finished, is served from it.
 Layers (one module each):
 
 * :mod:`repro.service.models`   — typed request/job models + wire codec
-* :mod:`repro.service.jobs`     — fsynced JSONL job journal, bounded
-  priority queue, admission control
 * :mod:`repro.service.handlers` — request kinds (registered in
   :data:`repro.registry.service.SERVICE_KINDS`) running through
   :class:`~repro.experiments.pool.SweepPool`
 * :mod:`repro.service.executor` — the persistent warm backend (one
   shared result store + compiled-trace memo + registries)
 * :mod:`repro.service.server`   — the asyncio daemon (HTTP front door,
-  dispatcher, graceful SIGTERM drain)
+  one FIFO worker thread, graceful SIGTERM drain)
 * :mod:`repro.service.client`   — blocking stdlib client
 * :mod:`repro.service.cli`      — ``serve``/``submit``/``status``/
-  ``result``/``cancel``/``stats`` verbs
+  ``result``/``stats`` verbs
+
+The result store is the only durable layer: job records live in the
+daemon's memory, and a job lost to a restart costs one resubmit whose
+points are all store hits.
 
 Determinism contract: a result fetched from the daemon is byte-identical
 to running the same request directly through a ``SweepPool`` — the
@@ -37,7 +39,6 @@ from repro.service.client import (
     discover_endpoint,
     wait_for_endpoint,
 )
-from repro.service.jobs import AdmissionError, JobQueue, JobStore
 from repro.service.models import (
     JobRecord,
     RequestError,
@@ -50,16 +51,12 @@ from repro.service.server import (
     ServiceConfig,
     SimulationService,
     endpoint_path,
-    jobs_dir,
     service_dir,
 )
 
 __all__ = [
-    "AdmissionError",
     "ENDPOINTS",
-    "JobQueue",
     "JobRecord",
-    "JobStore",
     "RequestError",
     "ServiceClient",
     "ServiceConfig",
@@ -71,7 +68,6 @@ __all__ = [
     "TraceRequest",
     "discover_endpoint",
     "endpoint_path",
-    "jobs_dir",
     "service_dir",
     "wait_for_endpoint",
 ]

@@ -8,7 +8,6 @@ delegates here).  Verbs:
 * ``submit``  — admit a job; ``--wait`` polls it to completion
 * ``status``  — one job's lifecycle state
 * ``result``  — fetch a done job's deterministic result payload
-* ``cancel``  — cancel a still-queued job
 * ``stats``   — daemon introspection (uptime, queue, cache hit rates)
 """
 
@@ -25,7 +24,7 @@ from pathlib import Path
 from repro.workloads.tracecache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
 
 #: Verbs the experiments __main__ forwards to this module.
-SERVICE_VERBS = ("serve", "submit", "status", "result", "cancel", "stats")
+SERVICE_VERBS = ("serve", "submit", "status", "result", "stats")
 
 #: Window used by ``submit --smoke`` (mirrors the sweep CLI's smoke run).
 SMOKE_WINDOW = 2_000
@@ -55,22 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 0 = ephemeral; published in endpoint.json)",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=64,
-        help="admission bound on queued jobs (default 64)",
-    )
-    serve.add_argument(
-        "--inflight", type=int, default=1,
-        help="concurrently running jobs (default 1)",
-    )
-    serve.add_argument(
         "--worker-budget", type=int, default=None,
         help="max worker processes one request may ask for"
              " (default: CPU count); larger requests are rejected",
-    )
-    serve.add_argument(
-        "--hold", action="store_true",
-        help="admit and journal jobs without dispatching them"
-             " (maintenance / drain testing)",
     )
     serve.add_argument(
         "--store", metavar="DIR", default=None,
@@ -114,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="telemetry ring capacity (trace kind)")
     submit.add_argument("--sample-period", type=int, default=None,
                         help="sampler cadence in cycles (trace kind)")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher runs first (default 0)")
     submit.add_argument("--jobs", type=int, default=1,
                         help="worker processes for this job (default 1)")
     submit.add_argument("--wait", action="store_true",
@@ -129,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, help_text in (
         ("status", "one job's lifecycle state"),
         ("result", "fetch a done job's result payload"),
-        ("cancel", "cancel a still-queued job"),
     ):
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
@@ -156,10 +139,7 @@ async def _serve(args) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        max_queue=args.max_queue,
-        max_inflight=args.inflight,
         worker_budget=args.worker_budget,
-        hold=args.hold,
         store_dir=args.store,
     )
     service = SimulationService(config)
@@ -172,9 +152,7 @@ async def _serve(args) -> int:
             pass
     print(
         f"repro service listening on {config.host}:{service.port}"
-        f" (cache {args.cache_dir}, max_queue {config.max_queue},"
-        f" inflight {config.max_inflight}"
-        f"{', HOLD: not dispatching' if config.hold else ''})",
+        f" (cache {args.cache_dir})",
         flush=True,
     )
     await service.serve_until_shutdown()
@@ -240,7 +218,7 @@ def _submit(args) -> int:
     kind, request = _build_request(args)
     client = _client(args)
     try:
-        admitted = client.submit(kind, request, priority=args.priority)
+        admitted = client.submit(kind, request)
     except ServiceError as exc:
         print(f"rejected: {exc.reason}", file=sys.stderr)
         return 1
@@ -287,18 +265,6 @@ def _result(args) -> int:
     return 0
 
 
-def _cancel(args) -> int:
-    from repro.service.client import ServiceError
-
-    try:
-        status = _client(args).cancel(args.job_id)
-    except ServiceError as exc:
-        print(f"{args.job_id}: {exc.reason}", file=sys.stderr)
-        return 1
-    print(f"{args.job_id} {status['state']}")
-    return 0
-
-
 def _stats(args) -> int:
     print(json.dumps(_client(args).stats(), sort_keys=True, indent=2))
     return 0
@@ -314,7 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         "submit": _submit,
         "status": _status,
         "result": _result,
-        "cancel": _cancel,
         "stats": _stats,
     }[args.verb]
     try:

@@ -120,12 +120,10 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._json("GET", "/stats")
 
-    def submit(self, kind: str, request: dict, priority: int = 0) -> dict:
+    def submit(self, kind: str, request: dict) -> dict:
         """Admit one job; returns ``{job_id, state, queue_depth}``."""
         return self._json(
-            "POST",
-            "/submit",
-            {"kind": kind, "priority": priority, "request": request},
+            "POST", "/submit", {"kind": kind, "request": request}
         )
 
     def status(self, job_id: str) -> dict:
@@ -141,9 +139,6 @@ class ServiceClient:
                 reason = data.decode(errors="replace")
             raise ServiceError(status, reason)
         return data
-
-    def cancel(self, job_id: str) -> dict:
-        return self._json("POST", f"/cancel/{job_id}")
 
     def wait(
         self, job_id: str, timeout: float = 300.0, poll: float = 0.1
@@ -165,11 +160,10 @@ class ServiceClient:
         self,
         kind: str,
         request: dict,
-        priority: int = 0,
         timeout: float = 300.0,
     ) -> bytes:
         """Submit, wait, fetch: the one-call convenience round trip."""
-        job_id = self.submit(kind, request, priority)["job_id"]
+        job_id = self.submit(kind, request)["job_id"]
         status = self.wait(job_id, timeout=timeout)
         if status["state"] != "done":
             raise ServiceError(

@@ -18,22 +18,17 @@ this module owns the state that stays warm across requests —
 * the **registries**, autoloaded once at daemon startup instead of once
   per CLI invocation.
 
-Each job still gets its *own* pool object (its own failed-points log,
-its own ``last_run_info``) so concurrent jobs never interleave log
-writes — only the store is shared, and it is an append-only map of
-content-addressed results, safe under the GIL for the thread-per-job
-execution model the daemon uses.  Two concurrent duplicates may each
-compute a point; both publish identical bytes.
+Each job gets its *own* pool object (its own ``last_run_info``); only
+the store is shared.  The daemon runs one job at a time on one worker
+thread, so jobs never interleave.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from repro.experiments.pool import SweepPool
 from repro.registry.service import resolve_request_kind
-from repro.service.jobs import JobStore
 from repro.service.models import JobRecord
 from repro.store import ResultStore
 from repro.store import store_dir as result_store_dir
@@ -46,15 +41,12 @@ class ServiceBackend:
     def __init__(
         self,
         cache_dir: str | os.PathLike | None,
-        store: JobStore,
         worker_budget: int | None = None,
         store_dir: str | os.PathLike | None = None,
     ):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.store = store
         self.worker_budget = worker_budget or (os.cpu_count() or 1)
-        if store_dir is None and self.cache_dir is not None:
-            store_dir = result_store_dir(self.cache_dir)
+        if store_dir is None and cache_dir is not None:
+            store_dir = result_store_dir(cache_dir)
         #: One content-addressed result store for the whole daemon; every
         #: per-job pool consults it before simulating and publishes into
         #: it, so results are shared across jobs, survive restarts (when
@@ -83,20 +75,14 @@ class ServiceBackend:
         backend_names()
         request_kind_names()
 
-    def make_pool(self, jobs: int, job_id: str) -> SweepPool:
-        """A per-job pool over the shared result store."""
-        return SweepPool(
-            jobs=jobs,
-            checkpoint=self.store.checkpoint_path(job_id),
-            store=self.result_store,
-        )
-
     def run_job(self, job: JobRecord) -> tuple[str, dict]:
         """Execute one job (called from a worker thread); returns
         ``(result text, meta)`` from the kind's handler."""
         handler = resolve_request_kind(job.kind)
         request = handler.request_cls.from_wire(job.request)
-        pool = self.make_pool(min(request.jobs, self.worker_budget), job.id)
+        pool = SweepPool(
+            jobs=min(request.jobs, self.worker_budget), store=self.result_store
+        )
         text, meta = handler.run(request, pool)
         info = pool.last_run_info or {}
         for key in self.pool_totals:

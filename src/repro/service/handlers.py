@@ -17,6 +17,7 @@ the daemon, client, and CLI dispatch through the registry.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 from repro.experiments.pool import SweepPool, stats_to_dict
@@ -37,6 +38,33 @@ def _check_workload(name: str) -> None:
 
     if name not in WORKLOADS:
         raise RequestError(WORKLOADS.unknown_message(name))
+
+
+def _check_overrides(workload: str, overrides: dict) -> None:
+    """Reject builder overrides the registered builder would not take.
+
+    Each key must name a parameter of the workload's builder that has a
+    default, and each value must have that default's type (an int is
+    fine where the default is a float; a bool is never an int).
+    """
+    from repro.registry import WORKLOADS
+
+    params = inspect.signature(WORKLOADS.get(workload)).parameters
+    for key, value in overrides.items():
+        param = params.get(key)
+        if param is None or param.default is inspect.Parameter.empty:
+            raise RequestError(
+                f"override {key!r} is not a parameter of the {workload!r}"
+                " workload builder"
+            )
+        expected = type(param.default)
+        if type(value) is not expected and not (
+            expected is float and type(value) is int
+        ):
+            raise RequestError(
+                f"override {key!r} must be {expected.__name__} like its"
+                f" default {param.default!r}, got {value!r}"
+            )
 
 
 def _check_config(label: str | None) -> None:
@@ -89,25 +117,25 @@ class SimulateHandler:
     @staticmethod
     def validate(request: SimulateRequest) -> None:
         _check_workload(request.workload)
+        _check_overrides(request.workload, request.overrides)
         _check_config(request.config)
 
     @staticmethod
     def points(request: SimulateRequest) -> list:
-        from repro.experiments.pool import SweepPoint, baseline_point
+        from repro.experiments.pool import SweepPoint
         from repro.experiments.runner import parse_config_label
 
         if request.config is None:
-            return [
-                baseline_point(
-                    request.workload, request.window, **request.overrides
-                )
-            ]
+            label, pfm = f"baseline:{request.workload}", None
+        else:
+            label = f"{request.workload} [{request.config}]"
+            pfm = parse_config_label(request.config)
         return [
             SweepPoint(
-                label=f"{request.workload} [{request.config}]",
+                label=label,
                 workload=request.workload,
                 window=request.window,
-                pfm=parse_config_label(request.config),
+                pfm=pfm,
                 overrides=dict(request.overrides),
             )
         ]

@@ -11,13 +11,12 @@ service's results are byte-identical to running the same points through
 a :class:`~repro.experiments.pool.SweepPool` directly.
 
 Jobs wrap one admitted request with lifecycle state.  The state machine
-is linear with two terminal branches::
+is linear::
 
     queued -> running -> done | failed
-    queued -> cancelled
 
-Every transition is journaled by :class:`repro.service.jobs.JobStore`
-(fsynced append-only JSONL), so a killed daemon resumes with full knowledge of what was queued.
+Job records live in the daemon's memory only; a restarted daemon knows
+none of them, and a resubmit is served from the result store.
 """
 
 from __future__ import annotations
@@ -158,8 +157,6 @@ class SweepRequest:
             "jobs": self.jobs,
         }
         if self.shard is not None:
-            # Added only when set so pre-shard journal records keep
-            # their exact shape.
             wire["shard"] = list(self.shard)
         return wire
 
@@ -220,66 +217,39 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-CANCELLED = "cancelled"
 
-JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
+JOB_STATES = (QUEUED, RUNNING, DONE, FAILED)
 
-#: States a resuming daemon re-enqueues ("running" means the previous
-#: daemon died mid-job; the work is re-run, results are deterministic).
-RESUMABLE_STATES = (QUEUED, RUNNING)
-
-TERMINAL_STATES = (DONE, FAILED, CANCELLED)
+TERMINAL_STATES = (DONE, FAILED)
 
 
 @dataclass
 class JobRecord:
     """One admitted request plus its lifecycle state.
 
-    ``seq`` is the admission order (tie-break within a priority level,
-    and the basis for job ids); ``request`` is the validated wire
-    payload, kept in wire form so the journal round-trips bytes exactly.
+    ``seq`` is the admission order (jobs run in it, and job ids derive
+    from it); ``request`` is the validated wire payload.
     """
 
     id: str
     kind: str
-    priority: int
     seq: int
     request: dict
     state: str = QUEUED
     error: str | None = None
 
-    def to_wire(self) -> dict:
-        record: dict[str, Any] = {
+    def status_payload(self) -> dict:
+        """The ``/status`` endpoint's JSON view of this job."""
+        payload: dict[str, Any] = {
             "id": self.id,
             "kind": self.kind,
-            "priority": self.priority,
             "seq": self.seq,
             "request": self.request,
             "state": self.state,
+            "terminal": self.state in TERMINAL_STATES,
         }
         if self.error is not None:
-            record["error"] = self.error
-        return record
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "JobRecord":
-        state = payload["state"]
-        if state not in JOB_STATES:
-            raise RequestError(f"unknown job state {state!r}")
-        return cls(
-            id=payload["id"],
-            kind=payload["kind"],
-            priority=payload["priority"],
-            seq=payload["seq"],
-            request=payload["request"],
-            state=state,
-            error=payload.get("error"),
-        )
-
-    def status_payload(self) -> dict:
-        """The ``/status`` endpoint's JSON view of this job."""
-        payload = self.to_wire()
-        payload["terminal"] = self.state in TERMINAL_STATES
+            payload["error"] = self.error
         return payload
 
 

@@ -18,8 +18,8 @@ import os
 from pathlib import Path
 
 #: ``(section name, glob pattern relative to the cache dir)`` — the
-#: evictable sections.  Failed-points logs and the service job journal
-#: are deliberately absent: those are state, not cache.
+#: evictable sections.  Failed-points logs and the service's result
+#: files are deliberately absent: the daemon owns and clears the latter.
 SECTIONS: tuple[tuple[str, str], ...] = (
     ("traces", "traces/*.trace.pkl"),
     ("store", "store/??/*.json"),

@@ -52,7 +52,7 @@ def test_pfm_survives_roi_reentry():
         SimConfig(max_instructions=40_000, pfm=PFMParams(delay=0)),
     )
     stats = core.run()
-    assert core.fabric.enabled
+    assert core.fabric.slots[0].enabled
     assert stats.pfm_fallback_predictions < stats.pfm_predicted_branches / 50
     assert stats.mpki < baseline.mpki / 5
     assert stats.ipc > baseline.ipc * 1.5
@@ -67,6 +67,6 @@ def test_component_tracks_fillnum_across_fills():
         SimConfig(max_instructions=60_000, pfm=PFMParams(delay=0)),
     )
     core.run()
-    component = core.fabric.component
+    component = core.fabric.slots[0].component
     assert component.fillnum is not None
     assert component.fillnum > 8  # advanced beyond the first fill

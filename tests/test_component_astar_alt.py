@@ -81,7 +81,7 @@ def test_alt_active_updates_cover_loop_carried_dependency():
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
     )
     core.run()
-    component = core.fabric.component
+    component = core.fabric.slots[0].component
     assert component.active_updates > 100
     assert component.corrections > 100
 
@@ -123,7 +123,7 @@ def test_alt_worklist_reconciliation():
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
     )
     core.run()
-    component = core.fabric.component
+    component = core.fabric.slots[0].component
     # After the first call the component is self-sustaining.
     assert not component._first_call
     assert len(component._in_list) > 0

@@ -184,20 +184,3 @@ def test_cache_list_and_clear_cover_the_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result-store entr" in out
     assert not list((cache / "store").glob("??/*.json"))
-
-
-def test_cache_list_reports_service_job_store(tmp_path, capsys):
-    from repro.service.jobs import JobStore
-    from repro.service.server import jobs_dir
-
-    cache = tmp_path / "cache"
-    store = JobStore(jobs_dir(cache))
-    store.write_result("job-000001", "{}\n")
-    assert main(["cache", "list", "--cache-dir", str(cache)]) == 0
-    out = capsys.readouterr().out
-    assert "service jobs: 1 file(s)" in out
-
-    assert main(["cache", "clear", "--jobs", "--cache-dir", str(cache)]) == 0
-    out = capsys.readouterr().out
-    assert "removed 1 job-store file(s)" in out
-    assert store.size() == (0, 0)

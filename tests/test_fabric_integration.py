@@ -27,8 +27,8 @@ def test_pfm_reduces_mpki_dramatically():
 
 def test_roi_activates_and_counts():
     core, stats = astar_run(pfm=PFMParams())
-    assert core.fabric.roi_active
-    assert core.fabric.roi_fetch_active
+    assert core.fabric.slots[0].roi_active
+    assert core.fabric.slots[0].roi_fetch_active
     assert stats.retired_in_roi > 0
     assert stats.fetched_in_roi > 0
     assert 0 < stats.fst_hit_pct < 100
@@ -39,7 +39,7 @@ def test_predictions_supplied_without_fallbacks():
     core, stats = astar_run(pfm=PFMParams())
     assert stats.pfm_predicted_branches > 1000
     assert stats.pfm_fallback_predictions == 0
-    assert core.fabric.enabled  # chicken switch never fired
+    assert core.fabric.slots[0].enabled  # chicken switch never fired
 
 
 def test_squash_protocol_costs_cycles():
@@ -89,7 +89,7 @@ def test_scope_sensitivity():
 def test_agent_loads_issued_and_counted():
     core, stats = astar_run(pfm=PFMParams())
     assert stats.agent_loads > 1000
-    assert core.fabric.load_agent.loads_issued == stats.agent_loads
+    assert core.fabric.slots[0].load_agent.loads_issued == stats.agent_loads
     assert core.hierarchy.stats.agent_loads == stats.agent_loads
 
 
@@ -143,7 +143,7 @@ def test_watchdog_chicken_switch_disables_component():
         workload, SimConfig(max_instructions=WINDOW, pfm=params)
     )
     stats = core.run()
-    assert not core.fabric.enabled  # chicken switch fired
+    assert not core.fabric.slots[0].enabled  # chicken switch fired
     assert stats.instructions == WINDOW  # run still completes
 
 

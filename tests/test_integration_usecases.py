@@ -118,7 +118,7 @@ def test_lbm_sets_never_partial():
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(width=1, delay=0)),
     )
     core.run()
-    component = core.fabric.component
+    component = core.fabric.slots[0].component
     issued = {site.issued for site in component.sites}
     staged = len(component._staged_set)
     # All sites aligned except for a partially-drained staged set.
@@ -131,5 +131,5 @@ def test_milc_adaptive_distance_engages():
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(width=1, delay=0)),
     )
     core.run()
-    controller = core.fabric.component.controller
+    controller = core.fabric.slots[0].component.controller
     assert controller.adjustments > 0

@@ -110,7 +110,7 @@ def _run_core(pfm: PFMParams, window: int = WINDOW) -> SuperscalarCore:
 
 def test_reload_walks_the_state_machine(baseline):
     core = _run_core(recovery_pfm("dead-component", campaign_recovery()))
-    rc = core.fabric.reconfig
+    rc = core.fabric.slots[0].reconfig
     assert rc is not None and rc.reconfigs == 1
     assert rc.state is FabricState.ACTIVE
     walk = [(frm, to) for _, frm, to, _ in rc.transitions]
@@ -140,13 +140,13 @@ def test_exhausted_budget_ends_disabled(baseline):
         recovery=RecoveryPolicy(max_reloads=1, drain_timeout_cycles=512),
     )
     core = _run_core(pfm)
-    rc = core.fabric.reconfig
+    rc = core.fabric.slots[0].reconfig
     assert rc.state is FabricState.DISABLED
     assert rc.reloads_abandoned == 1
     assert rc.reconfigs == 1  # the one (dead-on-arrival) reload completed
     assert rc.transitions[-1][2] == "disabled"
     assert rc.transitions[-1][3].startswith("abandoned:")
-    assert not core.fabric.enabled
+    assert not core.fabric.slots[0].enabled
     # Permanent disable is the legacy fallback: still equivalent & done.
     core._finalize()
     stats = core.stats
@@ -168,6 +168,7 @@ def _loaded_fabric(window: int = 8_000):
 def test_deprogram_drops_inflight_obs_packets():
     """In-flight ObsQ-R/ObsQ-EX packets must die with their context."""
     fabric = _loaded_fabric()
+    slot = fabric.slots[0]
     now = 10**6
     # Park live packets in both observation queues plus a pending
     # prediction, then deprogram: every queue must be empty and every
@@ -175,35 +176,36 @@ def test_deprogram_drops_inflight_obs_packets():
     from repro.pfm.packets import ObsPacket
     from repro.pfm.snoop import SnoopKind
 
-    fabric.obs_q.push(
+    slot.obs_q.push(
         now, ObsPacket(kind=SnoopKind.DEST_VALUE, tag="t", pc=0x40, value=1.0)
     )
-    fabric.fetch_agent.push(True, now, "waymap:0")
-    assert fabric.obs_q.occupancy >= 1
-    dropped_before = fabric.fetch_agent.packets_dropped
+    slot.fetch_agent.push(True, now, "waymap:0")
+    assert slot.obs_q.occupancy >= 1
+    dropped_before = slot.fetch_agent.packets_dropped
     fabric.deprogram(now=now + 1)
-    assert fabric.obs_q.occupancy == 0
-    assert fabric.intq_is.occupancy == 0
-    assert fabric.retq.occupancy == 0
-    assert fabric.fetch_agent.pending_count() == 0
-    assert fabric.load_agent.in_flight == 0
+    assert slot.obs_q.occupancy == 0
+    assert slot.intq_is.occupancy == 0
+    assert slot.retq.occupancy == 0
+    assert slot.fetch_agent.pending_count() == 0
+    assert slot.load_agent.in_flight == 0
     # The parked prediction was accounted as a drop, not delivered.
-    assert fabric.fetch_agent.packets_dropped > dropped_before
+    assert slot.fetch_agent.packets_dropped > dropped_before
     # And the disabled fabric supplies nothing afterwards.
-    assert fabric.predict("waymap:0", now + 2) is None
+    assert slot.predict_entry("waymap:0", now + 2) is None
 
 
 def test_deprogram_drops_pending_squash_done_tokens():
     """Queued squash packets must not reach the next program's component."""
     fabric = _loaded_fabric()
+    slot = fabric.slots[0]
     now = 10**6
-    assert fabric.roi_active
+    assert slot.roi_active
     fabric.on_core_squash(now, "branch")
-    assert fabric._pending_squashes  # token queued for the component
+    assert slot._pending_squashes  # token queued for the component
     fabric.deprogram(now=now + 1)
-    assert fabric._pending_squashes == []
+    assert slot._pending_squashes == []
     # The component never sees a stale squash: obs_peek finds nothing.
-    assert fabric.obs_peek(now + 10**6) is None
+    assert slot.obs_peek(now + 10**6) is None
 
 
 def test_fetch_agent_reset_realigns_call_counters():
@@ -252,8 +254,7 @@ def test_fetch_agent_reset_without_consumer_motion():
 
 
 def test_load_agent_reset_drops_inflight_returns():
-    fabric = _loaded_fabric()
-    la = fabric.load_agent
+    la = _loaded_fabric().slots[0].load_agent
     la._pending_returns.append((10**6, object()))
     la._mlb_fills.append(10**6)
     in_flight = len(la._pending_returns)

@@ -1,29 +1,30 @@
 """Tests for the resident simulation service (repro.service).
 
-Covers the wire models, the durable job store, the bounded priority
-queue, and — against a real daemon running on a background event loop —
-the issue's contract tests: client-fetched results byte-identical to
-direct SweepPool output for every request kind, admission-control
-rejections with concrete reasons, priority-ordered dispatch, and
-drain-preserves-queued-jobs across a daemon restart.
+Covers the wire models and — against a real daemon running on a
+background event loop — the contract tests: client-fetched results
+byte-identical to direct SweepPool output for every request kind,
+admission-control rejections with concrete reasons, FIFO dispatch,
+drain behaviour, a restarted daemon serving a resubmit from the result
+store, and the HTTP front door's handling of malformed request bodies.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.experiments.pool import SweepPool
+from repro.service import server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.handlers import SimulateHandler, SweepHandler, TraceHandler
-from repro.service.jobs import AdmissionError, JobQueue, JobStore, append_jsonl
 from repro.service.models import (
-    CANCELLED,
     DONE,
+    FAILED,
     QUEUED,
     RUNNING,
     JobRecord,
@@ -34,6 +35,8 @@ from repro.service.models import (
     job_id_for,
 )
 from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_PENDING,
     ServiceConfig,
     SimulationService,
     endpoint_path,
@@ -43,17 +46,6 @@ from repro.service.server import (
 #: Small enough to keep real simulations fast, large enough to be real.
 WINDOW = 1_200
 CONFIG = "clk4_w1, delay0"
-
-
-def _job(seq: int, priority: int = 0, state: str = QUEUED) -> JobRecord:
-    return JobRecord(
-        id=job_id_for(seq),
-        kind="simulate",
-        priority=priority,
-        seq=seq,
-        request={"workload": "astar", "window": WINDOW},
-        state=state,
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -90,94 +82,50 @@ def test_sweep_request_accepts_comma_lists():
     assert request.workloads == ("astar", "lbm")
 
 
-def test_job_record_round_trip_and_status_payload():
-    job = _job(7, priority=3)
-    assert JobRecord.from_wire(job.to_wire()) == job
-    assert job.status_payload()["terminal"] is False
-    job.state = DONE
-    assert job.status_payload()["terminal"] is True
-    with pytest.raises(RequestError, match="unknown job state"):
-        JobRecord.from_wire({**job.to_wire(), "state": "paused"})
+def test_job_status_payload_marks_terminal_states():
+    job = JobRecord(
+        id=job_id_for(7), kind="simulate", seq=7,
+        request={"workload": "astar", "window": WINDOW},
+    )
+    payload = job.status_payload()
+    assert payload["id"] == "job-000007" and payload["state"] == QUEUED
+    assert payload["terminal"] is False and "error" not in payload
+    job.state, job.error = FAILED, "RuntimeError: boom"
+    payload = job.status_payload()
+    assert payload["terminal"] is True
+    assert payload["error"] == "RuntimeError: boom"
 
 
-# --------------------------------------------------------------------- #
-# job store (durable journal)
-# --------------------------------------------------------------------- #
+def _validate(workload: str, overrides: dict) -> None:
+    SimulateHandler.validate(
+        SimulateRequest(workload, window=WINDOW, overrides=overrides)
+    )
 
 
-def test_job_store_last_snapshot_wins(tmp_path):
-    store = JobStore(tmp_path / "jobs")
-    job = _job(1)
-    store.record(job)
-    job.state = RUNNING
-    store.record(job)
-    job.state = DONE
-    store.record(job)
-    loaded = store.load()
-    assert loaded[job.id].state == DONE
-    assert store.resumable() == []
-    assert store.next_seq() == 2
+def test_simulate_overrides_are_checked_against_the_builder():
+    _validate("astar", {"seed": 2, "pattern": "random"})
+    _validate("astar", {"obstacle_density": 0})  # an int is a fine float
+    _validate("astar-alt", {"table_entries": 1024})
+    for workload, overrides, key in (
+        ("astar", {"bogus": 1}, "bogus"),
+        ("astar", {"label": "x"}, "label"),
+        ("astar", {"seed": "abc"}, "seed"),
+        ("astar", {"seed": True}, "seed"),  # a bool is not an int
+        ("astar", {"seed": 2.0}, "seed"),
+        ("astar", {"grid_width": None}, "grid_width"),
+        ("astar-alt", {"kwargs": {}}, "kwargs"),  # **kwargs takes no key
+        ("bfs-roads", {"graph_name": "roads"}, "graph_name"),
+    ):
+        with pytest.raises(RequestError, match=repr(key)):
+            _validate(workload, overrides)
 
 
-def test_job_store_skips_torn_trailing_line(tmp_path):
-    store = JobStore(tmp_path / "jobs")
-    store.record(_job(1))
-    half = json.dumps(_job(2).to_wire())
-    with store.journal.open("a") as handle:
-        handle.write(half[: len(half) // 2])  # killed mid-append
-    loaded = store.load()
-    assert set(loaded) == {job_id_for(1)}
-
-
-def test_job_store_resumes_queued_and_running_in_admission_order(tmp_path):
-    store = JobStore(tmp_path / "jobs")
-    store.record(_job(3, state=RUNNING))
-    store.record(_job(1, state=DONE))
-    store.record(_job(2, state=QUEUED))
-    assert [job.seq for job in store.resumable()] == [2, 3]
-
-
-def test_job_store_size_and_clear(tmp_path):
-    store = JobStore(tmp_path / "jobs")
-    store.record(_job(1))
-    store.write_result(job_id_for(1), "{}\n")
-    append_jsonl(store.checkpoint_path(job_id_for(1)), {"key": "k"})
-    files, total = store.size()
-    assert files == 3 and total > 0
-    removed, freed = store.clear()
-    assert removed == 3 and freed == total
-    assert store.size() == (0, 0)
-
-
-# --------------------------------------------------------------------- #
-# bounded priority queue
-# --------------------------------------------------------------------- #
-
-
-def test_queue_priority_then_fifo_order():
-    queue = JobQueue(max_depth=8)
-    for seq, priority in ((1, 0), (2, 5), (3, 0), (4, 5)):
-        queue.admit(_job(seq, priority))
-    assert [queue.pop().seq for _ in range(4)] == [2, 4, 1, 3]
-
-
-def test_queue_admission_bound_and_requeue_bypass():
-    queue = JobQueue(max_depth=2)
-    queue.admit(_job(1))
-    queue.admit(_job(2))
-    with pytest.raises(AdmissionError, match="queue full"):
-        queue.admit(_job(3))
-    queue.requeue(_job(3))  # journal-resumed jobs are never dropped
-    assert len(queue) == 3
-
-
-def test_queue_remove_for_cancel():
-    queue = JobQueue(max_depth=4)
-    queue.admit(_job(1))
-    queue.admit(_job(2))
-    assert queue.remove(job_id_for(1)).seq == 1
-    assert queue.remove("job-xxxxxx") is None
-    assert [job.seq for job in queue.snapshot()] == [2]
+def test_simulate_point_keeps_its_label_under_overrides():
+    (point,) = SimulateHandler.points(
+        SimulateRequest("astar", window=WINDOW, overrides={"seed": 2})
+    )
+    assert point.label == "baseline:astar"
+    assert point.overrides == {"seed": 2} and point.pfm is None
 
 
 # --------------------------------------------------------------------- #
@@ -207,9 +155,33 @@ def running_service(cache_dir, **overrides):
     try:
         yield service, ServiceClient(cache_dir=cache_dir)
     finally:
-        box["loop"].call_soon_threadsafe(service.request_shutdown)
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            box["loop"].call_soon_threadsafe(service.request_shutdown)
         thread.join(60)
         assert not thread.is_alive(), "daemon failed to drain"
+
+
+@contextlib.contextmanager
+def held_worker(service, run_job=None):
+    """Swap in a fake ``backend.run_job`` that blocks the worker thread
+    until the context exits, then calls *run_job* (default: the real
+    one)."""
+    release = threading.Event()
+    run_job = run_job or service.backend.run_job
+
+    def blocked(job):
+        release.wait(60)
+        return run_job(job)
+
+    service.backend.run_job = blocked
+    try:
+        yield
+    finally:
+        release.set()
+
+
+def _canned(job):
+    return "{}\n", {"points": 0}
 
 
 # --------------------------------------------------------------------- #
@@ -252,17 +224,19 @@ def test_second_identical_request_is_warm_and_identical(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# admission control, priority, cancel (hold mode: nothing dispatches)
+# admission control, FIFO order, failures
 # --------------------------------------------------------------------- #
 
 
 def test_submit_rejections_name_the_reason(tmp_path):
-    with running_service(
-        tmp_path / "cache", max_queue=1, worker_budget=1, hold=True
-    ) as (service, client):
-        client.submit("simulate", {"workload": "astar", "window": WINDOW})
+    request = {"workload": "astar", "window": WINDOW}
+    with running_service(tmp_path / "cache", worker_budget=1) as (
+        service, client
+    ), held_worker(service, _canned):
+        for _ in range(MAX_PENDING):
+            client.submit("simulate", request)
         with pytest.raises(ServiceError, match="queue full") as excinfo:
-            client.submit("simulate", {"workload": "milc", "window": WINDOW})
+            client.submit("simulate", request)
         assert excinfo.value.status == 429
         with pytest.raises(ServiceError, match="worker budget") as excinfo:
             client.submit("simulate", {"workload": "lbm", "jobs": 64})
@@ -273,49 +247,51 @@ def test_submit_rejections_name_the_reason(tmp_path):
             client.submit("teleport", {})
         with pytest.raises(ServiceError, match="'window'"):
             client.submit("simulate", {"workload": "astar", "window": -3})
-        assert client.stats()["counters"]["requests_rejected"] == 5
+        with pytest.raises(ServiceError, match="'bogus'") as excinfo:
+            client.submit("simulate", {"workload": "astar",
+                                       "overrides": {"bogus": 1}})
+        assert excinfo.value.status == 400
+        assert client.stats()["counters"]["requests_rejected"] == 6
 
 
-def test_priority_orders_dispatch_and_cancel_is_queued_only(tmp_path):
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
-        low = client.submit("simulate",
-                            {"workload": "astar", "window": WINDOW})["job_id"]
-        high = client.submit("simulate",
-                             {"workload": "lbm", "window": WINDOW},
-                             priority=9)["job_id"]
-        mid = client.submit("simulate",
-                            {"workload": "milc", "window": WINDOW},
-                            priority=4)["job_id"]
-        order = [job.id for job in service.queue.snapshot()]
-        assert order == [high, mid, low]
+def test_jobs_run_in_submission_order(tmp_path):
+    ran: list[str] = []
 
-        cancelled = client.cancel(mid)
-        assert cancelled["state"] == CANCELLED
-        with pytest.raises(ServiceError) as excinfo:
-            client.cancel(mid)  # already cancelled: 409, not double-cancel
-        assert excinfo.value.status == 409
-        with pytest.raises(ServiceError) as excinfo:
-            client.result(mid)
-        assert excinfo.value.status == 409
-        with pytest.raises(ServiceError) as excinfo:
-            client.status("job-999999")
-        assert excinfo.value.status == 404
-        assert [job.id for job in service.queue.snapshot()] == [high, low]
+    def record(job):
+        ran.append(job.id)
+        return _canned(job)
+
+    with running_service(tmp_path / "cache") as (service, client):
+        with held_worker(service, record):
+            ids = [
+                client.submit("simulate",
+                              {"workload": name, "window": WINDOW})["job_id"]
+                for name in ("astar", "lbm", "milc")
+            ]
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(ids[-1])  # still queued
+            assert excinfo.value.status == 409
+            with pytest.raises(ServiceError) as excinfo:
+                client.status("job-999999")
+            assert excinfo.value.status == 404
+        for job_id in ids:
+            assert client.wait(job_id, timeout=60)["state"] == DONE
+        assert ran == ids
 
 
 def test_failed_job_reports_error_through_status(tmp_path):
+    def explode(job):
+        raise RuntimeError("worker blew up")
+
     with running_service(tmp_path / "cache") as (service, client):
-        # Valid at admission, fails in the worker: window beyond the
-        # workload's trace is fine, but an unknown override key is not.
+        service.backend.run_job = explode
         job_id = client.submit(
-            "simulate",
-            {"workload": "astar", "window": WINDOW,
-             "overrides": {"no_such_knob": 1}},
+            "simulate", {"workload": "astar", "window": WINDOW}
         )["job_id"]
         status = client.wait(job_id, timeout=60)
-        assert status["state"] == "failed"
-        assert status["error"]
-        with pytest.raises(ServiceError) as excinfo:
+        assert status["state"] == FAILED
+        assert status["error"] == "RuntimeError: worker blew up"
+        with pytest.raises(ServiceError, match="is failed") as excinfo:
             client.result(job_id)
         assert excinfo.value.status == 409
 
@@ -325,27 +301,20 @@ def test_failed_job_reports_error_through_status(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def _release(service):
-    """Leave hold mode from the test thread (the daemon owns the loop)."""
-    loop = service._dispatcher.get_loop()
-    asyncio.run_coroutine_threadsafe(service.release(), loop).result(10)
-
-
 def test_duplicate_queued_request_is_an_ordinary_job(tmp_path):
     """A duplicate submit takes its own queue slot and runs as its own
     job; its point is a store hit, and both jobs return the same bytes."""
     request = {"workload": "astar", "window": WINDOW}
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
-        first = client.submit("simulate", request)["job_id"]
-        dup = client.submit("simulate", request)["job_id"]
-        assert client.stats()["queue"]["depth"] == 2
-
-        _release(service)
+    with running_service(tmp_path / "cache") as (service, client):
+        with held_worker(service):
+            first = client.submit("simulate", request)["job_id"]
+            dup = client.submit("simulate", request)["job_id"]
+            assert client.stats()["queue"]["pending"] == 2
         assert client.wait(first, timeout=120)["state"] == DONE
         assert client.wait(dup, timeout=120)["state"] == DONE
         assert client.result(first) == client.result(dup)
         stats = client.stats()
-        assert stats["counters"]["jobs_started"] == 2
+        assert stats["counters"]["jobs_done"] == 2
         assert stats["cache"]["pool"] == {
             "computed": 1, "store_hits": 1, "failed": 0,
         }
@@ -365,38 +334,65 @@ def test_duplicate_request_is_served_from_store(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# drain and resume (the SIGTERM contract, minus the signal)
+# drain and restart (the SIGTERM contract, minus the signal)
 # --------------------------------------------------------------------- #
 
 
-def test_drain_preserves_queued_jobs_for_resume(tmp_path):
-    """A draining daemon keeps queued jobs journaled; the next daemon on
-    the same store re-enqueues and completes them under the same ids."""
+def test_restarted_daemon_serves_resubmit_from_store(tmp_path):
+    """Job ids die with their daemon; the result store does not.  The
+    next daemon on the same cache serves a resubmit with the same bytes
+    and computes nothing."""
     cache = tmp_path / "cache"
-    with running_service(cache, hold=True) as (service, client):
-        ids = [
-            client.submit("simulate",
-                          {"workload": "astar", "window": WINDOW})["job_id"],
-            client.submit("simulate",
-                          {"workload": "astar", "window": WINDOW,
-                           "config": CONFIG})["job_id"],
-        ]
-    # Daemon drained: endpoint gone, jobs still queued in the journal.
+    request = {"workload": "astar", "window": WINDOW, "config": CONFIG}
+    with running_service(cache) as (service, client):
+        first = client.run("simulate", request, timeout=120)
+        assert any(jobs_dir(cache).iterdir())
+    # Daemon drained: endpoint and job files gone.
     assert not endpoint_path(cache).exists()
-    store = JobStore(jobs_dir(cache))
-    assert [job.id for job in store.resumable()] == ids
+    assert not jobs_dir(cache).exists()
 
     with running_service(cache) as (service, client):
-        for job_id in ids:
-            status = client.wait(job_id, timeout=120)
-            assert status["state"] == DONE
-            assert client.result(job_id)
-        assert client.stats()["counters"]["jobs_resumed"] == 2
-    assert JobStore(jobs_dir(cache)).resumable() == []
+        with pytest.raises(ServiceError) as excinfo:
+            client.status(job_id_for(1))  # the old id means nothing here
+        assert excinfo.value.status == 404
+        assert client.run("simulate", request, timeout=120) == first
+        assert client.stats()["cache"]["pool"]["computed"] == 0
+
+
+def test_drain_finishes_running_job_and_fails_queued_ones(tmp_path):
+    cache = tmp_path / "cache"
+    with running_service(cache) as (service, client):
+        with held_worker(service, _canned):
+            running = client.submit(
+                "simulate", {"workload": "astar", "window": WINDOW}
+            )["job_id"]
+            queued = client.submit(
+                "simulate", {"workload": "lbm", "window": WINDOW}
+            )["job_id"]
+            deadline = time.monotonic() + 30
+            while client.status(running)["state"] != RUNNING:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            service._server.get_loop().call_soon_threadsafe(
+                service.request_shutdown
+            )
+            while client.health()["state"] != "draining":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with pytest.raises(ServiceError, match="draining") as excinfo:
+                client.submit("simulate", {"workload": "astar"})
+            assert excinfo.value.status == 503
+            status = client.status(queued)
+            assert status["state"] == FAILED
+            assert "cancelled" in status["error"]
+            assert client.status(running)["state"] == RUNNING
+    # Released: the running job finished before the daemon exited.
+    assert service.jobs[running].state == DONE
+    assert not jobs_dir(cache).exists()
 
 
 def test_draining_daemon_rejects_new_submits(tmp_path):
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
+    with running_service(tmp_path / "cache") as (service, client):
         service._draining = True  # as after SIGTERM, before socket close
         with pytest.raises(ServiceError, match="draining") as excinfo:
             client.submit("simulate", {"workload": "astar", "window": WINDOW})
@@ -406,18 +402,66 @@ def test_draining_daemon_rejects_new_submits(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# the HTTP front door: malformed bodies (raw sockets)
+# --------------------------------------------------------------------- #
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send *data*, then read until the daemon closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _submit_head(length: str) -> bytes:
+    return f"POST /submit HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+
+
+def test_oversized_body_is_refused_with_413(tmp_path):
+    with running_service(tmp_path / "cache") as (service, client):
+        reply = _raw_exchange(service.port, _submit_head(str(MAX_BODY_BYTES + 1)))
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert f"{MAX_BODY_BYTES}-byte limit".encode() in reply
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+def test_bad_content_length_is_refused_with_400(tmp_path, length):
+    with running_service(tmp_path / "cache") as (service, client):
+        reply = _raw_exchange(service.port, _submit_head(length) + b"{}")
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length" in reply and repr(length).encode() in reply
+
+
+def test_stalled_body_read_times_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(server, "READ_TIMEOUT_S", 0.2)
+    with running_service(tmp_path / "cache") as (service, client):
+        started = time.monotonic()
+        reply = _raw_exchange(service.port, _submit_head("10") + b"{}")
+        elapsed = time.monotonic() - started
+        assert client.health()["ok"]  # the daemon is unharmed
+    assert reply == b""  # dropped, like a stalled header read
+    assert elapsed < 10
+
+
+# --------------------------------------------------------------------- #
 # introspection
 # --------------------------------------------------------------------- #
 
 
 def test_stats_shape_and_health(tmp_path):
-    with running_service(tmp_path / "cache", hold=True) as (service, client):
+    with running_service(tmp_path / "cache") as (service, client), held_worker(
+        service, _canned
+    ):
         assert client.health()["ok"] is True
         client.submit("simulate", {"workload": "astar", "window": WINDOW})
         stats = client.stats()
-        assert stats["queue"]["depth"] == 1
-        assert stats["queue"]["hold"] is True
-        assert stats["jobs"][QUEUED] == 1
+        assert stats["queue"] == {
+            "pending": 1, "max_pending": MAX_PENDING, "draining": False,
+        }
+        assert stats["jobs"][QUEUED] + stats["jobs"][RUNNING] == 1
         assert set(stats["request_kinds"]) >= {"simulate", "sweep", "trace"}
         assert stats["counters"]["jobs_admitted"] == 1
         assert {"pool", "trace", "pool_warm_rate", "trace_hit_rate",
@@ -436,9 +480,9 @@ def test_stats_shape_and_health(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def test_sigterm_drains_serve_process_and_preserves_queue(tmp_path):
+def test_sigterm_drains_serve_process(tmp_path):
     """SIGTERM to the serve CLI: exit 0, endpoint file removed (the clean
-    -shutdown signal), queued jobs still journaled for the next daemon."""
+    -shutdown signal), and the job files cleared with it."""
     import os
     import signal
     import subprocess
@@ -449,7 +493,7 @@ def test_sigterm_drains_serve_process_and_preserves_queue(tmp_path):
     cache = tmp_path / "cache"
     env = dict(os.environ, PYTHONPATH="src")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments", "serve", "--hold",
+        [sys.executable, "-m", "repro.experiments", "serve",
          "--port", "0", "--cache-dir", str(cache)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
@@ -459,6 +503,8 @@ def test_sigterm_drains_serve_process_and_preserves_queue(tmp_path):
         job_id = client.submit(
             "simulate", {"workload": "astar", "window": WINDOW}
         )["job_id"]
+        assert client.wait(job_id, timeout=120)["state"] == DONE
+        assert any(jobs_dir(cache).iterdir())
         process.send_signal(signal.SIGTERM)
         output, _ = process.communicate(timeout=30)
     finally:
@@ -468,4 +514,4 @@ def test_sigterm_drains_serve_process_and_preserves_queue(tmp_path):
     assert process.returncode == 0, output
     assert "drained and stopped" in output
     assert not endpoint_path(cache).exists()
-    assert [job.id for job in JobStore(jobs_dir(cache)).resumable()] == [job_id]
+    assert not jobs_dir(cache).exists()

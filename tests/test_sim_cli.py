@@ -85,15 +85,16 @@ def test_deprogram_flushes_and_disables():
     )
     core.run()
     fabric = core.fabric
-    assert fabric.enabled and fabric.roi_active
+    slot = fabric.slots[0]
+    assert slot.enabled and slot.roi_active
     fabric.deprogram(now=10**6)
-    assert not fabric.enabled
-    assert not fabric.roi_active
-    assert fabric.obs_q.occupancy == 0
-    assert fabric.intq_is.occupancy == 0
-    assert fabric.fetch_agent.pending_count() == 0
+    assert not slot.enabled
+    assert not slot.roi_active
+    assert slot.obs_q.occupancy == 0
+    assert slot.intq_is.occupancy == 0
+    assert slot.fetch_agent.pending_count() == 0
     # Disabled fabric supplies nothing.
-    assert fabric.predict("waymap:0", 10**6 + 1) is None
+    assert slot.predict_entry("waymap:0", 10**6 + 1) is None
 
 
 def test_reprogram_builds_fresh_component():
@@ -103,9 +104,10 @@ def test_reprogram_builds_fresh_component():
     )
     core.run()
     fabric = core.fabric
-    old_component = fabric.component
+    slot = fabric.slots[0]
+    old_component = slot.component
     fabric.deprogram(now=10**6)
     fabric.reprogram(now=10**6 + 100)
-    assert fabric.enabled
-    assert fabric.component is not old_component  # no state survives
-    assert not fabric.roi_active  # must re-enter the ROI
+    assert slot.enabled
+    assert slot.component is not old_component  # no state survives
+    assert not slot.roi_active  # must re-enter the ROI

@@ -20,15 +20,15 @@ from repro.pfm.snoop import SnoopKind
 from repro.workloads.astar import build_astar_workload
 
 
-def make_fabric(queue_size: int = 8):
+def make_slot(queue_size: int = 8):
     workload = build_astar_workload(grid_width=64, grid_height=64)
     config = SimConfig(
         max_instructions=1_000, pfm=PFMParams(queue_size=queue_size)
     )
     core = SuperscalarCore(workload, config)
-    fabric = core.fabric
-    fabric.roi_active = True  # on_core_squash is a no-op outside the ROI
-    return fabric
+    slot = core.fabric.slots[0]
+    slot.roi_active = True  # on_core_squash is a no-op outside the ROI
+    return slot
 
 
 def _packet(i: int) -> ObsPacket:
@@ -36,44 +36,44 @@ def _packet(i: int) -> ObsPacket:
 
 
 def test_squash_bypasses_full_obsq():
-    fabric = make_fabric(queue_size=4)
+    slot = make_slot(queue_size=4)
     for i in range(4):
-        fabric.obs_q.push(10 + i, _packet(i))
-    assert not fabric.obs_q.can_push()
+        slot.obs_q.push(10 + i, _packet(i))
+    assert not slot.obs_q.can_push()
 
-    done = fabric.on_core_squash(100, "branch")
-    c = fabric.timings.clk_ratio
-    assert done == 100 + (fabric.timings.delay + 3) * c
+    done = slot.on_core_squash(100, "branch")
+    c = slot.timings.clk_ratio
+    assert done == 100 + (slot.timings.delay + 3) * c
 
     # The squash is visible to the component ahead of every queued
     # observation, full queue notwithstanding.
     now = 100 + c
-    head = fabric.obs_peek(now)
+    head = slot.obs_peek(now)
     assert isinstance(head, SquashPacket)
-    popped = fabric.obs_pop(now)
+    popped = slot.obs_pop(now)
     assert isinstance(popped, SquashPacket)
     assert popped.core_time == 100 + c
     # ObsQ-R contents survived untouched; next pop is the oldest packet.
-    assert fabric.obs_q.occupancy == 4
-    assert fabric.obs_pop(now).value == 0.0
+    assert slot.obs_q.occupancy == 4
+    assert slot.obs_pop(now).value == 0.0
 
 
 def test_back_to_back_squashes_serialize():
-    fabric = make_fabric()
-    c = fabric.timings.clk_ratio
-    first_done = fabric.on_core_squash(100, "branch")
-    second_done = fabric.on_core_squash(104, "disambiguation")
+    slot = make_slot()
+    c = slot.timings.clk_ratio
+    first_done = slot.on_core_squash(100, "branch")
+    second_done = slot.on_core_squash(104, "disambiguation")
     assert second_done > first_done >= 100
-    assert fabric.squashes_signalled == 2
-    assert fabric._pending_squashes == [100 + c, 104 + c]
+    assert slot.squashes_signalled == 2
+    assert slot._pending_squashes == [100 + c, 104 + c]
 
     # Both notifications reach the component, oldest first.
     now = second_done
-    first = fabric.obs_pop(now)
-    second = fabric.obs_pop(now)
+    first = slot.obs_pop(now)
+    second = slot.obs_pop(now)
     assert isinstance(first, SquashPacket) and isinstance(second, SquashPacket)
     assert first.core_time < second.core_time
-    assert fabric._pending_squashes == []
+    assert slot._pending_squashes == []
 
 
 def test_repeated_squash_refloors_pending_predictions():
@@ -108,5 +108,5 @@ def test_squash_storm_with_tiny_queue_stays_architecturally_equivalent():
         SimConfig(max_instructions=2_500, pfm=PFMParams(queue_size=8)),
     )
     stats = core.run()
-    assert core.fabric.squashes_signalled > 0
+    assert core.fabric.slots[0].squashes_signalled > 0
     assert check_equivalence(baseline, stats).ok

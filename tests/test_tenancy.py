@@ -281,6 +281,24 @@ def test_attach_ports_reattachment_is_idempotent():
         fabric.attach_ports(*ports)
 
 
+def test_hooks_report_roi_active_while_any_slot_is():
+    core = make_core(PFMParams(tenants=INTROSPECT))
+    fetch_hook, retire_hook = core.ctx.fetch_port.agent, core.ctx.retire_port.agent
+    assert not fetch_hook.roi_fetch_active and not retire_hook.roi_active
+    core.run()
+    primary, probe = core.fabric.slots
+    assert primary.roi_active and probe.roi_active
+    assert fetch_hook.roi_fetch_active and retire_hook.roi_active
+
+    # Deprogramming the primary alone leaves tenant 1's ROI live.
+    primary.deprogram(now=10**6)
+    assert not primary.roi_active and not primary.roi_fetch_active
+    assert fetch_hook.roi_fetch_active and retire_hook.roi_active
+
+    probe.deprogram(now=10**6)
+    assert not fetch_hook.roi_fetch_active and not retire_hook.roi_active
+
+
 def test_timed_queue_diagnostics_carry_owner_label():
     anonymous = TimedQueue("ObsQ-R", capacity=1)
     owned = TimedQueue("ObsQ-R@1", capacity=1, owner="slot1:introspect")
