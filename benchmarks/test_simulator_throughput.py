@@ -319,7 +319,7 @@ def _sweep_grid_points():
 
 def test_throughput_sweep_cold_store(benchmark, tmp_path):
     """Every round simulates the whole grid into an empty store — the
-    single-host cost a shard fleet or a warm daemon amortizes away."""
+    single-host cost a shard fleet or a re-invoked CLI amortizes away."""
     from repro.experiments.pool import SweepPool
 
     store = tmp_path / "cold-store"

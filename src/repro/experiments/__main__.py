@@ -8,8 +8,6 @@ Examples::
     python -m repro.experiments sweep --jobs 4 --json results.json
     python -m repro.experiments --smoke --jobs 2
     python -m repro.experiments all
-    python -m repro.experiments serve              # resident daemon
-    python -m repro.experiments submit sweep --smoke --wait
 
 ``--jobs N`` fans each experiment's sweep points out over N worker
 processes; results are bit-identical to a serial run.  Completed points
@@ -143,12 +141,12 @@ def _cache_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--store", action="store_true",
-        help="with 'clear': clear the content-addressed result store"
-             " instead of the compiled traces",
+        help="with 'clear': clear the content-addressed result store and"
+             " its recipe index instead of the compiled traces",
     )
     parser.add_argument(
         "--max-bytes", metavar="SIZE", default=None,
-        help="with 'gc': byte budget for traces+store combined"
+        help="with 'gc': byte budget for traces+store+recipes combined"
              " (suffixes K/M/G, e.g. 200M); oldest files evicted first",
     )
     parser.add_argument(
@@ -185,9 +183,13 @@ def _cache_main(argv: list[str]) -> int:
             from repro.store import ResultStore, store_dir
 
             store = ResultStore(store_dir(base))
+            recipes = len(store.recipe_files())
             removed, freed = store.clear()
-            print(f"removed {removed} result-store entr{'y' if removed == 1 else 'ies'},"
-                  f" freed {_fmt_bytes(freed)} from {store.directory}")
+            entries = removed - recipes
+            print(f"removed {entries} result-store"
+                  f" entr{'y' if entries == 1 else 'ies'} and {recipes}"
+                  f" recipe(s), freed {_fmt_bytes(freed)} from"
+                  f" {store.directory}")
             return 0
         removed, freed = tracecache.clear_traces(base)
         print(f"removed {removed} compiled trace(s), freed {_fmt_bytes(freed)}"
@@ -213,7 +215,7 @@ def _cache_main(argv: list[str]) -> int:
     files, size = _dir_size(base / "checkpoints")
     grand_total = total + size
     print(f"checkpoints: {files} file(s), {_fmt_bytes(size)}")
-    from repro.store import ResultStore, store_dir
+    from repro.store import RECIPES_SUBDIR, ResultStore, store_dir
 
     store = ResultStore(store_dir(base))
     store_count, store_bytes = len(store), store.size_bytes()
@@ -222,6 +224,10 @@ def _cache_main(argv: list[str]) -> int:
           f" entr{'y' if store_count == 1 else 'ies'},"
           f" {_fmt_bytes(store_bytes)}"
           f"  (evict with 'cache gc --max-bytes SIZE')")
+    recipe_dir = store.directory / RECIPES_SUBDIR
+    files, size = _dir_size(recipe_dir)
+    grand_total += size
+    print(f"recipe index ({recipe_dir}): {files} recipe(s), {_fmt_bytes(size)}")
     print(f"total cache footprint: {_fmt_bytes(grand_total)}")
     return 0
 
@@ -303,14 +309,6 @@ def _shard_merge_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv:
-        from repro.service.cli import SERVICE_VERBS
-
-        if argv[0] in SERVICE_VERBS:
-            # Service verbs have their own flag surface (serve/submit/...);
-            # hand the whole line to the service CLI.
-            from repro.service.cli import main as service_main
-
-            return service_main(argv)
         if argv[0] == "cache":
             return _cache_main(argv[1:])
         if argv[0] == "shard-merge":
@@ -536,7 +534,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "list":
         from repro.registry import (
-            SERVICE_KINDS,
             backend_names,
             component_names,
             predictor_names,
@@ -544,7 +541,6 @@ def main(argv: list[str] | None = None) -> int:
             tenant_layout_names,
             workload_names,
         )
-        from repro.service import ENDPOINTS
 
         print("experiments:")
         for name in EXPERIMENTS:
@@ -553,8 +549,6 @@ def main(argv: list[str] | None = None) -> int:
         print("  shape  (aggregate shape-agreement metrics)")
         print("  cache  (inspect/clear/gc the on-disk caches)")
         print("  shard-merge  (union shard result stores; see --shard)")
-        print("  serve / submit / status / result / stats"
-              "  (simulation service; see repro.service)")
         for title, names in (
             ("workloads", workload_names()),
             ("components", component_names()),
@@ -566,12 +560,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{title}:")
             for name in names:
                 print(f"  {name}")
-        print("service request kinds:")
-        for name, handler in SERVICE_KINDS.items():
-            print(f"  {name}  ({handler.summary})")
-        print("service endpoints:")
-        for method, route, summary in ENDPOINTS:
-            print(f"  {method} {route}  ({summary})")
         return 0
 
     if args.experiment == "trace":

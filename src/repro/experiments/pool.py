@@ -20,8 +20,8 @@ Three properties the harness guarantees:
   up there first.  The store is the one result cache: memory-only for
   library pools, on disk under the cache directory for the CLI (default
   ``.repro-cache/store/``), so concurrent workers, later invocations,
-  resident daemons, and merged stores from other hosts never rerun a
-  point anyone has already paid for.
+  and merged stores from other hosts never rerun a point anyone has
+  already paid for.
 * **Resume** — a store entry is fsynced and published the moment its
   point finishes, so an interrupted sweep resumes by simply running it
   again: finished points are store hits, only the remainder computes.
@@ -135,7 +135,7 @@ class SweepPoint:
         """Stable in-process identity: dedup, shards, memory-only stores."""
         return f"{self.workload}-w{self.window}-{self.config_key()}"
 
-    def store_key(self) -> str:
+    def store_key(self, store: ResultStore | None = None) -> str:
         """Full content address for the shared result store.
 
         Extends the :meth:`config_key` spec with the workload's
@@ -145,11 +145,13 @@ class SweepPoint:
         backend is deliberately *not* part of the key: results are
         byte-identical across backends by construction
         (``tests/test_backend_equivalence.py`` pins that contract).
+        Passing the on-disk *store* looks the ``trace_key`` up in its
+        recipe index instead of building the workload.
         """
         from repro.store import trace_key_for
 
         spec = self._config_spec()
-        spec["trace_key"] = trace_key_for(self.workload, self.overrides)
+        spec["trace_key"] = trace_key_for(self.workload, self.overrides, store)
         return hashlib.sha256(_canonical_bytes(spec)).hexdigest()
 
 
@@ -284,14 +286,14 @@ class SweepPool:
 
         A memory-only store uses ``point.key()``: its entries die with
         the process, so the workload ``trace_key`` that ``store_key``
-        folds in (one workload build per distinct point) buys nothing.
+        folds in buys nothing.
         """
         key = point.key()
         if self.store.directory is None:
             return key
         skey = self._store_keys.get(key)
         if skey is None:
-            skey = point.store_key()
+            skey = point.store_key(self.store)
             self._store_keys[key] = skey
         return skey
 
@@ -351,8 +353,7 @@ class SweepPool:
                 continue
             waiting[key] = [point]
             # Published by this pool, an earlier or interrupted run,
-            # another worker, a daemon sharing the store, or a merged
-            # shard from another host.
+            # another worker, or a merged shard from another host.
             stats = self.store.get(self._store_key(point))
             if stats is not None:
                 finished[key] = stats

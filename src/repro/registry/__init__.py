@@ -48,12 +48,6 @@ from repro.registry.tenants import (
     resolve_tenant_layout,
     tenant_layout_names,
 )
-from repro.registry.service import (
-    SERVICE_KINDS,
-    register_request_kind,
-    request_kind_names,
-    resolve_request_kind,
-)
 from repro.registry.workloads import (
     WORKLOADS,
     build_workload,
@@ -87,10 +81,6 @@ __all__ = [
     "register_backend",
     "make_backend",
     "backend_names",
-    "SERVICE_KINDS",
-    "register_request_kind",
-    "resolve_request_kind",
-    "request_kind_names",
     "TENANT_LAYOUTS",
     "register_tenant_layout",
     "resolve_tenant_layout",

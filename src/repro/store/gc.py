@@ -1,9 +1,9 @@
 """LRU-by-mtime eviction across the on-disk cache sections.
 
-``.repro-cache/`` accumulates two kinds of content-addressed files —
-compiled traces and result-store entries — and at fleet scale the store
-grows without bound.  ``cache gc --max-bytes SIZE`` walks both
-sections, sorts by mtime (every
+``.repro-cache/`` accumulates three kinds of content-addressed files —
+compiled traces, result-store entries and recipe-index entries — and at
+fleet scale the store grows without bound.  ``cache gc --max-bytes
+SIZE`` walks every section, sorts by mtime (every
 cache read touches its file via :func:`os.utime`-free reads, so mtime
 is write-recency: least-recently *published* goes first), and deletes
 oldest-first until the total fits the budget.
@@ -18,11 +18,11 @@ import os
 from pathlib import Path
 
 #: ``(section name, glob pattern relative to the cache dir)`` — the
-#: evictable sections.  Failed-points logs and the service's result
-#: files are deliberately absent: the daemon owns and clears the latter.
+#: evictable sections.  Failed-points logs are deliberately absent.
 SECTIONS: tuple[tuple[str, str], ...] = (
     ("traces", "traces/*.trace.pkl"),
     ("store", "store/??/*.json"),
+    ("recipes", "store/recipes/??/*.json"),
 )
 
 _SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}

@@ -14,7 +14,7 @@ every distributed sweep sits on:
   across backends by construction (``tests/test_backend_equivalence.py``).
 * **Atomicity** — entries are written to a unique temp file, fsynced,
   and ``os.replace``d into place, so concurrent writers (threads, worker
-  processes, or two daemons sharing a directory) always leave a whole
+  processes, or two invocations sharing a directory) always leave a whole
   entry behind: last writer wins, readers never see a torn file, and a
   published entry survives a machine crash.  That durability is what
   makes resuming an interrupted sweep a plain re-run against the store.
@@ -28,22 +28,32 @@ every distributed sweep sits on:
 * **Union** — :meth:`ResultStore.merge_from` copies validated entries
   between stores, so N hosts each running a shard produce stores that
   merge into one result set byte-identical to a single-host run.
+* **Recipe index** — computing a store key needs the workload's
+  ``trace_key``, which costs a workload build plus a hash over its whole
+  memory image.  The store's ``recipes/`` section maps each build recipe
+  (registry name, canonical overrides, source fingerprint) to that
+  ``trace_key``, so a fresh process keys a populated sweep without
+  building anything.  Any edit under ``src/repro`` changes the
+  fingerprint and misses every recipe once.
 
 Layout: ``<directory>/<key[:2]>/<key>.json`` — two-level fanout keeps
-directory listings sane at million-entry scale.
+directory listings sane at million-entry scale — and
+``<directory>/recipes/<rk[:2]>/<rk>.json`` for the recipe index.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from repro.core import SimStats
-from repro.workloads.tracecache import canonical_bytes
+from repro.workloads.tracecache import _KEY_MEMO, canonical_bytes, recipe_digest
 
 #: Bumped whenever the entry envelope or SimStats serialization changes
 #: incompatibly; old entries then read as misses, never as wrong data.
@@ -62,40 +72,89 @@ def store_dir(cache_dir: str | os.PathLike) -> Path:
 # workload content keys
 # --------------------------------------------------------------------- #
 
-_TRACE_KEY_MEMO: dict[tuple[str, str], str | None] = {}
+#: Subdirectory of a store holding the recipe index.
+RECIPES_SUBDIR = "recipes"
+
+_TRACE_KEY_RE = re.compile(r"[0-9a-f]{20}")
 
 
-def trace_key_for(workload: str, overrides: dict) -> str | None:
+@functools.cache
+def source_fingerprint() -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` file in
+    the ``repro`` package, computed once per process.
+
+    Hashing the whole package rather than a list of builder modules
+    means no module a builder reads can be left out.
+    """
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def recipe_key(workload: str, overrides: dict) -> str | None:
+    """Recipe-index address of a registry build, or ``None`` when the
+    build must stay out of the on-disk index: overrides that encode only
+    through the pickle-digest fallback (a component factory), or a builder
+    defined outside the ``repro`` package, whose source the fingerprint
+    cannot see."""
+    from repro.registry.workloads import WORKLOADS
+
+    try:
+        builder = WORKLOADS.get(workload)
+        spec = canonical_bytes(
+            {"name": workload, "overrides": overrides}, pickled=False
+        )
+    except (TypeError, ValueError):  # unknown name, or not plain JSON
+        return None
+    if not getattr(builder, "__module__", "").startswith("repro."):
+        return None
+    h = hashlib.sha256(spec)
+    h.update(b"\0" + source_fingerprint().encode())
+    return h.hexdigest()
+
+
+def trace_key_for(workload: str, overrides: dict,
+                  store: "ResultStore | None" = None) -> str | None:
     """Content key of the built workload's instruction stream.
 
-    Builds the workload through the registry (annotating it with its
-    trace cache key) and memoizes per process — store-key computation
-    must not pay a workload build per lookup on the warm path.  Returns
-    ``None`` when the workload cannot be built or carries no key; the
-    store key then degrades to config-only addressing.
+    Served from the process memo, then from *store*'s recipe index when
+    the store is on disk; only a miss builds the workload through the
+    registry (which stamps its trace key) and republishes the recipe.
+    Returns ``None`` when the workload cannot be built or carries no
+    key; the store key then degrades to config-only addressing.
     """
-    try:
-        digest = hashlib.sha256(canonical_bytes(overrides)).hexdigest()
-        memo_key = (workload, digest)
-    except Exception:
-        memo_key = None
-    if memo_key is not None and memo_key in _TRACE_KEY_MEMO:
-        return _TRACE_KEY_MEMO[memo_key]
-    from repro.registry import build_workload
+    digest = recipe_digest(workload, overrides)
+    if digest is not None and digest in _KEY_MEMO:
+        return _KEY_MEMO[digest]
+    rk = None
+    if store is not None and store.directory is not None:
+        rk = recipe_key(workload, overrides)
+    key = store.get_recipe(rk) if rk is not None else None
+    if key is None:
+        from repro.registry import build_workload
 
-    try:
-        built = build_workload(workload, **overrides)
-        key = getattr(built, "trace_key", None)
-    except Exception:
-        key = None
-    if memo_key is not None:
-        _TRACE_KEY_MEMO[memo_key] = key
+        try:
+            key = getattr(build_workload(workload, **overrides),
+                          "trace_key", None)
+        except Exception:
+            key = None
+        if rk is not None and key is not None:
+            store.put_recipe(rk, key)
+    if digest is not None:
+        _KEY_MEMO[digest] = key
     return key
 
 
 def reset_trace_key_memo() -> None:
     """Drop the per-process trace-key memo (tests and benchmarks)."""
-    _TRACE_KEY_MEMO.clear()
+    _KEY_MEMO.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -151,6 +210,16 @@ def _stats_field_types() -> dict[str, tuple[type, ...]]:
 
 
 _STATS_FIELD_TYPES = _stats_field_types()
+
+
+def _parse(raw: bytes) -> object:
+    """``json.loads`` that never raises: ``None`` on any defect,
+    including nesting past the recursion limit and integers past the
+    int-digit limit."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError):
+        return None
 
 
 def _stats_types_match(payload: dict) -> bool:
@@ -211,10 +280,7 @@ class ResultStore:
     @staticmethod
     def decode(raw: bytes, key: str) -> SimStats | None:
         """Validate entry bytes; ``None`` on any defect (never raises)."""
-        try:
-            payload = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
+        payload = _parse(raw)
         if not isinstance(payload, dict):
             return None
         if payload.get("version") != STORE_VERSION:
@@ -284,12 +350,57 @@ class ResultStore:
         except OSError:
             pass
 
+    # -- recipe index -------------------------------------------------- #
+
+    def recipe_path(self, rk: str) -> Path:
+        return self.directory / RECIPES_SUBDIR / rk[:2] / f"{rk}.json"
+
+    @staticmethod
+    def encode_recipe(rk: str, trace_key: str) -> bytes:
+        payload = {"version": STORE_VERSION, "rk": rk, "trace_key": trace_key}
+        return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+    @staticmethod
+    def decode_recipe(raw: bytes, rk: str) -> str | None:
+        """Validate recipe bytes; ``None`` on any defect (never raises)."""
+        payload = _parse(raw)
+        if not isinstance(payload, dict):
+            return None
+        if payload.get("version") != STORE_VERSION or payload.get("rk") != rk:
+            return None
+        trace_key = payload.get("trace_key")
+        if not isinstance(trace_key, str) or not _TRACE_KEY_RE.fullmatch(trace_key):
+            return None
+        return trace_key
+
+    def get_recipe(self, rk: str) -> str | None:
+        """The indexed ``trace_key`` for *rk*; a defective entry reads
+        as a miss, counted in ``recoveries``, and is republished by the
+        caller's rebuild."""
+        try:
+            raw = self.recipe_path(rk).read_bytes()
+        except OSError:
+            return None
+        trace_key = self.decode_recipe(raw, rk)
+        if trace_key is None:
+            self.counters["recoveries"] += 1
+        return trace_key
+
+    def put_recipe(self, rk: str, trace_key: str) -> None:
+        self._write_raw(self.recipe_path(rk), self.encode_recipe(rk, trace_key))
+
     # -- introspection ------------------------------------------------- #
 
     def files(self) -> list[Path]:
+        """Result entries (the recipe index is not among them)."""
         if self.directory is None or not self.directory.is_dir():
             return []
         return sorted(self.directory.glob("??/*.json"))
+
+    def recipe_files(self) -> list[Path]:
+        if self.directory is None:
+            return []
+        return sorted(self.directory.glob(f"{RECIPES_SUBDIR}/??/*.json"))
 
     def __len__(self) -> int:
         return len(self.files())
@@ -308,9 +419,10 @@ class ResultStore:
         self._memo.clear()
 
     def clear(self) -> tuple[int, int]:
-        """Delete every entry; returns ``(files_removed, bytes_freed)``."""
+        """Delete every entry and recipe; returns ``(files_removed,
+        bytes_freed)``."""
         removed = freed = 0
-        for path in self.files():
+        for path in self.files() + self.recipe_files():
             try:
                 size = path.stat().st_size
                 path.unlink()
@@ -327,6 +439,7 @@ class ResultStore:
                    ) -> dict[str, int]:
         """Union *source*'s entries into this store.
 
+        Recipes are not copied: each host re-derives its own on a miss.
         Entries are validated before copying (a corrupt shard file never
         propagates) and copied as raw bytes, preserving byte-identity.
         On a key collision: identical bytes count as ``identical``;

@@ -27,7 +27,6 @@ Usage::
     perfetto_json(snapshot)             # load at https://ui.perfetto.dev
 """
 
-from repro.telemetry.counters import CounterBank
 from repro.telemetry.events import (
     AgentEvent,
     QueueEvent,
@@ -42,7 +41,6 @@ from repro.telemetry.sink import RingBufferSink
 
 __all__ = [
     "AgentEvent",
-    "CounterBank",
     "EVENT_GROUPS",
     "QueueEvent",
     "RingBufferSink",

@@ -42,7 +42,6 @@ import hashlib
 import json
 import os
 import pickle
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -83,20 +82,16 @@ _OPCODE_OF: dict[OpClass, int] = {op: i for i, op in enumerate(_OPCLASSES)}
 
 #: In-process memoization: content key -> compiled trace.  Shared by all
 #: simulate() calls in this process (SweepPool points, baseline cache
-#: fills, benchmarks, and every worker thread of the resident service
-#: daemon), so each process compiles a workload at most once.
+#: fills, benchmarks), so each process compiles a workload at most once.
 _MEMO: dict[str, "CompiledTrace"] = {}
 
-#: Serializes the compile-or-load slow path.  The service daemon runs
-#: jobs on event-loop-owned worker threads over this one shared memo;
-#: without the lock two concurrent first requests for the same workload
-#: would both pay the functional-execution compile.  Memo *hits* stay
-#: lock-free (single dict read under the GIL).
-_COMPILE_LOCK = threading.Lock()
-
-#: (registry name, canonical-overrides digest) -> content key, so
-#: repeated builds of one sweep point hash the workload content once.
-_KEY_MEMO: dict[tuple[str, str], str] = {}
+#: The one process memo of build recipes: :func:`recipe_digest` ->
+#: content key.  :func:`annotate` fills it on every registry build and
+#: the result store's ``trace_key_for`` fills it from its on-disk recipe
+#: index, so a process hashes each workload's content at most once and a
+#: recipe-index hit spares the build entirely.  ``None`` records a
+#: recipe that does not build.
+_KEY_MEMO: dict[str, str | None] = {}
 
 #: Subsystem accounting, exposed for tests and the ``cache`` CLI.
 STATS = {
@@ -108,18 +103,22 @@ STATS = {
 }
 
 
-def canonical_bytes(obj: Any) -> bytes:
+def canonical_bytes(obj: Any, pickled: bool = True) -> bytes:
     """Deterministic byte encoding of a declarative spec.
 
     JSON with sorted keys covers plain values; dataclasses flatten to
-    dicts; anything else (e.g. a prebuilt graph passed as a builder
+    dicts; anything else (e.g. a component factory passed as a builder
     override) falls back to a pickle digest — deterministic for the
-    list/dataclass payloads the workload builders accept.
+    list/dataclass payloads the workload builders accept.  With
+    ``pickled=False`` such values raise :class:`TypeError` instead, for
+    callers that must only address what plain JSON spells out.
     """
 
     def _default(value: Any) -> Any:
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
             return dataclasses.asdict(value)
+        if not pickled:
+            raise TypeError(f"{type(value).__name__} has no plain encoding")
         return {
             "__pickle_sha256__": hashlib.sha256(
                 pickle.dumps(value, protocol=4)
@@ -127,6 +126,16 @@ def canonical_bytes(obj: Any) -> bytes:
         }
 
     return json.dumps(obj, sort_keys=True, default=_default).encode()
+
+
+def recipe_digest(name: str, overrides: dict) -> str | None:
+    """Process-memo key of a build recipe (registry name + overrides);
+    ``None`` when the overrides cannot be encoded at all."""
+    try:
+        spec = canonical_bytes({"name": name, "overrides": overrides})
+    except Exception:
+        return None
+    return hashlib.sha256(spec).hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -173,24 +182,18 @@ def annotate(workload: "Workload", name: str, overrides: dict) -> None:
     """Stamp a registry-built workload with its trace-cache identity.
 
     Called by :func:`repro.registry.workloads.build_workload`.  The
-    content key is memoized per ``(name, canonical-overrides)`` so sweep
-    campaigns that rebuild the same point repeatedly hash the workload
-    content only once per process.
+    content key is memoized per build recipe (:data:`_KEY_MEMO`) so
+    sweep campaigns that rebuild the same point repeatedly hash the
+    workload content only once per process.
     """
     workload.build_ref = (name, dict(overrides))
-    try:
-        overrides_digest = hashlib.sha256(
-            canonical_bytes({"name": name, "overrides": overrides})
-        ).hexdigest()
-    except Exception:
-        # Unpicklable override: still cacheable, just never memoized.
-        workload.trace_key = workload_content_key(workload)
-        return
-    memo_key = (name, overrides_digest)
-    key = _KEY_MEMO.get(memo_key)
+    digest = recipe_digest(name, overrides)
+    key = _KEY_MEMO.get(digest) if digest is not None else None
     if key is None:
+        # Unencodable overrides are still cacheable, just never memoized.
         key = workload_content_key(workload)
-        _KEY_MEMO[memo_key] = key
+        if digest is not None:
+            _KEY_MEMO[digest] = key
     workload.trace_key = key
 
 
@@ -544,13 +547,13 @@ def _load_trace(path: Path, key: str) -> CompiledTrace | None:
 
 
 def _persist(path: Path, trace: CompiledTrace) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(pickle.dumps(trace.to_payload(), protocol=4))
-        tmp.replace(path)  # atomic: concurrent workers agree on content
-    except OSError:
-        pass  # read-only cache dir: stay in-memory only
+    """Publish through the result store's writer: a unique fsynced temp
+    file renamed into place, so concurrent workers compiling one
+    workload never share a temp file.  A read-only cache dir leaves the
+    trace in memory only."""
+    from repro.store.resultstore import ResultStore
+
+    ResultStore._write_raw(path, pickle.dumps(trace.to_payload(), protocol=4))
 
 
 def _rebuild(workload: "Workload") -> "Workload | None":
@@ -585,41 +588,33 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
         STATS["memo_hits"] += 1
         return memo
 
-    with _COMPILE_LOCK:
-        # Re-check under the lock: a sibling worker thread may have
-        # compiled (or disk-loaded) this workload while we waited.
-        memo = _MEMO.get(key)
-        if memo is not None and (memo.halted or memo.length >= window):
-            STATS["memo_hits"] += 1
-            return memo
+    ref = workload.build_ref
+    name = ref[0] if ref is not None else workload.name
+    path = _trace_path(name, key)
+    disk = _load_trace(path, key)
+    if disk is not None and (disk.halted or disk.length >= window):
+        STATS["disk_hits"] += 1
+        _MEMO[key] = disk
+        return disk
 
-        ref = workload.build_ref
-        name = ref[0] if ref is not None else workload.name
-        path = _trace_path(name, key)
-        disk = _load_trace(path, key)
-        if disk is not None and (disk.halted or disk.length >= window):
-            STATS["disk_hits"] += 1
-            _MEMO[key] = disk
-            return disk
-
-        # Compile (or extend a too-short trace to the new high-water mark).
-        have = max(
-            memo.length if memo is not None else 0,
-            disk.length if disk is not None else 0,
-        )
-        fresh = _rebuild(workload)
-        if fresh is None:
-            return None
-        if workload_content_key(fresh) != key:
-            # Nondeterministic builder: replay would diverge; refuse to cache.
-            return None
-        trace = CompiledTrace.compile(
-            fresh, _compile_length(max(window, have)), key=key, name=name
-        )
-        STATS["compiles"] += 1
-        _MEMO[key] = trace
-        _persist(path, trace)
-        return trace
+    # Compile (or extend a too-short trace to the new high-water mark).
+    have = max(
+        memo.length if memo is not None else 0,
+        disk.length if disk is not None else 0,
+    )
+    fresh = _rebuild(workload)
+    if fresh is None:
+        return None
+    if workload_content_key(fresh) != key:
+        # Nondeterministic builder: replay would diverge; refuse to cache.
+        return None
+    trace = CompiledTrace.compile(
+        fresh, _compile_length(max(window, have)), key=key, name=name
+    )
+    STATS["compiles"] += 1
+    _MEMO[key] = trace
+    _persist(path, trace)
+    return trace
 
 
 #: Callbacks fired by :func:`reset_memory_cache` so sibling caches keyed

@@ -87,15 +87,13 @@ def test_jobs_flag_on_figure_experiment(tmp_path, capsys):
     )
 
 
-def test_list_prints_service_surface(capsys):
+def test_list_prints_cli_surface(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "service request kinds:" in out
-    for kind in ("simulate", "sweep", "trace"):
-        assert kind in out
-    assert "service endpoints:" in out
-    assert "POST /submit" in out
-    assert "serve" in out and "submit" in out
+    for verb in ("sweep", "trace", "cache", "shard-merge"):
+        assert f"  {verb}" in out
+    assert "workloads:" in out and "backends:" in out
+    assert "serve" not in out and "service" not in out
 
 
 def test_sharded_sweep_merge_byte_identical_to_single_host(tmp_path, capsys):

@@ -219,7 +219,7 @@ def test_resume_skips_finished_points(tmp_path, monkeypatch):
 
 def test_resume_short_circuits_through_store(tmp_path, counted_run_point):
     """Re-running a sweep must not re-run points whose results already
-    sit in the result store (published by another daemon or a previous
+    sit in the result store (published by another host or a previous
     partial run): only genuinely new work computes."""
     points = [
         pfm_point("stored", "libquantum", WINDOW, PFMParams(delay=2)),

@@ -171,8 +171,11 @@ def _poisoned(tmp_path, raw: bytes) -> tuple[ResultStore, str]:
                 "stats": {"no_such_field": True}}).encode(),
     json.dumps({"version": STORE_VERSION, "key": "cd" + "1" * 62,
                 "stats": {"instructions": 1, "cycles": "garbage"}}).encode(),
+    b"[" * 100_000,                                    # RecursionError
+    b"1" * 5000,                                       # int-digit limit
 ], ids=["torn", "binary", "non-dict", "stale-version", "wrong-key",
-        "stats-shape", "stats-schema", "stats-types"])
+        "stats-shape", "stats-schema", "stats-types", "deep-nesting",
+        "huge-int"])
 def test_defective_entries_read_as_misses(tmp_path, raw):
     store, key = _poisoned(tmp_path, raw)
     assert store.get(key) is None
@@ -206,7 +209,7 @@ def test_concurrent_writers_atomic_last_wins(tmp_path):
     rounds = 50
 
     def writer(cycles: int) -> None:
-        own = ResultStore(tmp_path)  # separate instance, like a daemon
+        own = ResultStore(tmp_path)  # separate instance, like another process
         for _ in range(rounds):
             own.put(key, _stats(cycles=cycles))
 
@@ -400,20 +403,26 @@ def _touch(path, size: int, mtime: float) -> None:
 
 
 def test_gc_evicts_lru_across_sections(tmp_path):
+    recipes = tmp_path / "store" / "recipes"
     _touch(tmp_path / "traces" / "old.trace.pkl", 100, 1_000)
+    _touch(recipes / "11" / ("1" * 64 + ".json"), 100, 1_500)
     _touch(tmp_path / "store" / "ef" / ("e" * 64 + ".json"), 100, 2_000)
+    _touch(recipes / "22" / ("2" * 64 + ".json"), 100, 2_500)
     _touch(tmp_path / "store" / "ab" / ("a" * 64 + ".json"), 100, 3_000)
     _touch(tmp_path / "store" / "cd" / ("c" * 64 + ".json"), 100, 4_000)
 
     summary = gc_cache(tmp_path, max_bytes=200)
-    assert summary["total_bytes"] == 400
-    assert summary["evicted_bytes"] == 200
+    assert summary["total_bytes"] == 600
+    assert summary["evicted_bytes"] == 400
     assert summary["kept_bytes"] == 200
     assert summary["sections"]["traces"]["evicted_files"] == 1
+    assert summary["sections"]["recipes"]["files"] == 2
+    assert summary["sections"]["recipes"]["evicted_files"] == 2
     assert summary["sections"]["store"]["evicted_files"] == 1
-    # the two newest store entries survived
+    # the two newest store entries survived; recipes are not entries
     assert not (tmp_path / "traces" / "old.trace.pkl").exists()
-    assert len(ResultStore(store_dir(tmp_path))) == 2
+    store = ResultStore(store_dir(tmp_path))
+    assert len(store) == 2 and store.recipe_files() == []
 
 
 def test_gc_under_budget_evicts_nothing(tmp_path):

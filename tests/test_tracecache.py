@@ -218,6 +218,20 @@ def test_truncated_payload_recovers(monkeypatch):
     assert tracecache.STATS["recoveries"] == 1
 
 
+def test_trace_persists_past_a_squatted_temp_path():
+    """Each publish writes its own unique temp file, so a directory
+    squatting on the old fixed temp path ``<name>--<key>.trace.tmp``
+    (or a sibling worker mid-write there) cannot stop the trace from
+    persisting."""
+    workload = build_workload("astar")
+    squat = tracecache.trace_dir() / f"astar--{workload.trace_key}.trace.tmp"
+    squat.mkdir(parents=True)
+    _simulate(workload, SMALL_WINDOW)
+    entries = tracecache.trace_files()
+    assert len(entries) == 1 and entries[0]["valid"]
+    assert entries[0]["key"] == workload.trace_key
+
+
 def test_cursor_rejects_short_column_after_decode():
     """A trace truncated *after* decode must raise the loader's
     corruption error at replay, never silently run short columns."""
