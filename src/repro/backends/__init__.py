@@ -10,42 +10,51 @@ objects in the same order, so its ``arch_digest`` and every exported
 counter are byte-identical to the reference (the safety bar set by the
 paper's hints-only argument, enforced by the differential test harness).
 
-Selection: ``CoreParams.backend`` names an engine through the backend
-registry; ``"auto"`` (the default) honours the ``REPRO_BACKEND``
-environment variable and otherwise picks numpy when it imports.  Runs a
-vectorized backend cannot replay bit-identically — PFM fabric attached,
-oracles, telemetry, instrumented core subclasses, no compiled trace —
-fall back to python and count ``SimStats.backend_fallbacks``.
+Selection: ``CoreParams.backend`` is the one selector.  ``"auto"`` (the
+default) picks numpy when it imports, else python; ``"python"`` and
+``"numpy"`` pin the engine.  Runs a vectorized backend cannot replay
+bit-identically — numpy missing, PFM fabric attached, oracles,
+telemetry, instrumented core subclasses, no compiled trace — fall back
+to python and count ``SimStats.backend_fallbacks``.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.backends.base import ENV_VAR, ExecutionBackend, have_numpy
-from repro.registry.backends import backend_names, make_backend
+from repro.backends.base import ExecutionBackend, have_numpy
+from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.python_backend import PythonBackend
+from repro.registry.base import UnknownNameError
 
 __all__ = [
-    "ENV_VAR",
+    "ENGINES",
     "ExecutionBackend",
-    "backend_names",
+    "NumpyBackend",
+    "PythonBackend",
     "have_numpy",
-    "make_backend",
     "resolve_backend",
 ]
 
+#: Engine name -> backend class; ``"auto"`` resolves to one of these.
+ENGINES: dict[str, type[ExecutionBackend]] = {
+    "python": PythonBackend,
+    "numpy": NumpyBackend,
+}
 
-def resolve_backend(requested: str | None) -> ExecutionBackend:
+
+def resolve_backend(requested: str) -> ExecutionBackend:
     """Resolve a ``CoreParams.backend`` value to a backend instance.
 
-    An explicit name ("python", "numpy") pins the engine.  ``"auto"``
-    (or None/empty) consults ``$REPRO_BACKEND``, then autodetects: numpy
-    when importable, else python.  Unknown names — explicit or from the
-    environment — raise the registry's :class:`UnknownNameError`.
+    ``"python"`` and ``"numpy"`` pin the engine; ``"auto"`` picks numpy
+    when importable, else python.  Any other name raises
+    :class:`~repro.registry.base.UnknownNameError` listing the choices.
     """
-    name = requested or "auto"
-    if name == "auto":
-        name = os.environ.get(ENV_VAR) or "auto"
+    name = requested
     if name == "auto":
         name = "numpy" if have_numpy() else "python"
-    return make_backend(name)
+    engine = ENGINES.get(name)
+    if engine is None:
+        raise UnknownNameError(
+            f"unknown backend {requested!r}; choose one of"
+            f" auto, {', '.join(ENGINES)}"
+        )
+    return engine()

@@ -23,13 +23,6 @@ if TYPE_CHECKING:
     from repro.core.stats import SimStats
     from repro.workloads.tracecache import CompiledTrace
 
-#: Environment escape hatch consulted when ``CoreParams.backend`` is
-#: ``"auto"``: set ``REPRO_BACKEND=python`` (or ``numpy``/``auto``) to
-#: steer every auto-selecting run in the process — the experiments CLI
-#: uses it to reach ProcessPoolExecutor workers.
-ENV_VAR = "REPRO_BACKEND"
-
-
 def have_numpy() -> bool:
     """True when numpy imports in this interpreter."""
     try:
@@ -42,12 +35,8 @@ def have_numpy() -> bool:
 class ExecutionBackend:
     """One engine for the per-run hot loop."""
 
-    #: Registry name; subclasses override.
+    #: Engine name (a ``CoreParams.backend`` value); subclasses override.
     name = "abstract"
-
-    def available(self) -> bool:
-        """True when this backend's dependencies import here."""
-        return True
 
     def eligible(
         self, core: "SuperscalarCore", trace: "CompiledTrace | None"

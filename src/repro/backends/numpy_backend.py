@@ -36,14 +36,13 @@ import hashlib
 import heapq
 from typing import TYPE_CHECKING
 
-from repro.backends.base import ExecutionBackend, have_numpy
+from repro.backends.base import ExecutionBackend
 from repro.core.archstate import ArchDigest
 from repro.core.core import _PRUNE_INTERVAL, SuperscalarCore
 from repro.core.stages.execute import InFlightStore
 from repro.frontend.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.isa.instructions import OpClass
 from repro.memory.cache import LINE_SHIFT
-from repro.registry.backends import register_backend
 from repro.registry.predictors import make_predictor
 from repro.workloads import tracecache
 
@@ -75,14 +74,6 @@ _KIND_OF_CODE = tuple(
     else 0
     for op in _OPCLASSES
 )
-
-#: Per-trace profiles, keyed (content key, compiled length) — a trace
-#: extension compiles a new, longer object under the same key.  Content
-#: addressing keeps stale entries harmless; the tracecache reset hook
-#: flushes them anyway for benchmark/test hygiene.
-_PROFILES: dict[tuple[str, int], "TraceProfile"] = {}
-tracecache.register_reset_hook(_PROFILES.clear)
-
 
 class ControlProfile:
     """Per-instruction control-flow outcomes for one (predictor, bp) pair.
@@ -284,11 +275,12 @@ class TraceProfile:
 
 
 def _profile(trace: "CompiledTrace") -> TraceProfile:
-    key = (trace.key, trace.length)
-    prof = _PROFILES.get(key)
+    """The trace's replay profile, built on first use and kept on the
+    trace itself (a trace extension compiles a new object, so the
+    profile never outlives the columns it was built from)."""
+    prof = trace._profile
     if prof is None:
-        prof = TraceProfile(trace)
-        _PROFILES[key] = prof
+        prof = trace._profile = TraceProfile(trace)
     return prof
 
 
@@ -308,26 +300,23 @@ def _exec_table(core: SuperscalarCore) -> list:
     return table
 
 
-@register_backend("numpy")
 class NumpyBackend(ExecutionBackend):
     """Chunked vectorized replay of a warm compiled trace."""
 
     name = "numpy"
-
-    def available(self) -> bool:
-        return have_numpy()
 
     def eligible(
         self, core: "SuperscalarCore", trace: "CompiledTrace | None"
     ) -> bool:
         """Accept only runs this engine replays bit-identically.
 
-        A compiled trace must exist (it always covers the window when it
-        does); the run must be hint-free — no PFM fabric (which also
-        excludes every FaultPlan and watchdog knob, both carried inside
-        ``PFMParams``), no oracle, no telemetry; and the core must be the
-        plain engine, not an instrumented subclass whose ``_process``
-        override the fused loop would silently bypass.
+        numpy must import and a compiled trace must exist (it always
+        covers the window when it does); the run must be hint-free — no
+        PFM fabric (which also excludes every FaultPlan and watchdog
+        knob, both carried inside ``PFMParams``), no oracle, no
+        telemetry; and the core must be the plain engine, not an
+        instrumented subclass whose ``_process`` override the fused loop
+        would silently bypass.
         """
         if np is None or trace is None:
             return False

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 from repro.backends.base import ExecutionBackend
 from repro.core.archstate import ArchDigest
-from repro.registry.backends import register_backend
 
 if TYPE_CHECKING:
     from repro.core.core import SuperscalarCore
@@ -22,7 +21,6 @@ if TYPE_CHECKING:
     from repro.workloads.tracecache import CompiledTrace
 
 
-@register_backend("python")
 class PythonBackend(ExecutionBackend):
     """Reference per-instruction engine (always available, always eligible)."""
 

@@ -120,23 +120,22 @@ class SuperscalarCore:
     def run(self, max_instructions: int | None = None) -> SimStats:
         limit = max_instructions or self.config.max_instructions
         trace = tracecache.get_trace(self.workload, limit)
-        # Backend selection (ISSUE 6): an explicit CoreParams.backend
-        # pins the engine, "auto" resolves via $REPRO_BACKEND and then
-        # autodetection.  A non-python backend that is unavailable or
-        # cannot replay this run bit-identically (PFM fabric, oracle,
-        # telemetry, instrumented subclass, no compiled trace) falls
-        # back to the reference engine, recorded in the non-field
-        # provenance counter ``SimStats.backend_fallbacks``.
-        from repro.backends import make_backend, resolve_backend
+        # CoreParams.backend selects the engine ("auto" picks numpy when
+        # it imports).  A non-python backend that cannot replay this run
+        # bit-identically (numpy missing, PFM fabric, oracle, telemetry,
+        # instrumented subclass, no compiled trace) falls back to the
+        # reference engine, recorded in the non-field provenance
+        # counter ``SimStats.backend_fallbacks``.
+        from repro.backends import PythonBackend, resolve_backend
 
         backend = resolve_backend(self.params.backend)
         stats = self.stats
         if backend.name != "python":
-            if backend.available() and backend.eligible(self, trace):
+            if backend.eligible(self, trace):
                 stats.backend = backend.name
                 return backend.run(self, trace, limit)
             stats.backend_fallbacks += 1
-            backend = make_backend("python")
+            backend = PythonBackend()
         stats.backend = "python"
         return backend.run(self, trace, limit)
 

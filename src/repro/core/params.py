@@ -46,10 +46,9 @@ class CoreParams:
     #: registry (:mod:`repro.registry`); the paper's baseline is TAGE-SC-L.
     predictor: str = "tagescl"
 
-    #: Execution backend, resolved through the backend registry
-    #: (:mod:`repro.registry.backends`).  ``"auto"`` picks the fastest
-    #: available engine (numpy when importable, else python) and honours
-    #: the ``REPRO_BACKEND`` environment escape hatch; an explicit
+    #: Execution backend (:func:`repro.backends.resolve_backend`), the
+    #: one engine selector.  ``"auto"`` picks the fastest available
+    #: engine (numpy when importable, else python); an explicit
     #: ``"python"``/``"numpy"`` pins the engine for this run.  Runs the
     #: vectorized backend cannot replay bit-identically (PFM fabric,
     #: oracles, telemetry, uncompiled workloads) fall back to python and

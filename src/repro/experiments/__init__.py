@@ -18,13 +18,9 @@ DESIGN.md §5).
 
 from repro.experiments.report import ExperimentResult
 from repro.experiments.pool import SweepPoint, SweepPool
-from repro.experiments.runner import run_baseline, run_pfm, run_config
 
 __all__ = [
     "ExperimentResult",
     "SweepPoint",
     "SweepPool",
-    "run_baseline",
-    "run_pfm",
-    "run_config",
 ]

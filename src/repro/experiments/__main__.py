@@ -367,13 +367,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         default=os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
-        help=f"result store + failed-points log directory"
+        help=f"result store, compiled traces and failed-points log"
              f" (default ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="keep results in memory only (no on-disk result store)",
+        help="keep results in memory only (no on-disk result store);"
+             " compiled traces still go under --cache-dir",
     )
     parser.add_argument(
         "--store",
@@ -396,13 +397,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="abort on the first failed sweep point instead of retrying"
              " crashed workers and summarizing failures at the end",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help="execution backend for every run, workers included (auto"
-             " honours $REPRO_BACKEND and picks numpy when importable)",
     )
     parser.add_argument(
         "--tenant",
@@ -458,12 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.backend != "auto":
-        # Worker processes inherit the environment, so pinning the
-        # backend here reaches every SweepPool run.
-        from repro.backends import ENV_VAR as backend_env_var
-
-        os.environ[backend_env_var] = args.backend
+    # Compiled traces live under the cache directory too; worker
+    # processes inherit the environment, so this reaches every run.
+    os.environ[CACHE_DIR_ENV] = args.cache_dir
 
     if args.experiment is None and not args.smoke:
         parser.error("an experiment id (or --smoke) is required")
@@ -534,7 +525,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "list":
         from repro.registry import (
-            backend_names,
             component_names,
             predictor_names,
             prefetcher_names,
@@ -555,7 +545,6 @@ def main(argv: list[str] | None = None) -> int:
             ("predictors", predictor_names()),
             ("prefetchers", prefetcher_names()),
             ("tenant layouts", tenant_layout_names()),
-            ("backends", backend_names()),
         ):
             print(f"{title}:")
             for name in names:

@@ -272,7 +272,6 @@ class SweepPool:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store: ResultStore = store
-        self._store_keys: dict[str, str] = {}
         #: Accounting for the most recent run(): distinct points computed
         #: vs served from the result store vs failed.
         self.last_run_info: dict[str, int] = {}
@@ -282,20 +281,17 @@ class SweepPool:
     # ------------------------------------------------------------------ #
 
     def _store_key(self, point: SweepPoint) -> str:
-        """Store address for *point*, memoized per pool.
+        """Store address for *point*.
 
         A memory-only store uses ``point.key()``: its entries die with
         the process, so the workload ``trace_key`` that ``store_key``
-        folds in buys nothing.
+        folds in buys nothing.  The trace key itself is memoized per
+        process (``tracecache._KEY_MEMO``), so recomputing the address
+        costs one spec hash.
         """
-        key = point.key()
         if self.store.directory is None:
-            return key
-        skey = self._store_keys.get(key)
-        if skey is None:
-            skey = point.store_key(self.store)
-            self._store_keys[key] = skey
-        return skey
+            return point.key()
+        return point.store_key(self.store)
 
     def _publish(self, point: SweepPoint, stats: SimStats) -> None:
         self.store.put(

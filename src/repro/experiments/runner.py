@@ -1,92 +1,27 @@
-"""Simulation helpers shared by the experiments.
+"""Constants and config-label parsing shared by the experiments.
 
 Workloads are resolved by name through the registry layer
 (:mod:`repro.registry`); graphs and grids are deterministic (seeded), so
-each build returns a fresh workload with identical initial state.  These
-are plain runs; sweeps that reuse results go through
+each build returns a fresh workload with identical initial state.  Every
+run goes through :func:`~repro.experiments.pool.run_point`, driven by a
 :class:`~repro.experiments.pool.SweepPool` and its result store.
 """
 
 from __future__ import annotations
 
-from repro.core import CoreParams, PFMParams, SimConfig, SimStats, simulate
+from repro.core import PFMParams
 from repro.registry import build_workload
 
 __all__ = [
     "DEFAULT_WINDOW",
     "PREFETCH_WORKLOADS",
     "build_workload",
-    "run_config",
-    "run_baseline",
-    "run_pfm",
-    "speedup_pct",
-    "pfm_speedup_pct",
     "parse_config_label",
 ]
 
 DEFAULT_WINDOW = 40_000
 
 PREFETCH_WORKLOADS = ("libquantum", "bwaves", "lbm", "milc", "leslie")
-
-
-def run_config(name: str, config: SimConfig, **overrides) -> SimStats:
-    """Simulate workload *name* under *config* (fresh state each call)."""
-    return simulate(build_workload(name, **overrides), config)
-
-
-def _core_params(backend: str) -> CoreParams:
-    """CoreParams pinned to *backend* ("auto" keeps the defaults)."""
-    return CoreParams() if backend == "auto" else CoreParams(backend=backend)
-
-
-def run_baseline(
-    name: str,
-    window: int = DEFAULT_WINDOW,
-    backend: str = "auto",
-    **overrides,
-) -> SimStats:
-    """Baseline (plain core) run."""
-    return run_config(
-        name,
-        SimConfig(core=_core_params(backend), max_instructions=window),
-        **overrides,
-    )
-
-
-def run_pfm(
-    name: str,
-    pfm: PFMParams,
-    window: int = DEFAULT_WINDOW,
-    backend: str = "auto",
-    **overrides,
-) -> SimStats:
-    """PFM-enabled run (non-python backends fall back to the reference)."""
-    return run_config(
-        name,
-        SimConfig(
-            core=_core_params(backend), max_instructions=window, pfm=pfm
-        ),
-        **overrides,
-    )
-
-
-def speedup_pct(stats: SimStats, baseline: SimStats) -> float:
-    return 100.0 * stats.speedup_over(baseline)
-
-
-def pfm_speedup_pct(
-    name: str,
-    pfm: PFMParams,
-    window: int = DEFAULT_WINDOW,
-    **overrides,
-) -> float:
-    """Speedup of a PFM configuration over the baseline, in %.
-
-    Builder overrides apply to *both* runs — the baseline must simulate
-    the same workload instance the PFM run does.
-    """
-    base = run_baseline(name, window, **overrides)
-    return speedup_pct(run_pfm(name, pfm, window, **overrides), base)
 
 
 def _parse_int(text: str, token: str, what: str) -> int:

@@ -10,12 +10,6 @@ processes, the golden harness) resolves names through here.
 ``python -m repro.experiments list`` enumerates everything registered.
 """
 
-from repro.registry.backends import (
-    BACKENDS,
-    backend_names,
-    make_backend,
-    register_backend,
-)
 from repro.registry.base import (
     DuplicateNameError,
     Registry,
@@ -77,10 +71,6 @@ __all__ = [
     "register_prefetcher",
     "make_prefetcher",
     "prefetcher_names",
-    "BACKENDS",
-    "register_backend",
-    "make_backend",
-    "backend_names",
     "TENANT_LAYOUTS",
     "register_tenant_layout",
     "resolve_tenant_layout",

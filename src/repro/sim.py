@@ -15,16 +15,15 @@ breakdown (per-level cache stats, stall cycles, agent activity, energy).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from repro.backends.base import ENV_VAR as BACKEND_ENV_VAR
-from repro.core import CoreParams, SimConfig, SimStats, simulate
+from repro.core import SimStats
+from repro.experiments.pool import SweepPoint, SweepPool, baseline_point
 from repro.experiments.report import aligned_rows
 from repro.experiments.runner import parse_config_label
 from repro.power.core_energy import CoreEnergyModel
-from repro.registry import build_workload, workload_names
+from repro.registry import workload_names
 
 
 def detailed_report(stats: SimStats) -> str:
@@ -98,11 +97,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="idealize branch prediction")
     parser.add_argument("--perfect-dcache", action="store_true",
                         help="idealize the data cache")
-    parser.add_argument("--backend", choices=("auto", "python", "numpy"),
-                        default="auto",
-                        help="execution backend (auto honours $REPRO_BACKEND"
-                             " and picks numpy when importable; ineligible"
-                             " runs fall back to python)")
     parser.add_argument("--compare", action="store_true",
                         help="also run the plain baseline and report speedup")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -110,11 +104,6 @@ def main(argv: list[str] | None = None) -> int:
                              " baseline run concurrently when N > 1)")
     parser.add_argument("--report", action="store_true",
                         help="print the detailed breakdown")
-    parser.add_argument("--profile", metavar="FILE", nargs="?",
-                        const="sim-profile.pstats", default=None,
-                        help="profile the run under cProfile and write a"
-                             " pstats dump (default sim-profile.pstats;"
-                             " inspect with python -m pstats FILE)")
     args = parser.parse_args(argv)
 
     pfm = parse_config_label(args.pfm) if args.pfm else None
@@ -131,75 +120,33 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         pfm = replace(pfm, tenants=specs)
-    if args.backend != "auto":
-        # Also reaches SweepPool workers (auto-selecting runs consult
-        # $REPRO_BACKEND; see repro.backends.resolve_backend).
-        os.environ[BACKEND_ENV_VAR] = args.backend
-
-    profiler = None
-    if args.profile is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
 
     started = time.time()
-    baseline = None
-    if args.compare and args.jobs > 1:
-        from repro.experiments.pool import SweepPoint, SweepPool
-
-        treated_point = SweepPoint(
-            label="treated",
-            workload=args.workload,
-            window=args.window,
-            pfm=pfm,
-            perfect_branch_prediction=args.perfect_bp,
-            perfect_dcache=args.perfect_dcache,
-        )
-        points = [treated_point]
-        if treated_point.is_baseline:
-            baseline_point = treated_point  # comparing a baseline to itself
-        else:
-            baseline_point = SweepPoint(
-                label="baseline", workload=args.workload, window=args.window
-            )
-            points.append(baseline_point)
-        results = SweepPool(jobs=args.jobs).run(points)
-        stats = results["treated"]
-        baseline = results[baseline_point.label]
-    else:
-        config = SimConfig(
-            core=CoreParams(backend=args.backend),
-            max_instructions=args.window,
-            pfm=pfm,
-            perfect_branch_prediction=args.perfect_bp,
-            perfect_dcache=args.perfect_dcache,
-        )
-        stats = simulate(build_workload(args.workload), config)
-        if args.compare:
-            baseline = simulate(
-                build_workload(args.workload),
-                SimConfig(
-                    core=CoreParams(backend=args.backend),
-                    max_instructions=args.window,
-                ),
-            )
+    treated = SweepPoint(
+        label="treated",
+        workload=args.workload,
+        window=args.window,
+        pfm=pfm,
+        perfect_branch_prediction=args.perfect_bp,
+        perfect_dcache=args.perfect_dcache,
+    )
+    points = [treated]
+    if args.compare and not treated.is_baseline:
+        points.append(baseline_point(args.workload, args.window))
+    results = SweepPool(jobs=args.jobs).run(points)
+    stats = results["treated"]
     elapsed = time.time() - started
-    if profiler is not None:
-        profiler.disable()
-        profiler.dump_stats(args.profile)
 
     print(f"workload {args.workload}, window {args.window} "
           f"({elapsed:.1f}s wall clock)")
-    if profiler is not None:
-        print(f"cProfile dump written to {args.profile}"
-              f" (inspect with: python -m pstats {args.profile})")
     if pfm is not None:
         print(f"PFM: {pfm.label()}")
     print()
     print(detailed_report(stats) if args.report else stats.summary())
 
-    if args.compare and baseline is not None:
+    if args.compare:
+        # A baseline point is compared with itself.
+        baseline = results[points[-1].label]
         print()
         print(f"baseline IPC {baseline.ipc:.3f} -> {stats.ipc:.3f}: "
               f"{100 * stats.speedup_over(baseline):+.1f}%")

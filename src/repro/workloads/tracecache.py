@@ -28,17 +28,16 @@ invalidates the cache automatically, and distinct override spellings that
 build identical workloads share one compilation.  Traces persist under
 ``<cache-dir>/traces/`` (``$REPRO_CACHE_DIR`` or ``.repro-cache``) and
 are memoized in-process so every SweepPool worker compiles each workload
-at most once.  Corrupt, stale, or version-skewed files are silently
-recompiled, never trusted.
-
-Escape hatch: ``REPRO_NO_TRACE_CACHE=1`` disables the subsystem entirely
-(every run functionally executes, the pre-cache behavior).
+at most once.  Each file carries a sha256 of its payload, and the payload
+decodes as plain containers only; corrupt, tampered, stale, or
+version-skewed files are recompiled, never trusted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -58,24 +57,28 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Default on-disk cache directory (relative to the invocation cwd).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Set to disable compiled-trace replay entirely (functional execution).
-NO_TRACE_CACHE_ENV = "REPRO_NO_TRACE_CACHE"
+#: Compiled-trace replay on; off, every run functionally executes (the
+#: tests switch it off to compare replay against execution).
+ENABLED = True
 
 #: Campaign windows reuse one compilation: requests at or above
-#: :data:`FLOOR_THRESHOLD` compile to at least ``$REPRO_TRACE_FLOOR``
-#: (default 40k, the CLI default window) so one cold compile serves every
-#: later window of a sweep.  Tiny test windows compile exactly.
-TRACE_FLOOR_ENV = "REPRO_TRACE_FLOOR"
-DEFAULT_TRACE_FLOOR = 40_000
+#: :data:`FLOOR_THRESHOLD` compile to at least :data:`TRACE_FLOOR` (the
+#: CLI default window) so one cold compile serves every later window of
+#: a sweep.  Tiny test windows compile exactly.
+TRACE_FLOOR = 40_000
 FLOOR_THRESHOLD = 10_000
 
 #: Windows beyond this never compile (the columns would not fit memory
 #: comfortably); such runs fall back to streaming functional execution.
-TRACE_MAX_ENV = "REPRO_TRACE_MAX"
-DEFAULT_TRACE_MAX = 2_000_000
+TRACE_MAX = 2_000_000
 
-#: Payload format version; bump on any layout change to shed stale files.
-TRACE_VERSION = 1
+#: File format version; bump on any layout change to shed stale files.
+TRACE_VERSION = 2
+
+#: Content-key schema version.  Separate from :data:`TRACE_VERSION`:
+#: trace keys feed every result-store key, so a file-format change must
+#: not re-address stored results.
+KEY_VERSION = 1
 
 _OPCLASSES: tuple[OpClass, ...] = tuple(OpClass)
 _OPCODE_OF: dict[OpClass, int] = {op: i for i, op in enumerate(_OPCLASSES)}
@@ -155,7 +158,7 @@ def workload_content_key(workload: "Workload") -> str:
     h = hashlib.sha256()
     program = workload.program
     h.update(
-        f"v{TRACE_VERSION};base={program.base_pc};entry={workload.entry}\n".encode()
+        f"v{KEY_VERSION};base={program.base_pc};entry={workload.entry}\n".encode()
     )
     lines = [
         f"{i.pc};{i.mnemonic};{i.dst};{i.srcs};{i.imm};{i.target};{i.comment}"
@@ -216,7 +219,7 @@ class CompiledTrace:
         "srcs_idx", "comment_idx", "mem_addrs", "store_values",
         "dst_values", "taken",
         "mnemonics", "registers", "src_tuples", "comments",
-        "_cols", "_nd",
+        "_cols", "_nd", "_profile",
     )
 
     def __init__(self, name: str, key: str) -> None:
@@ -241,6 +244,8 @@ class CompiledTrace:
         self.comments: list[str] = []
         self._cols: tuple | None = None
         self._nd: dict[str, Any] | None = None
+        #: The numpy backend's replay profile of this trace, built lazily.
+        self._profile: Any = None
 
     # ------------------------------------------------------------------ #
 
@@ -510,10 +515,6 @@ class TraceCursor:
 # --------------------------------------------------------------------- #
 
 
-def enabled() -> bool:
-    return not os.environ.get(NO_TRACE_CACHE_ENV)
-
-
 def trace_dir(base: str | os.PathLike | None = None) -> Path:
     """The on-disk trace directory under the shared cache layout."""
     if base is None:
@@ -526,19 +527,43 @@ def _trace_path(name: str, key: str) -> Path:
 
 
 def _compile_length(need: int) -> int:
-    floor = int(os.environ.get(TRACE_FLOOR_ENV, DEFAULT_TRACE_FLOOR))
-    return max(need, floor) if need >= FLOOR_THRESHOLD else need
+    return max(need, TRACE_FLOOR) if need >= FLOOR_THRESHOLD else need
+
+
+class _PlainUnpickler(pickle.Unpickler):
+    """Decodes plain containers only.  A trace payload names no class or
+    function, so a file that does was tampered with: refuse the name
+    rather than import and call it."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(
+            f"trace payload names {module}.{name}"
+        )
+
+
+def _dumps(payload: dict) -> bytes:
+    """File bytes for *payload*: its sha256, then the pickle."""
+    body = pickle.dumps(payload, protocol=4)
+    return hashlib.sha256(body).digest() + body
+
+
+def _loads(raw: bytes) -> dict:
+    """Inverse of :func:`_dumps`; raises on a checksum mismatch or on a
+    payload that names any class or function."""
+    digest, body = raw[:32], raw[32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError("trace checksum mismatch")
+    return _PlainUnpickler(io.BytesIO(body)).load()
 
 
 def _load_trace(path: Path, key: str) -> CompiledTrace | None:
     """Load and validate one trace file; None (never a raise) on any defect."""
     try:
-        payload = pickle.loads(path.read_bytes())
-        trace = CompiledTrace.from_payload(payload)
+        trace = CompiledTrace.from_payload(_loads(path.read_bytes()))
     except FileNotFoundError:
         return None
     except Exception:
-        # Torn write, disk corruption, stale format: recompile below.
+        # Torn write, disk corruption, tampering, stale format: recompile.
         STATS["recoveries"] += 1
         return None
     if trace.key != key:
@@ -553,7 +578,7 @@ def _persist(path: Path, trace: CompiledTrace) -> None:
     trace in memory only."""
     from repro.store.resultstore import ResultStore
 
-    ResultStore._write_raw(path, pickle.dumps(trace.to_payload(), protocol=4))
+    ResultStore._write_raw(path, _dumps(trace.to_payload()))
 
 
 def _rebuild(workload: "Workload") -> "Workload | None":
@@ -578,9 +603,7 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
     the compile ceiling, or a fresh rebuild failed verification.
     """
     key = getattr(workload, "trace_key", None)
-    if key is None or window <= 0 or not enabled():
-        return None
-    if window > int(os.environ.get(TRACE_MAX_ENV, DEFAULT_TRACE_MAX)):
+    if key is None or window <= 0 or not ENABLED or window > TRACE_MAX:
         return None
 
     memo = _MEMO.get(key)
@@ -617,27 +640,12 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
     return trace
 
 
-#: Callbacks fired by :func:`reset_memory_cache` so sibling caches keyed
-#: on compiled traces (the numpy backend's per-trace replay profiles)
-#: flush in lockstep with the trace memo.  Content-addressed caches stay
-#: *correct* without this; the hook exists for benchmark/test hygiene.
-_RESET_HOOKS: list = []
-
-
-def register_reset_hook(hook) -> None:
-    """Register *hook* () -> None to run on every reset_memory_cache()."""
-    if hook not in _RESET_HOOKS:
-        _RESET_HOOKS.append(hook)
-
-
 def reset_memory_cache() -> None:
     """Drop all in-process state (tests and cold-path benchmarks)."""
     _MEMO.clear()
     _KEY_MEMO.clear()
     for counter in STATS:
         STATS[counter] = 0
-    for hook in _RESET_HOOKS:
-        hook()
 
 
 # --------------------------------------------------------------------- #
@@ -662,7 +670,7 @@ def trace_files(base: str | os.PathLike | None = None) -> list[dict]:
             "valid": False,
         }
         try:
-            trace = CompiledTrace.from_payload(pickle.loads(path.read_bytes()))
+            trace = CompiledTrace.from_payload(_loads(path.read_bytes()))
         except Exception:
             entries.append(info)
             continue

@@ -2,7 +2,7 @@
 
 The backend layer's contract is absolute: switching engines may change
 *how fast* a result is computed, never the result.  Each golden case is
-run under both registered backends across the three trace-cache states —
+run under both backends across the three trace-cache states —
 cold compile, in-process memo hit, warm-on-disk hit — and every run must
 produce the same ``arch_digest``, the same ``SimStats.to_dict()``, and
 match the committed golden snapshot bit for bit.
@@ -15,13 +15,15 @@ fabric-carrying run must report the fallback).
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
 from repro.backends import have_numpy
+from repro.core import CoreParams, SimConfig
+from repro.experiments import pool
 from repro.experiments.pool import run_point, stats_to_dict
-from repro.registry import backend_names
 from repro.workloads import tracecache
 
 from tests.test_goldens import CASES, _golden_path, _point
@@ -37,22 +39,16 @@ def _load_golden(workload: str, variant: str) -> dict:
 
 
 def _run(workload: str, variant: str, backend: str, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    try:
-        return run_point(_point(workload, variant))
-    finally:
-        monkeypatch.delenv("REPRO_BACKEND")
+    """run_point with ``CoreParams.backend`` pinned to *backend*."""
+    monkeypatch.setattr(pool, "SimConfig", functools.partial(
+        SimConfig, core=CoreParams(backend=backend)
+    ))
+    return run_point(_point(workload, variant))
 
 
 def _reset_cold() -> None:
     tracecache.reset_memory_cache()
     tracecache.clear_traces()
-
-
-def test_backends_registered():
-    names = backend_names()
-    for backend in BACKENDS:
-        assert backend in names
 
 
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
@@ -119,20 +115,17 @@ def test_backend_equivalence_all_cache_states(workload, variant, monkeypatch):
 
 
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
-def test_explicit_core_params_backend(monkeypatch):
-    """CoreParams.backend pins the engine without the environment, and an
-    explicit name beats a conflicting $REPRO_BACKEND."""
-    from repro.core import CoreParams, SimConfig, simulate
+def test_explicit_core_params_backend():
+    """CoreParams.backend pins the engine."""
+    from repro.core import simulate
     from repro.registry import build_workload
 
-    monkeypatch.setenv("REPRO_BACKEND", "python")
     stats = simulate(
         build_workload("astar"),
         SimConfig(core=CoreParams(backend="numpy"), max_instructions=1_500),
     )
     assert stats.backend == "numpy"
 
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
     stats = simulate(
         build_workload("astar"),
         SimConfig(core=CoreParams(backend="python"), max_instructions=1_500),
@@ -142,11 +135,11 @@ def test_explicit_core_params_backend(monkeypatch):
 
 
 def test_unknown_backend_raises():
-    from repro.core import CoreParams, SimConfig, simulate
+    from repro.core import simulate
     from repro.registry import build_workload
     from repro.registry.base import UnknownNameError
 
-    with pytest.raises(UnknownNameError):
+    with pytest.raises(UnknownNameError, match="auto, python, numpy"):
         simulate(
             build_workload("astar"),
             SimConfig(core=CoreParams(backend="fortran"), max_instructions=100),
@@ -156,13 +149,63 @@ def test_unknown_backend_raises():
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
 def test_numpy_requires_compiled_trace(monkeypatch):
     """With replay disabled there is no trace; numpy falls back."""
-    from repro.core import CoreParams, SimConfig, simulate
+    from repro.core import simulate
     from repro.registry import build_workload
 
-    monkeypatch.setenv(tracecache.NO_TRACE_CACHE_ENV, "1")
+    monkeypatch.setattr(tracecache, "ENABLED", False)
     stats = simulate(
         build_workload("astar"),
         SimConfig(core=CoreParams(backend="numpy"), max_instructions=1_500),
     )
     assert stats.backend == "python"
     assert stats.backend_fallbacks == 1
+
+
+@pytest.mark.parametrize(
+    "cli,argv",
+    [
+        ("sim", ["--workload", "astar", "--backend", "python"]),
+        ("sim", ["--workload", "astar", "--profile"]),
+        ("experiments", ["fig8", "--backend", "numpy"]),
+    ],
+)
+def test_removed_switches_are_argparse_errors(cli, argv, capsys):
+    """CoreParams.backend is the only engine selector, and profiling
+    goes through ``python -m cProfile``."""
+    if cli == "sim":
+        from repro.sim import main
+    else:
+        from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_stale_environment_changes_nothing(monkeypatch, capsys):
+    """Variables that once steered the engine and the trace cache are
+    ignored, malformed values included."""
+    from repro.core import simulate
+    from repro.registry import build_workload
+    from repro.sim import main
+
+    argv = ["--workload", "astar", "--window", "1500", "--compare"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()[1:]
+
+    tracecache.reset_memory_cache()
+    tracecache.clear_traces()
+    for name, value in (
+        ("REPRO_BACKEND", "nump"),
+        ("REPRO_TRACE_MAX", "2e6"),
+        ("REPRO_TRACE_FLOOR", "x"),
+        ("REPRO_NO_TRACE_CACHE", "1"),
+    ):
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == clean
+    assert tracecache.STATS["compiles"] == 1
+
+    stats = simulate(build_workload("astar"), SimConfig(max_instructions=1_500))
+    assert stats.backend == ("numpy" if have_numpy() else "python")

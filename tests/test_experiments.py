@@ -4,13 +4,7 @@ import pytest
 
 from repro.core import PFMParams
 from repro.experiments.report import ExperimentResult, render_all
-from repro.experiments.runner import (
-    build_workload,
-    parse_config_label,
-    pfm_speedup_pct,
-)
-
-SMALL = 8_000
+from repro.experiments.runner import build_workload, parse_config_label
 
 
 def test_parse_config_label_full():
@@ -72,11 +66,6 @@ def test_sweep_grid_covers_all_nine_workloads():
 def test_build_workload_unknown_name():
     with pytest.raises(ValueError):
         build_workload("doom")
-
-
-def test_pfm_speedup_pct_runs():
-    value = pfm_speedup_pct("libquantum", PFMParams(delay=0), SMALL)
-    assert isinstance(value, float)
 
 
 def test_report_rendering_with_paper_values():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.__main__ import main
+from repro.workloads import tracecache
 
 
 def test_list_prints_registry(capsys):
@@ -92,7 +93,7 @@ def test_list_prints_cli_surface(capsys):
     out = capsys.readouterr().out
     for verb in ("sweep", "trace", "cache", "shard-merge"):
         assert f"  {verb}" in out
-    assert "workloads:" in out and "backends:" in out
+    assert "workloads:" in out and "backends:" not in out
     assert "serve" not in out and "service" not in out
 
 
@@ -182,3 +183,14 @@ def test_cache_list_and_clear_cover_the_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result-store entr" in out
     assert not list((cache / "store").glob("??/*.json"))
+
+
+def test_cache_dir_reaches_compiled_traces(tmp_path, capsys):
+    """--cache-dir holds the compiled traces as well as the results, in
+    the CLI process and in its pool workers."""
+    tracecache.reset_memory_cache()
+    cache = tmp_path / "c"
+    assert main(["astar-mpki", "--window", "2000", "--jobs", "2",
+                 "--cache-dir", str(cache)]) == 0
+    assert list((cache / "traces").glob("*.trace.pkl"))
+    assert not (tmp_path / "repro-cache").exists()

@@ -12,10 +12,11 @@ than lie.
 from __future__ import annotations
 
 import json
-import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SimConfig, simulate
 from repro.experiments.runner import parse_config_label
@@ -50,9 +51,9 @@ def _simulate(workload, window: int, pfm_label: str | None = None):
 
 
 def _executed_digest(name: str, window: int, monkeypatch, **overrides) -> str:
-    monkeypatch.setenv(tracecache.NO_TRACE_CACHE_ENV, "1")
+    monkeypatch.setattr(tracecache, "ENABLED", False)
     digest = _simulate(build_workload(name, **overrides), window).arch_digest
-    monkeypatch.delenv(tracecache.NO_TRACE_CACHE_ENV)
+    monkeypatch.setattr(tracecache, "ENABLED", True)
     return digest
 
 
@@ -95,11 +96,11 @@ def test_golden_digest_enabled_disabled_and_warm(workload, variant, monkeypatch)
     golden = json.loads(golden_path.read_text())["stats"]["arch_digest"]
     pfm_label = None if variant == "baseline" else PFM_CONFIG
 
-    monkeypatch.setenv(tracecache.NO_TRACE_CACHE_ENV, "1")
+    monkeypatch.setattr(tracecache, "ENABLED", False)
     disabled = _simulate(
         build_workload(workload), GOLDEN_WINDOW, pfm_label
     ).arch_digest
-    monkeypatch.delenv(tracecache.NO_TRACE_CACHE_ENV)
+    monkeypatch.setattr(tracecache, "ENABLED", True)
     assert disabled == golden
 
     cold = _simulate(
@@ -170,7 +171,7 @@ def test_direct_builder_bypasses_cache():
 
 
 def test_escape_hatch_disables_everything(monkeypatch):
-    monkeypatch.setenv(tracecache.NO_TRACE_CACHE_ENV, "1")
+    monkeypatch.setattr(tracecache, "ENABLED", False)
     _simulate(build_workload("astar"), SMALL_WINDOW)
     assert tracecache.STATS["compiles"] == 0
     assert tracecache.STATS["replays"] == 0
@@ -209,9 +210,9 @@ def test_truncated_payload_recovers(monkeypatch):
     _simulate(build_workload("astar"), SMALL_WINDOW)
     path = _single_trace_file()
 
-    payload = pickle.loads(path.read_bytes())
+    payload = tracecache._loads(path.read_bytes())
     payload["pcs"] = payload["pcs"][: len(payload["pcs"]) // 2]
-    path.write_bytes(pickle.dumps(payload, protocol=4))
+    path.write_bytes(tracecache._dumps(payload))
     tracecache.reset_memory_cache()
     digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
     assert digest == executed
@@ -258,12 +259,76 @@ def test_stale_version_recompiles(monkeypatch):
     _simulate(build_workload("astar"), SMALL_WINDOW)
     path = _single_trace_file()
 
-    payload = pickle.loads(path.read_bytes())
+    payload = tracecache._loads(path.read_bytes())
     payload["version"] = tracecache.TRACE_VERSION + 1
-    path.write_bytes(pickle.dumps(payload, protocol=4))
+    path.write_bytes(tracecache._dumps(payload))
     tracecache.reset_memory_cache()
     digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
     assert digest == executed
+    assert tracecache.STATS["compiles"] == 1
+
+
+def test_mutated_trace_file_is_rejected_or_exact(tmp_path):
+    """Any byte mutation of a trace file is caught: the loader never
+    raises, and it returns either nothing or the original trace, never
+    a different one that would replay silently wrong."""
+    workload = build_workload("astar")
+    _simulate(workload, SMALL_WINDOW)
+    raw = _single_trace_file().read_bytes()
+    key = workload.trace_key
+    original = tracecache.get_trace(workload, SMALL_WINDOW).to_payload()
+    path = tmp_path / "mutated.trace.pkl"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ),
+        cut=st.none() | st.integers(0, len(raw) - 1),
+    )
+    def check(writes, cut):
+        mutated = bytearray(raw)
+        for pos, byte in writes:
+            mutated[pos] = byte
+        if cut is not None:
+            del mutated[cut:]
+        path.write_bytes(bytes(mutated))
+        loaded = tracecache._load_trace(path, key)
+        assert loaded is None or loaded.to_payload() == original
+
+    check()
+
+
+_CALLS: list[str] = []
+
+
+def _record_call(tag: str) -> str:
+    _CALLS.append(tag)
+    return tag
+
+
+class _Tampered:
+    def __reduce__(self):
+        return (_record_call, ("ran",))
+
+
+def test_trace_file_naming_a_function_is_refused(monkeypatch):
+    """A checksum-valid file whose pickle names a function is rejected
+    without the function running, and the trace is recompiled."""
+    executed = _executed_digest("astar", SMALL_WINDOW, monkeypatch)
+    _simulate(build_workload("astar"), SMALL_WINDOW)
+    path = _single_trace_file()
+    payload = tracecache._loads(path.read_bytes())
+    payload["comments"] = [_Tampered()]
+    path.write_bytes(tracecache._dumps(payload))
+
+    tracecache.reset_memory_cache()
+    _CALLS.clear()
+    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
+    assert _CALLS == []
+    assert digest == executed
+    assert tracecache.STATS["recoveries"] == 1
     assert tracecache.STATS["compiles"] == 1
 
 
@@ -287,7 +352,7 @@ def test_window_growth_extends_the_trace(monkeypatch):
 def test_compile_floor_covers_campaign_windows(monkeypatch):
     """At campaign scale one compilation is shared across windows: a
     window at the floor threshold compiles out to the configured floor."""
-    monkeypatch.setenv(tracecache.TRACE_FLOOR_ENV, "12000")
+    monkeypatch.setattr(tracecache, "TRACE_FLOOR", 12_000)
     _simulate(build_workload("astar"), tracecache.FLOOR_THRESHOLD)
     entries = tracecache.trace_files()
     assert entries[0]["length"] == 12_000
@@ -299,7 +364,7 @@ def test_compile_floor_covers_campaign_windows(monkeypatch):
 
 
 def test_trace_max_gates_giant_windows(monkeypatch):
-    monkeypatch.setenv(tracecache.TRACE_MAX_ENV, "1000")
+    monkeypatch.setattr(tracecache, "TRACE_MAX", 1_000)
     _simulate(build_workload("astar"), SMALL_WINDOW)
     assert tracecache.STATS["compiles"] == 0
     assert tracecache.STATS["replays"] == 0
