@@ -11,11 +11,14 @@ intentional model change, regenerate with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.chaos import campaign_recovery
+from repro.experiments.faults import campaign_watchdog
 from repro.experiments.pool import (
     SweepPoint,
     baseline_point,
@@ -24,6 +27,8 @@ from repro.experiments.pool import (
 )
 from repro.experiments.runner import parse_config_label
 from repro.experiments.sweep import SWEEP_WORKLOADS
+from repro.faults import BUILTIN_PLANS
+from repro.pfm.tenancy import parse_tenant_spec
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_WINDOW = 5_000
@@ -34,6 +39,30 @@ CASES = [
     for workload in SWEEP_WORKLOADS
     for variant in ("baseline", "pfm")
 ]
+
+#: Fabric paths the standard goldens leave unpinned, as
+#: ``name -> (workload, config label, PFMParams overrides)``: the
+#: observation scheduler at a one-wide crossing, a co-tenant on the
+#: retire side of two workloads, and a dead primary component revived
+#: by the recovery policy.
+VARIANTS = {
+    "clk4_w1-delay0": ("astar", "clk4_w1, delay0", {}),
+    "introspect": (
+        "astar", PFM_CONFIG, {"tenants": (parse_tenant_spec("introspect"),)},
+    ),
+    "branch-mirror": (
+        "bfs-roads", PFM_CONFIG,
+        {"tenants": (parse_tenant_spec("branch-mirror"),)},
+    ),
+    "dead-component-recovery": (
+        "astar", PFM_CONFIG,
+        {
+            "fault_plan": BUILTIN_PLANS["dead-component"],
+            "watchdog": campaign_watchdog(),
+            "recovery": campaign_recovery(),
+        },
+    ),
+}
 
 
 def _point(workload: str, variant: str) -> SweepPoint:
@@ -51,13 +80,13 @@ def _golden_path(workload: str, variant: str) -> Path:
     return GOLDEN_DIR / f"{workload}--{variant}.json"
 
 
-def _payload(workload: str, variant: str) -> dict:
-    stats = run_point(_point(workload, variant))
+def _payload(point: SweepPoint, variant: str, config: str | None) -> dict:
+    stats = run_point(point)
     return {
-        "workload": workload,
+        "workload": point.workload,
         "variant": variant,
         "window": GOLDEN_WINDOW,
-        "config": None if variant == "baseline" else PFM_CONFIG,
+        "config": config,
         # round-trip through JSON so the comparison sees exactly what a
         # golden file can represent
         "stats": json.loads(json.dumps(stats_to_dict(stats))),
@@ -68,9 +97,27 @@ def _payload(workload: str, variant: str) -> dict:
     "workload,variant", CASES, ids=[f"{w}-{v}" for w, v in CASES]
 )
 def test_golden(workload: str, variant: str, update_goldens: bool):
-    payload = _payload(workload, variant)
-    path = _golden_path(workload, variant)
+    config = None if variant == "baseline" else PFM_CONFIG
+    payload = _payload(_point(workload, variant), variant, config)
+    _check(payload, _golden_path(workload, variant), update_goldens)
 
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_golden_variant(variant: str, update_goldens: bool):
+    workload, config, overrides = VARIANTS[variant]
+    pfm = dataclasses.replace(parse_config_label(config), **overrides)
+    point = SweepPoint(
+        label=f"pfm:{workload}:{variant}",
+        workload=workload,
+        window=GOLDEN_WINDOW,
+        pfm=pfm,
+    )
+    payload = _payload(point, f"pfm-{variant}", config)
+    _check(payload, _golden_path(workload, f"pfm-{variant}"), update_goldens)
+
+
+def _check(payload: dict, path: Path, update_goldens: bool) -> None:
+    workload, variant = payload["workload"], payload["variant"]
     if update_goldens:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
