@@ -9,8 +9,9 @@ The engine itself lives in :mod:`repro.core.stages`: four stage objects
 :class:`~repro.core.stages.context.PipelineContext`.
 :class:`SuperscalarCore` is the driver that walks each dynamic
 instruction through the stages in program order and finalizes the
-statistics; the PFM fabric attaches its three agents to the stages'
-:class:`~repro.core.stages.ports.AgentPort` hooks.
+statistics.  On PFM runs it builds the
+:class:`~repro.pfm.fabric.PFMFabric` into ``PipelineContext.fabric``,
+where the stages call it directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.params import SimConfig
 from repro.core.stages.context import PipelineContext
 from repro.core.stages.dispatch import DispatchStage
-from repro.core.stages.execute import ExecuteStage, InFlightStore
+from repro.core.stages.execute import ExecuteStage
 from repro.core.stages.fetch import FetchStage
 from repro.core.stages.retire import RetireStage
 from repro.core.stats import SimStats
@@ -34,9 +35,6 @@ if TYPE_CHECKING:  # avoid a circular import (workloads.base -> pfm -> core)
 
 _PRUNE_INTERVAL = 8192
 _PRUNE_MARGIN = 4096
-
-#: Backwards-compatible alias; the class moved to the execute stage.
-_InFlightStore = InFlightStore
 
 
 class SuperscalarCore:
@@ -80,16 +78,13 @@ class SuperscalarCore:
 
         self.fabric: PFMFabric | None = None
         if config.pfm is not None and workload.bitstream is not None:
-            self.fabric = PFMFabric(
+            self.fabric = ctx.fabric = PFMFabric(
                 workload.bitstream,
                 config.pfm,
                 p,
                 ctx.lanes,
                 ctx.hierarchy,
                 workload.memory,
-            )
-            self.fabric.attach_ports(
-                ctx.fetch_port, ctx.execute_port, ctx.retire_port
             )
 
         self.telemetry = None
@@ -153,45 +148,7 @@ class SuperscalarCore:
         self.stats.cycles = max(1, ctx.prev_retire - start)
         self.stats.memory_levels = self.hierarchy.level_stats()
         if self.fabric is not None:
-            fetch_agent = ctx.fetch_port.agent
-            load_agent = ctx.execute_port.agent
-            retire_agent = ctx.retire_port.agent
-            self.stats.agent_loads = load_agent.loads_issued
-            self.stats.agent_prefetches = load_agent.prefetches_issued
-            self.stats.agent_load_misses = load_agent.load_misses
-            self.stats.mlb_replays = load_agent.replays
-            self.stats.prf_port_delay_cycles = retire_agent.port_delay_cycles
-            self.stats.fetch_stall_pfm_cycles = fetch_agent.stall_cycles
-            self.stats.agent_loads_sanitized = load_agent.loads_sanitized
-            wd = self.fabric.watchdog_counters()
-            self.stats.watchdog_fetch_timeouts = wd["fetch_timeouts"]
-            self.stats.watchdog_dead_declarations = wd["dead_declarations"]
-            self.stats.watchdog_squash_timeouts = wd["squash_timeouts"]
-            self.stats.watchdog_override_disables = wd["override_disables"]
-            self.stats.watchdog_overrides_suppressed = wd["overrides_suppressed"]
-            self.stats.watchdog_load_throttle_events = wd["load_throttle_events"]
-            self.stats.watchdog_loads_dropped = wd["loads_dropped"]
-            # Slot 0 (the primary tenant) is the only slot that carries a
-            # fault injector, and its lifecycle is the run's fabric state.
-            primary = self.fabric.slots[0]
-            if primary.injector is not None:
-                self.stats.fault_events = dict(primary.injector.counts)
-            self.stats.fabric_state = primary.state
-            rc_totals = self.fabric.reconfig_totals()
-            if rc_totals is not None:
-                self.stats.reconfigs = rc_totals["reconfigs"]
-                self.stats.reconfig_cycles = rc_totals["reconfig_cycles"]
-                self.stats.reloads_abandoned = rc_totals["reloads_abandoned"]
-                self.stats.drain_stall_cycles = rc_totals["drain_stall_cycles"]
-            self.stats.queue_stats = self.fabric.queue_stats()
-            sched = self.fabric.scheduler
-            self.stats.sched_obs_stall_cycles = sched.stall_cycles
-            self.stats.sched_preemptions = sched.preemptions
-            self.stats.fetch_override_conflicts = (
-                self.fabric.fetch_override_conflicts
-            )
-            if len(self.fabric.slots) > 1:
-                self.stats.tenant_stats = self.fabric.tenant_stats()
+            self.fabric.finalize(self.stats)
         if self.telemetry is not None:
             self.stats.telemetry = self.telemetry.snapshot()
 
@@ -204,8 +161,8 @@ class SuperscalarCore:
         stats = ctx.stats
         fetch_time = self._fetch(dyn)
 
-        fetch_agent = ctx.fetch_port.agent
-        roi_fetch = fetch_agent is not None and fetch_agent.roi_fetch_active
+        fabric = ctx.fabric
+        roi_fetch = fabric is not None and fabric.roi_fetch_active
         if roi_fetch:
             stats.fetched_in_roi += 1
 

@@ -4,39 +4,31 @@ The cycle engine is decomposed into four stage objects sharing one
 :class:`~repro.core.stages.context.PipelineContext`:
 
 - :class:`~repro.core.stages.fetch.FetchStage` — front-end cursor,
-  direction/target prediction; Fetch Agent port (§2.2)
+  direction/target prediction; Fetch Agent calls (§2.2)
 - :class:`~repro.core.stages.dispatch.DispatchStage` — structural
   allocation (ROB / IQ / LDQ / STQ / fetch queue)
 - :class:`~repro.core.stages.execute.ExecuteStage` — ALU issue path and
-  the LSU path (forwarding, disambiguation); Load Agent port (§2.3)
+  the LSU path (forwarding, disambiguation), shared with the Load
+  Agent (§2.3)
 - :class:`~repro.core.stages.retire.RetireStage` — in-order commit,
-  store commit; Retire Agent port (§2.1)
+  store commit; Retire Agent calls (§2.1)
 
-Each PFM-facing stage exposes a uniform :class:`~repro.core.stages.
-ports.AgentPort`; :meth:`repro.pfm.fabric.PFMFabric.attach_ports` plugs
-one agent adapter into each.  A detached port is the plain-baseline fast
-path.  :class:`~repro.core.core.SuperscalarCore` remains the driver that
-walks an instruction through the stages in program order.
+On PFM runs ``PipelineContext.fabric`` holds the
+:class:`~repro.pfm.fabric.PFMFabric` and the fetch and retire stages
+(and the context's squash path) call it directly; it is ``None`` on
+baseline runs, the plain fast path.
+:class:`~repro.core.core.SuperscalarCore` remains the driver that walks
+an instruction through the stages in program order.
 """
 
 from repro.core.stages.context import PipelineContext
 from repro.core.stages.dispatch import DispatchStage
 from repro.core.stages.execute import ExecuteStage, InFlightStore
 from repro.core.stages.fetch import FetchStage
-from repro.core.stages.ports import (
-    AgentPort,
-    ExecuteAgentHook,
-    FetchAgentHook,
-    RetireAgentHook,
-)
 from repro.core.stages.retire import RetireStage
 
 __all__ = [
     "PipelineContext",
-    "AgentPort",
-    "FetchAgentHook",
-    "ExecuteAgentHook",
-    "RetireAgentHook",
     "FetchStage",
     "DispatchStage",
     "ExecuteStage",

@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.params import CoreParams, SimConfig
 from repro.core.resources import HeapOccupancy, LaneScheduler, RingOccupancy
-from repro.core.stages.ports import AgentPort
 from repro.core.stats import SimStats
 from repro.memory.hierarchy import MemoryHierarchy
 
 if TYPE_CHECKING:
     from repro.core.stages.execute import InFlightStore
+    from repro.pfm.fabric import PFMFabric
 
 
 class PipelineContext:
@@ -48,9 +48,7 @@ class PipelineContext:
         "prev_retire",
         "retire_floor",
         "first_retire",
-        "fetch_port",
-        "execute_port",
-        "retire_port",
+        "fabric",
         "telemetry",
     )
 
@@ -79,10 +77,9 @@ class PipelineContext:
         self.retire_floor = 0
         self.first_retire: int | None = None
 
-        # One attach point per pipeline interface (§2.1–2.3).
-        self.fetch_port = AgentPort("fetch")
-        self.execute_port = AgentPort("execute")
-        self.retire_port = AgentPort("retire")
+        # The PFM fabric whose agents sit at the fetch, execute and retire
+        # interfaces (§2.1–2.3); None on baseline runs.
+        self.fabric: "PFMFabric | None" = None
 
         self.telemetry: Any | None = None  # TelemetryHub when tracing
 
@@ -103,9 +100,9 @@ class PipelineContext:
                 self.redirect_floor, self.fetch_cycle
             )
             self.redirect_floor = redirect
-        agent = self.retire_port.agent
-        if agent is not None:
-            done: int = agent.on_squash(resolve_time, reason)
+        fabric = self.fabric
+        if fabric is not None:
+            done = fabric.on_core_squash(resolve_time, reason)
             if done > self.retire_floor:
                 stats.retire_stall_squash_sync_cycles += done - resolve_time
                 self.retire_floor = done

@@ -2,9 +2,9 @@
 
 Owns the per-op-class lane map and the in-flight store book used for
 store-to-load forwarding and memory-disambiguation checks.  The PFM Load
-Agent attaches to ``ctx.execute_port`` (§2.3): its injected loads and
-prefetches share the lane scheduler and memory hierarchy with this stage
-(wired at fabric build time); the port surfaces the agent's accounting
+Agent needs no call from this stage (§2.3): its injected loads and
+prefetches share the lane scheduler and memory hierarchy with it (wired
+when the fabric is built), and the fabric reports the agent's counters
 at finalize.
 """
 

@@ -1,10 +1,11 @@
 """Fetch stage: front-end cursor, branch prediction, and the Fetch Agent.
 
 Owns the front-end predictors (direction predictor, BTB, RAS) and the
-fetch bandwidth/redirect bookkeeping on the shared context.  The PFM
-Fetch Agent attaches to ``ctx.fetch_port`` (§2.2): it snoops every fetch
-PC, and on an FST hit its custom prediction overrides the core
-predictor's output — the core predictor still always runs and trains.
+fetch bandwidth/redirect bookkeeping on the shared context.  On PFM runs
+the stage calls the fabric's Fetch Agent side directly (``ctx.fabric``,
+§2.2): every fetch PC is snooped, and on an FST hit the component's
+custom prediction overrides the core predictor's output — the core
+predictor still always runs and trains.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class FetchStage:
         ctx.fetch_cycle = cycle
         ctx.fetch_used = used + 1
 
-        agent = ctx.fetch_port.agent
-        if agent is not None:
-            agent.on_fetch(pc)
+        fabric = ctx.fabric
+        if fabric is not None:
+            fabric.on_fetch(pc)
         return cycle
 
     def predict_branch(
@@ -100,14 +101,14 @@ class FetchStage:
             if oracle_prediction is not None:
                 predicted = oracle_prediction
 
-        agent = ctx.fetch_port.agent
-        if agent is not None and roi_fetch:
-            entry = agent.lookup(dyn.pc)
-            if entry is not None:
+        fabric = ctx.fabric
+        if fabric is not None and roi_fetch:
+            hit = fabric.fst.lookup(dyn.pc)
+            if hit is not None:
                 stats.fetched_fst_hits += 1
                 if ctx.telemetry is not None:
                     ctx.telemetry.agent(fetch_time, "fetch", "fst_hit")
-                result = agent.predict(entry, fetch_time)
+                result = fabric.predict_hit(hit, fetch_time)
                 if result is not None:
                     taken, effective = result
                     if effective > fetch_time:
@@ -121,7 +122,7 @@ class FetchStage:
                         stats.pfm_mispredicts += 1
                     # Grade the consumed override for the watchdog's
                     # accuracy breaker (no-op unless its threshold is set).
-                    agent.record_override(predicted == bool(dyn.taken))
+                    fabric.record_override(hit, predicted == bool(dyn.taken))
                 else:
                     # Watchdog/quiescence/degradation fallback to the
                     # core's predictor; the fabric settled the alignment

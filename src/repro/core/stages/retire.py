@@ -1,11 +1,12 @@
 """Retire stage: in-order commit, store commit, and the Retire Agent.
 
 Owns the retire-slot counters enforcing the retire width and commits
-stores to the memory hierarchy.  The PFM Retire Agent attaches to
-``ctx.retire_port`` (§2.1): it snoops every retired PC against the RST,
-builds observation packets for hits, and — via the squash/squash-done
-handshake routed through :meth:`PipelineContext.squash_at` — stalls the
-retire unit while the component rolls back.
+stores to the memory hierarchy.  On PFM runs the stage calls the
+fabric's Retire Agent side directly (``ctx.fabric``, §2.1): every
+retired PC is snooped against the RST, hits become observation packets,
+and the squash/squash-done handshake in
+:meth:`PipelineContext.squash_at` stalls the retire unit while the
+component rolls back.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.memory.cache import LINE_SHIFT
 
 if TYPE_CHECKING:
     from repro.frontend.predictor import BranchPredictor
+    from repro.pfm.tenancy import SlotHit
     from repro.workloads.trace import DynInst
 
 
@@ -65,35 +67,36 @@ class RetireStage:
         elif op is OpClass.BRANCH:
             self.predictor.update(dyn.pc, bool(dyn.taken))
 
-        agent = ctx.retire_port.agent
-        if agent is not None:
-            was_active = agent.roi_active
+        fabric = ctx.fabric
+        if fabric is not None:
+            was_active = fabric.roi_active
             if was_active:
                 stats.retired_in_roi += 1
-            entry = agent.lookup(dyn.pc)
-            if entry is not None:
+            hit = fabric.rst.lookup(dyn.pc)
+            if hit is not None:
                 if was_active:
                     stats.retired_rst_hits += 1
-                    self._count_obs(entry)
+                    self._count_obs(hit)
                     if ctx.telemetry is not None:
                         ctx.telemetry.agent(rt, "retire", "rst_hit")
-                agent.on_retire(dyn, entry, rt)
-                if not was_active and agent.roi_active:
+                fabric.on_retire(dyn, hit, rt)
+                if not was_active and fabric.roi_active:
                     # Beginning of ROI (§2.1): the Retire Agent signals the
                     # core to squash its pipeline so core and component are
                     # logically at the same point in the dynamic stream.
                     ctx.squash_at(rt, "roi_begin")
 
-    def _count_obs(self, entry) -> None:
+    def _count_obs(self, hit: "SlotHit") -> None:
         from repro.pfm.snoop import SnoopKind
 
         stats = self.ctx.stats
         stats.obs_packets += 1
-        if entry.kind is SnoopKind.DEST_VALUE:
+        kind = hit.kind
+        if kind is SnoopKind.DEST_VALUE:
             stats.obs_dest_value += 1
-        elif entry.kind is SnoopKind.STORE_VALUE:
+        elif kind is SnoopKind.STORE_VALUE:
             stats.obs_store_value += 1
-        elif entry.kind is SnoopKind.BRANCH_OUTCOME:
+        elif kind is SnoopKind.BRANCH_OUTCOME:
             stats.obs_branch_outcome += 1
 
     def _commit_store(self, dyn: "DynInst", retire_time: int) -> None:

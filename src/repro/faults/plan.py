@@ -75,6 +75,10 @@ class FaultPlan:
             raise ValueError(f"unknown pred_stuck {self.pred_stuck!r}")
         if self.mlb_entries_override is not None and self.mlb_entries_override < 1:
             raise ValueError("mlb_entries_override must be >= 1")
+        if self.squash_done_delay < 0:
+            # A squash-done never precedes its squash: the fabric takes
+            # the slowest slot's handshake as the retire floor.
+            raise ValueError("squash_done_delay must be >= 0")
         if self.reconfig_stall_cycles < 0:
             raise ValueError("reconfig_stall_cycles must be >= 0")
         if self.reconfig_dead_reloads < 0:

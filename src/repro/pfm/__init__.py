@@ -10,9 +10,14 @@ reconfigurable fabric (RF).
 * :mod:`repro.pfm.queues` — the ObsQ-R, IntQ-F, IntQ-IS and ObsQ-EX
   communication queues, modelled in the timestamp domain with finite
   capacity and back-pressure.
-* :mod:`repro.pfm.agents` — the Retire, Fetch, and Load Agents.
+* :mod:`repro.pfm.retire_agent`, :mod:`repro.pfm.fetch_agent`,
+  :mod:`repro.pfm.load_agent` — the Retire, Fetch, and Load Agents.
 * :mod:`repro.pfm.component` — base class and RF timing model
   (clkC / wW / delayD) for custom components.
+* :mod:`repro.pfm.tenancy` — fabric slots (one per tenant), partitioned
+  snoop tables, and the observation-crossing scheduler.
+* :mod:`repro.pfm.fabric` — :class:`PFMFabric`, the slot container the
+  pipeline stages call.
 * :mod:`repro.pfm.components` — the paper's use-cases: the astar custom
   branch predictor, the bfs engine, and the five custom prefetchers.
 """

@@ -13,15 +13,14 @@ already processed and timestamped.
 Multi-tenancy (:mod:`repro.pfm.tenancy`): the fabric is a container of
 :class:`~repro.pfm.tenancy.FabricSlot` objects — slot 0 is the primary
 tenant (the workload's bitstream), further slots come from
-``PFMParams.tenants``.  Snoop lookups go through partitioned tables whose
-hits carry the owning slot; the hooks route pipeline traffic to that
-slot, resolving fetch-override conflicts by tenant priority and letting
-every matching slot observe on the retire side.  The observation
+``PFMParams.tenants``.  The pipeline stages hold the fabric directly
+(``PipelineContext.fabric``) and call its routing methods: snoop lookups
+go through partitioned tables whose hits carry the owning slot, fetch
+overrides are winner-takes-all by tenant priority, and every matching
+slot observes on the retire side.  The same loops serve any slot count;
+with one slot they reduce to that slot's own calls.  The observation
 crossing is arbitrated by the contention-aware
-:class:`~repro.pfm.tenancy.FabricScheduler`.  With a single slot, every
-routing layer collapses to a direct slot call (the hooks bind slot
-methods at construction), so single-tenant runs stay byte-identical to
-the pre-tenancy fabric.
+:class:`~repro.pfm.tenancy.FabricScheduler`.
 
 Squash/squash-done handshake cost: ``(D + 3) * C`` core cycles — one RF
 cycle for the squash packet crossing, ``D + 1`` RF cycles for rollback
@@ -33,7 +32,7 @@ cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.params import CoreParams, PFMParams
 from repro.core.resources import LaneScheduler
@@ -51,123 +50,16 @@ from repro.pfm.snoop import Bitstream
 from repro.workloads.mem import MemoryImage
 
 if TYPE_CHECKING:
-    from repro.core.stages.ports import AgentPort
+    from repro.core.stats import SimStats
     from repro.workloads.trace import DynInst
-
-
-class FabricFetchHook:
-    """Fetch Agent adapter satisfying :class:`~repro.core.stages.ports.
-    FetchAgentHook` — what the fetch stage sees of the fabric (§2.2).
-
-    The forwarding methods are bound at construction (the partitioned FST
-    and the slot layout are fixed for the fabric's lifetime); with a
-    single slot they bind the slot's own methods, so a hook call costs
-    the same as the pre-tenancy direct fabric call.  The fetch-side ROI
-    is active while any slot's is.
-    """
-
-    __slots__ = (
-        "_solo", "_fabric", "on_fetch", "lookup", "predict",
-        "record_override",
-    )
-
-    def __init__(self, fabric: "PFMFabric"):
-        self._fabric = fabric
-        self.lookup = fabric.fst.lookup
-        self.predict = fabric.predict_hit
-        if fabric._single:
-            slot = fabric._slot0
-            self._solo: FabricSlot | None = slot
-            self.on_fetch = slot.on_fetch
-            self.record_override = slot.watchdog.record_override
-        else:
-            self._solo = None
-            self.on_fetch = fabric._on_fetch_multi
-            self.record_override = fabric._record_override
-
-    @property
-    def roi_fetch_active(self) -> bool:
-        if self._solo is not None:
-            return self._solo.roi_fetch_active
-        return any(s.roi_fetch_active for s in self._fabric.slots)
-
-    @property
-    def stall_cycles(self) -> int:
-        return self._fabric.fetch_stall_cycles
-
-
-class FabricExecuteHook:
-    """Load Agent adapter satisfying :class:`~repro.core.stages.ports.
-    ExecuteAgentHook` — the agents' LSU-path accounting (§2.3), summed
-    across tenants."""
-
-    __slots__ = ("_fabric",)
-
-    def __init__(self, fabric: "PFMFabric"):
-        self._fabric = fabric
-
-    @property
-    def loads_issued(self) -> int:
-        return sum(s.load_agent.loads_issued for s in self._fabric.slots)
-
-    @property
-    def prefetches_issued(self) -> int:
-        return sum(s.load_agent.prefetches_issued for s in self._fabric.slots)
-
-    @property
-    def load_misses(self) -> int:
-        return sum(s.load_agent.load_misses for s in self._fabric.slots)
-
-    @property
-    def replays(self) -> int:
-        return sum(s.load_agent.replays for s in self._fabric.slots)
-
-    @property
-    def loads_sanitized(self) -> int:
-        return sum(s.load_agent.loads_sanitized for s in self._fabric.slots)
-
-
-class FabricRetireHook:
-    """Retire Agent adapter satisfying :class:`~repro.core.stages.ports.
-    RetireAgentHook` — RST snooping and squash sync (§2.1).
-
-    Forwarding methods are bound at construction (the partitioned RST is
-    fixed for the fabric's lifetime), matching the cost of direct calls;
-    a single-slot fabric binds the slot's methods directly.  The
-    retire-side ROI is active while any slot's is.
-    """
-
-    __slots__ = ("_solo", "_fabric", "lookup", "on_retire", "on_squash")
-
-    def __init__(self, fabric: "PFMFabric"):
-        self._fabric = fabric
-        self.lookup = fabric.rst.lookup
-        if fabric._single:
-            self._solo: FabricSlot | None = fabric._slot0
-            self.on_retire = fabric._on_retire_single
-            self.on_squash = fabric._slot0.on_core_squash
-        else:
-            self._solo = None
-            self.on_retire = fabric._on_retire_multi
-            self.on_squash = fabric.on_core_squash
-
-    @property
-    def roi_active(self) -> bool:
-        if self._solo is not None:
-            return self._solo.roi_active
-        return any(s.roi_active for s in self._fabric.slots)
-
-    @property
-    def port_delay_cycles(self) -> int:
-        return self._fabric.port_delay_cycles
 
 
 class PFMFabric:
     """Everything on the RF side of the pipeline interface.
 
     A container of fabric slots (one per tenant) plus the partitioned
-    snoop tables, the contention-aware scheduler, and the routing layer
-    the pipeline hooks call into.  Per-tenant state (component, queues,
+    snoop tables, the contention-aware scheduler, and the routing methods
+    the pipeline stages call.  Per-tenant state (component, queues,
     agents, ROI flags) lives on the slots: ``fabric.slots[0]`` is the
     primary tenant.
     """
@@ -216,103 +108,75 @@ class PFMFabric:
             self.scheduler.register(slot)
             self.slots.append(slot)
 
-        self._slot0 = self.slots[0]
-        self._single = len(self.slots) == 1
         self.fst = PartitionedFST(self.slots)
         self.rst = PartitionedRST(self.slots)
         #: Fetch-override conflicts: a lower-priority tenant's FST entry
         #: lost a same-PC override to a higher-priority tenant.
         self.fetch_override_conflicts = 0
-        self._last_predict_slot = self._slot0
-        self._hooks: tuple[Any, ...] = ()
 
     # ------------------------------------------------------------------ #
-    # pipeline interface (agent ports)
+    # pipeline interface: what the fetch, retire and squash paths call
     # ------------------------------------------------------------------ #
 
-    def attach_ports(
-        self,
-        fetch_port: "AgentPort",
-        execute_port: "AgentPort",
-        retire_port: "AgentPort",
-    ) -> None:
-        """Plug one agent adapter into each stage's attachment point.
+    @property
+    def roi_fetch_active(self) -> bool:
+        """True while any slot's fetch-side ROI is active."""
+        for slot in self.slots:
+            if slot.roi_fetch_active:
+                return True
+        return False
 
-        The paper's Agents sit at fixed pipeline interfaces (§2.1–2.3);
-        this is the software analogue of wiring them up at configuration
-        time.  Each port holds at most one agent.  Re-attaching the same
-        fabric is idempotent: stale hooks from a previous call are
-        detached first (a foreign agent on a port still raises — one
-        context at a time, §2.4).
-        """
-        ports = (fetch_port, execute_port, retire_port)
-        if self._hooks:
-            stale = set(map(id, self._hooks))
-            for port in ports:
-                if port.agent is not None and id(port.agent) in stale:
-                    port.detach()
-        hooks = (
-            FabricFetchHook(self),
-            FabricExecuteHook(self),
-            FabricRetireHook(self),
-        )
-        for port, hook in zip(ports, hooks):
-            port.attach(hook)
-        self._hooks = hooks
+    @property
+    def roi_active(self) -> bool:
+        """True while any slot's component is enabled (inside its ROI)."""
+        for slot in self.slots:
+            if slot.roi_active:
+                return True
+        return False
 
-    # ------------------------------------------------------------------ #
-    # routing (multi-slot paths; single-slot binds slot methods directly)
-    # ------------------------------------------------------------------ #
+    def on_fetch(self, pc: int) -> None:
+        """Per-fetch bookkeeping (ROI entry, per-call markers) per slot."""
+        for slot in self.slots:
+            slot.on_fetch(pc)
 
     def predict_hit(
         self, hit: SlotHit, fetch_time: int
     ) -> tuple[bool, int] | None:
         """Route an FST hit to its owning slot's Fetch Agent.
 
-        Overlapping PCs across tenants are winner-takes-all on the fetch
-        side: only the highest-priority slot's prediction can override
-        the core's predictor; every loser is counted as an override
-        conflict and its (eventual) prediction packet is dropped through
-        the fallback-debt mechanism so its stream stays aligned.
+        Returns ``(taken, effective_fetch_time)``, or ``None`` when the
+        core's own predictor must serve the branch (§2.4).  Overlapping
+        PCs across tenants are winner-takes-all on the fetch side: only
+        the highest-priority slot's prediction can override the core's
+        predictor; every loser is counted as an override conflict and its
+        (eventual) prediction packet is dropped through the
+        fallback-debt mechanism so its stream stays aligned.
         """
-        if not self._single:
-            self._last_predict_slot = hit.slot
-            for other in hit.others:
-                self.fetch_override_conflicts += 1
-                other.slot.note_override_conflict(other.entry.tag)
+        for other in hit.others:
+            self.fetch_override_conflicts += 1
+            other.slot.note_override_conflict(other.entry.tag)
         return hit.slot.predict_entry(hit.entry.tag, fetch_time)
 
-    def _on_fetch_multi(self, pc: int) -> None:
-        for slot in self.slots:
-            slot.on_fetch(pc)
+    def record_override(self, hit: SlotHit, correct: bool) -> None:
+        """Grade the override *hit*'s slot supplied, for its accuracy
+        breaker."""
+        hit.slot.watchdog.record_override(correct)
 
-    def _record_override(self, correct: bool) -> None:
-        # predict() -> record_override() is strictly sequential in the
-        # fetch stage, so the last routed slot owns this grade.
-        self._last_predict_slot.watchdog.record_override(correct)
+    def on_retire(self, dyn: "DynInst", hit: SlotHit, retire_time: int) -> None:
+        """Build and push the observation packet(s) for an RST hit.
 
-    def _on_retire_single(
-        self, dyn: "DynInst", hit: SlotHit, retire_time: int
-    ) -> int:
-        return self._slot0.on_retire_entry(dyn, hit.entry, retire_time)
-
-    def _on_retire_multi(
-        self, dyn: "DynInst", hit: SlotHit, retire_time: int
-    ) -> int:
-        # Retire-side observation is non-exclusive: every tenant whose
-        # RST matches the PC observes, winner (priority order) first so
-        # shared PRF read ports are granted to the primary first.
-        result = hit.slot.on_retire_entry(dyn, hit.entry, retire_time)
+        Retire-side observation is non-exclusive: every tenant whose RST
+        matches the PC observes, winner (priority order) first so shared
+        PRF read ports are granted to the primary first.
+        """
+        hit.slot.on_retire_entry(dyn, hit.entry, retire_time)
         for other in hit.others:
             other.slot.on_retire_entry(dyn, other.entry, retire_time)
-        return result
 
     def on_core_squash(self, squash_time: int, reason: str) -> int:
         """Pipeline squash: run the squash/squash-done protocol on every
         armed slot; the retire unit stalls until the slowest tenant's
         handshake completes."""
-        if self._single:
-            return self._slot0.on_core_squash(squash_time, reason)
         done = squash_time
         for slot in self.slots:
             done = max(done, slot.on_core_squash(squash_time, reason))
@@ -333,37 +197,8 @@ class PFMFabric:
             slot.reprogram(now)
 
     # ------------------------------------------------------------------ #
-    # finalize-time aggregates
+    # finalize
     # ------------------------------------------------------------------ #
-
-    @property
-    def fetch_stall_cycles(self) -> int:
-        return sum(s.fetch_agent.stall_cycles for s in self.slots)
-
-    @property
-    def port_delay_cycles(self) -> int:
-        return sum(s.retire_agent.port_delay_cycles for s in self.slots)
-
-    def watchdog_counters(self) -> dict[str, int]:
-        """Watchdog counters summed across every slot's watchdog."""
-        totals: dict[str, int] = {}
-        for slot in self.slots:
-            for key, value in slot.watchdog.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def reconfig_totals(self) -> dict[str, int] | None:
-        """Reconfiguration counters summed across slots with recovery
-        policies, or None when no slot carries one."""
-        controllers = [s.reconfig for s in self.slots if s.reconfig is not None]
-        if not controllers:
-            return None
-        return {
-            "reconfigs": sum(rc.reconfigs for rc in controllers),
-            "reconfig_cycles": sum(rc.reconfig_cycles for rc in controllers),
-            "reloads_abandoned": sum(rc.reloads_abandoned for rc in controllers),
-            "drain_stall_cycles": sum(rc.drain_stall_cycles for rc in controllers),
-        }
 
     def queue_stats(self) -> dict[str, dict[str, int]]:
         """Per-queue counter summaries for every slot's fabric queues."""
@@ -372,9 +207,50 @@ class PFMFabric:
             stats.update(slot.queue_stats())
         return stats
 
-    def tenant_stats(self) -> dict[str, dict[str, int]]:
-        """Per-tenant counter snapshots, keyed ``<slot>:<tenant>``."""
-        return {
-            f"{slot.index}:{slot.tenant}": slot.tenant_stats()
-            for slot in self.slots
-        }
+    def finalize(self, stats: "SimStats") -> None:
+        """Fold the fabric's counters into *stats* at the end of a run.
+
+        Agent, watchdog and reconfiguration counters are summed across
+        slots; slot 0 (the primary tenant) is the only slot that carries
+        a fault injector, and its lifecycle is the run's fabric state.
+        """
+        slots = self.slots
+        loads = [slot.load_agent for slot in slots]
+        stats.agent_loads = sum(la.loads_issued for la in loads)
+        stats.agent_prefetches = sum(la.prefetches_issued for la in loads)
+        stats.agent_load_misses = sum(la.load_misses for la in loads)
+        stats.mlb_replays = sum(la.replays for la in loads)
+        stats.agent_loads_sanitized = sum(la.loads_sanitized for la in loads)
+        stats.prf_port_delay_cycles = sum(
+            slot.retire_agent.port_delay_cycles for slot in slots
+        )
+        stats.fetch_stall_pfm_cycles = sum(
+            slot.fetch_agent.stall_cycles for slot in slots
+        )
+        watchdog: dict[str, int] = {}
+        for slot in slots:
+            for key, value in slot.watchdog.counters().items():
+                watchdog[key] = watchdog.get(key, 0) + value
+        for key, total in watchdog.items():
+            setattr(stats, f"watchdog_{key}", total)
+        primary = slots[0]
+        if primary.injector is not None:
+            stats.fault_events = dict(primary.injector.counts)
+        stats.fabric_state = primary.state
+        controllers = [slot.reconfig for slot in slots if slot.reconfig is not None]
+        if controllers:
+            stats.reconfigs = sum(rc.reconfigs for rc in controllers)
+            stats.reconfig_cycles = sum(rc.reconfig_cycles for rc in controllers)
+            stats.reloads_abandoned = sum(rc.reloads_abandoned for rc in controllers)
+            stats.drain_stall_cycles = sum(
+                rc.drain_stall_cycles for rc in controllers
+            )
+        stats.queue_stats = self.queue_stats()
+        stats.sched_obs_stall_cycles = self.scheduler.stall_cycles
+        stats.sched_preemptions = self.scheduler.preemptions
+        stats.fetch_override_conflicts = self.fetch_override_conflicts
+        if len(slots) > 1:
+            stats.tenant_stats = {
+                f"{slot.index}:{slot.tenant}": slot.tenant_stats()
+                for slot in slots
+            }

@@ -9,9 +9,7 @@ before the run.  This module removes that single-tenant assumption:
 * :class:`FabricSlot` — everything one tenant owns on the RF side of the
   pipeline interface: its component, snoop tables, the ObsQ-R / IntQ-IS /
   ObsQ-EX queues, the three agents, an RF clock, a watchdog, and (for the
-  primary) the fault injector and reconfiguration controller.  A slot is
-  exactly the old single-tenant ``PFMFabric`` body, so one slot behaves
-  byte-identically to the pre-refactor fabric.
+  primary) the fault injector and reconfiguration controller.
 * :class:`PartitionedFST` / :class:`PartitionedRST` — PC-indexed dispatch
   tables built over every slot's private snoop tables.  A lookup returns
   a :class:`SlotHit` tagging the entry with its owning slot; overlapping
@@ -25,8 +23,8 @@ before the run.  This module removes that single-tenant assumption:
   (a top-priority request at a full cycle evicts a background grant and
   debits the victim's next request).  Stalls and preemptions are counted
   per tenant.  With a single slot every grant is immediate — the
-  scheduler is provably pass-through, which is what keeps single-tenant
-  runs byte-identical to seed.
+  scheduler is pass-through, so a single-tenant crossing is bounded only
+  by the slot's own queues.
 
 PRF read-port arbitration needs no extra machinery: slots reserve ports
 through the shared :class:`~repro.core.resources.LaneScheduler` in
@@ -197,29 +195,13 @@ class SlotHit:
         self.others = others
 
     @property
-    def slot_index(self) -> int:
-        return self.slot.index
-
-    @property
-    def pc(self) -> int:
-        return int(self.entry.pc)
-
-    @property
-    def tag(self) -> str:
-        return str(self.entry.tag)
-
-    @property
     def kind(self) -> SnoopKind:
         return self.entry.kind  # type: ignore[no-any-return]
 
-    @property
-    def droppable(self) -> bool:
-        return bool(self.entry.droppable)
-
     def __repr__(self) -> str:
         return (
-            f"<SlotHit slot={self.slot.index} pc={self.pc:#x}"
-            f" tag={self.tag!r} +{len(self.others)} other(s)>"
+            f"<SlotHit slot={self.slot.index} pc={self.entry.pc:#x}"
+            f" tag={self.entry.tag!r} +{len(self.others)} other(s)>"
         )
 
 
@@ -227,19 +209,15 @@ class _PartitionedTable:
     """PC-indexed dispatch over every slot's private snoop table.
 
     The lookup itself is one dict probe returning a prebuilt
-    :class:`SlotHit` — the hot path pays exactly what the single-table
-    lookup paid before the refactor.
+    :class:`SlotHit`, the same cost as a single slot's own table lookup.
     """
 
-    __slots__ = ("_by_pc", "slot_entries", "misses")
+    __slots__ = ("_by_pc",)
 
     def __init__(self, slots: list["FabricSlot"], attr: str):
         by_pc: dict[int, list[tuple["FabricSlot", Any]]] = {}
-        self.slot_entries: dict[int, int] = {}
         for slot in slots:
-            table = getattr(slot, attr)
-            self.slot_entries[slot.index] = len(table.entries)
-            for entry in table.entries:
+            for entry in getattr(slot, attr).entries:
                 by_pc.setdefault(entry.pc, []).append((slot, entry))
         self._by_pc: dict[int, SlotHit] = {}
         for pc, owners in by_pc.items():
@@ -247,25 +225,9 @@ class _PartitionedTable:
             losers = tuple(SlotHit(s, e) for s, e in owners[1:])
             winner_slot, winner_entry = owners[0]
             self._by_pc[pc] = SlotHit(winner_slot, winner_entry, losers)
-        self.misses = 0
 
     def lookup(self, pc: int) -> SlotHit | None:
         return self._by_pc.get(pc)
-
-    def lookup_counted(self, pc: int) -> SlotHit | None:
-        """Instrumented lookup: per-slot hit and global miss counters.
-
-        The pipeline hot path uses :meth:`lookup` (pure); diagnostics and
-        the tenancy tests use this variant.
-        """
-        hit = self._by_pc.get(pc)
-        if hit is None:
-            self.misses += 1
-            return None
-        hit.slot.snoop_hits += 1
-        for other in hit.others:
-            other.slot.snoop_hits += 1
-        return hit
 
     def __contains__(self, pc: int) -> bool:
         return pc in self._by_pc
@@ -336,7 +298,9 @@ class FabricScheduler:
       (counted as ``sched_preemptions`` / stall cycles per tenant).
 
     With one registered slot every grant returns the request time
-    untouched — single-tenant runs never observe the scheduler.
+    untouched — single-tenant runs never observe the scheduler.  That
+    pass-through is behaviour, not a shortcut: the general path would
+    cap a lone slot's crossing at its own wW per core cycle.
     """
 
     _PRUNE_LIMIT = 8192
@@ -421,11 +385,10 @@ class FabricScheduler:
 class FabricSlot:
     """One tenant's share of the fabric: component, queues, agents, clock.
 
-    This is the pre-refactor single-tenant ``PFMFabric`` body hoisted
-    into a per-tenant object; :class:`~repro.pfm.fabric.PFMFabric` is now
-    the slot container that routes pipeline traffic here.  Slot 0 is the
-    primary tenant (the workload's own bitstream) and the only slot that
-    carries a fault injector or recovery policy.
+    :class:`~repro.pfm.fabric.PFMFabric` is the slot container that
+    routes pipeline traffic here.  Slot 0 is the primary tenant (the
+    workload's own bitstream) and the only slot that carries a fault
+    injector or recovery policy.
     """
 
     # Drop decision latency: a droppable packet waits at most this many RF
@@ -532,7 +495,6 @@ class FabricSlot:
         self.sched_preemptions = 0
         self.sched_debt = 0
         self.override_conflicts = 0
-        self.snoop_hits = 0  # instrumented partitioned-table lookups
         #: Self-healing reconfiguration controller; None when the policy
         #: is inactive, and the slot behaves exactly as before.
         self.reconfig: ReconfigController | None = None

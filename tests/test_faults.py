@@ -60,6 +60,11 @@ def test_plan_stuck_and_mlb_validation():
         FaultPlan(mlb_entries_override=0)
 
 
+def test_plan_squash_done_delay_is_non_negative():
+    with pytest.raises(ValueError, match="squash_done_delay"):
+        FaultPlan(squash_done_delay=-1)
+
+
 def test_get_plan_lookup_and_reseed():
     assert get_plan("chaos") is BUILTIN_PLANS["chaos"]
     reseeded = get_plan("chaos", seed=7)

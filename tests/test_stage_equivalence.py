@@ -44,18 +44,13 @@ def test_arch_digest_matches_golden(workload: str, variant: str):
     config = SimConfig(max_instructions=GOLDEN_WINDOW, pfm=pfm)
     core = SuperscalarCore(build_workload(workload), config)
 
-    # The refactor's attachment contract: a PFM run wires the fabric's
-    # three agents onto the stage ports; a baseline run leaves every
-    # port detached (the stages' fast path).
-    ports = (
-        core.ctx.fetch_port, core.ctx.execute_port, core.ctx.retire_port,
-    )
+    # A PFM run hands the stages its fabric through the shared context;
+    # a baseline run leaves it None (the stages' fast path).
     if variant == "pfm":
         assert core.fabric is not None
-        assert all(port.attached for port in ports)
     else:
         assert core.fabric is None
-        assert not any(port.attached for port in ports)
+    assert core.ctx.fabric is core.fabric
 
     stats = core.run()
     assert stats.arch_digest == _golden_digest(workload, variant)

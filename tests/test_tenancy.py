@@ -8,9 +8,8 @@ Four layers of assertions, mirroring the tentpole's claims:
   :class:`~repro.pfm.tenancy.FabricScheduler` arbitration contract
   (single-slot pass-through, weighted grants, priority preemption with
   per-tenant stall attribution).
-* **Wiring** — ``attach_ports`` re-attachment is idempotent (stale hooks
-  detach, foreign agents still raise) and ``TimedQueue`` diagnostics
-  carry the owning tenant's label.
+* **Wiring** — the fabric's ROI flags read true while any slot's does,
+  and ``TimedQueue`` diagnostics carry the owning tenant's label.
 * **Oracle** — an observe-only co-tenant leaves the primary tenant's
   ``arch_digest`` byte-identical while seeing the full mirrored
   observation stream; faults + recovery on slot 0 with a live neighbour
@@ -43,6 +42,7 @@ from repro.pfm.tenancy import (
     parse_tenant_spec,
     slot_params,
 )
+from repro.registry.tenants import TENANT_LAYOUTS
 from repro.workloads.astar import build_astar_workload
 
 WINDOW = 10_000
@@ -133,7 +133,6 @@ def _fake_slot(index: int, priority: int, entries) -> SimpleNamespace:
         index=index,
         priority=priority,
         rst=RetireSnoopTable(list(entries)),
-        snoop_hits=0,
     )
 
 
@@ -147,12 +146,10 @@ def test_partitioned_table_tags_hits_with_slot():
     table = PartitionedRST([primary, probe])
 
     assert len(table) == 3
-    hit = table.lookup_counted(0x48)
-    assert hit is not None and hit.slot_index == 1 and hit.tag == "p"
-    assert probe.snoop_hits == 1 and primary.snoop_hits == 0
+    hit = table.lookup(0x48)
+    assert hit is not None and hit.slot is probe and hit.entry.tag == "p"
+    assert hit.slot.index == 1 and hit.others == ()
     assert table.lookup(0x999) is None
-    table.lookup_counted(0x999)
-    assert table.misses == 1
 
 
 def test_partitioned_table_overlapping_pcs_resolve_by_priority():
@@ -160,11 +157,10 @@ def test_partitioned_table_overlapping_pcs_resolve_by_priority():
     probe = _fake_slot(1, 2, [_rst(0x40, "mirror")])
     table = PartitionedRST([probe, primary])  # registration order irrelevant
 
-    hit = table.lookup_counted(0x40)
-    assert hit.slot_index == 0 and hit.tag == "primary"
-    assert [o.tag for o in hit.others] == ["mirror"]
-    # Non-exclusive retire-side observation: both slots count the hit.
-    assert primary.snoop_hits == 1 and probe.snoop_hits == 1
+    hit = table.lookup(0x40)
+    assert hit.slot.index == 0 and hit.entry.tag == "primary"
+    # Non-exclusive retire-side observation: the loser rides along.
+    assert [(o.slot.index, o.entry.tag) for o in hit.others] == [(1, "mirror")]
 
 
 def test_duplicate_pc_within_one_slot_still_raises():
@@ -257,46 +253,26 @@ def test_scheduler_priority_preemption_debits_the_victim():
 
 
 # ---------------------------------------------------------------------- #
-# wiring: attach_ports idempotency and queue owner labels
+# wiring: fabric ROI flags and queue owner labels
 # ---------------------------------------------------------------------- #
 
 
-def test_attach_ports_reattachment_is_idempotent():
-    core = make_core(PFMParams())
-    fabric, ctx = core.fabric, core.ctx
-    ports = (ctx.fetch_port, ctx.execute_port, ctx.retire_port)
-    before = tuple(port.agent for port in ports)
-    assert all(agent is not None for agent in before)
-
-    # Re-attaching the same fabric replaces its own stale hooks.
-    fabric.attach_ports(*ports)
-    after = tuple(port.agent for port in ports)
-    assert all(agent is not None for agent in after)
-    assert all(a is not b for a, b in zip(after, before))
-
-    # A foreign agent on a port still raises — one context at a time.
-    ctx.fetch_port.detach()
-    ctx.fetch_port.attach(object())
-    with pytest.raises(RuntimeError, match="already attached"):
-        fabric.attach_ports(*ports)
-
-
-def test_hooks_report_roi_active_while_any_slot_is():
+def test_fabric_reports_roi_active_while_any_slot_is():
     core = make_core(PFMParams(tenants=INTROSPECT))
-    fetch_hook, retire_hook = core.ctx.fetch_port.agent, core.ctx.retire_port.agent
-    assert not fetch_hook.roi_fetch_active and not retire_hook.roi_active
+    fabric = core.fabric
+    assert not fabric.roi_fetch_active and not fabric.roi_active
     core.run()
-    primary, probe = core.fabric.slots
+    primary, probe = fabric.slots
     assert primary.roi_active and probe.roi_active
-    assert fetch_hook.roi_fetch_active and retire_hook.roi_active
+    assert fabric.roi_fetch_active and fabric.roi_active
 
     # Deprogramming the primary alone leaves tenant 1's ROI live.
     primary.deprogram(now=10**6)
     assert not primary.roi_active and not primary.roi_fetch_active
-    assert fetch_hook.roi_fetch_active and retire_hook.roi_active
+    assert fabric.roi_fetch_active and fabric.roi_active
 
     probe.deprogram(now=10**6)
-    assert not fetch_hook.roi_fetch_active and not retire_hook.roi_active
+    assert not fabric.roi_fetch_active and not fabric.roi_active
 
 
 def test_timed_queue_diagnostics_carry_owner_label():
@@ -366,6 +342,28 @@ def test_overlapping_pcs_share_retirement_not_fetch(cohosted):
     # non-exclusive, so no fetch-override conflicts can arise from an
     # FST-free observer.
     assert cohosted.fetch_override_conflicts == 0
+
+
+def test_fetch_override_conflicts_charge_the_losing_tenant(monkeypatch, solo):
+    # A co-tenant cloned from the primary's bitstream programs the same
+    # FST PCs at background priority: every FST hit is a same-PC
+    # override the primary wins and the clone loses.
+    def fst_clone(primary, spec):
+        return dataclasses.replace(primary, name=f"fst-clone({primary.name})")
+
+    TENANT_LAYOUTS.names()  # autoload the built-in layouts first
+    monkeypatch.setitem(TENANT_LAYOUTS._entries, "fst-clone", fst_clone)
+    stats = astar_stats(PFMParams(tenants=(parse_tenant_spec("fst-clone"),)))
+
+    assert stats.fetch_override_conflicts > 0
+    tenants = stats.tenant_stats
+    assert tenants["1:fst-clone"]["override_conflicts"] == (
+        stats.fetch_override_conflicts
+    )
+    assert tenants["0:astar-custom-bp"]["override_conflicts"] == 0
+    # The loser's late predictions are dropped, never consumed.
+    assert tenants["1:fst-clone"]["predictions_supplied"] == 0
+    assert stats.arch_digest == solo.arch_digest
 
 
 # ---------------------------------------------------------------------- #
