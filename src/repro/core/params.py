@@ -105,9 +105,6 @@ class PFMParams:
     delay: int = 4  # D: pipelined execution latency in RF cycles
     queue_size: int = 32  # Q: observation/intervention queue entries
     port: str = PORT_ALL  # P: PRF port sharing option
-    mlb_entries: int = 64  # missed load buffer (fixed in the paper)
-    mlb_replay_period: int = 8  # core cycles between MLB replay attempts
-    watchdog_rf_cycles: int = 200_000  # chicken-switch threshold (§2.4)
     fetch_policy: str = FETCH_POLICY_STALL  # §2.4 alternative designs
     component_overrides: dict = field(default_factory=dict)  # structure sizes
     #: Graceful-degradation thresholds (all off by default; see
@@ -122,8 +119,8 @@ class PFMParams:
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Co-resident tenants sharing the fabric (:mod:`repro.pfm.tenancy`);
     #: each spec adds one fabric slot beside the primary (slot 0, the
-    #: workload's own bitstream).  Empty = single-tenant, the paper's
-    #: configuration.
+    #: workload's own bitstream) with the primary's C/W/D/Q/P.  Empty =
+    #: single-tenant, the paper's configuration.
     tenants: tuple["TenantSpec", ...] = ()
 
     def label(self) -> str:

@@ -10,27 +10,27 @@ module refines it into three targeted defenses, each with dedicated
   ``fetch_timeout_cycles`` falls back to the core's own TAGE prediction
   for that branch only.  If the component's observable activity
   (predictions produced, queue pops) freezes across
-  ``fetch_timeout_disable_after`` consecutive timeouts, the component is
+  :data:`FETCH_TIMEOUT_DISABLE_AFTER` consecutive timeouts, the component is
   declared dead (a frozen clkC never refills IntQ-F) and the fabric is
   disabled outright; a slow-but-alive component keeps consuming
   observations between timeouts and is left alone.
 * **Override-accuracy breaker** — windowed accuracy of Fetch Agent
-  overrides below ``min_override_accuracy`` suppresses overrides for
-  ``override_disable_predictions`` FST hits, then re-enables for a trial
-  window.  Re-tripping during the trial doubles the suppression period
-  (hysteresis, capped); a clean window resets the backoff.
-* **MLB-thrash throttle** — when injected loads average more than
-  ``mlb_replay_threshold`` Missed-Load-Buffer replays over the last
-  ``mlb_window`` loads, *or* ``mlb_full_streak`` consecutive missed
+  overrides (:data:`ACCURACY_WINDOW` per window) below
+  ``min_override_accuracy`` suppresses overrides for
+  :data:`OVERRIDE_DISABLE_PREDICTIONS` FST hits, then re-enables for a
+  trial window.  Re-tripping during the trial doubles the suppression
+  period (hysteresis, capped at :data:`MAX_OVERRIDE_DISABLE_PREDICTIONS`);
+  a clean window resets the backoff.
+* **MLB-thrash throttle** — when ``mlb_full_streak`` consecutive missed
   loads all found the MLB at capacity (a full buffer defers acceptance
-  instead of replaying, so the replay count alone cannot see an
-  undersized or overwhelmed buffer; healthy fill bursts produce streaks
-  up to about the MLB capacity, chronic thrash far beyond it), the Load
-  Agent drops the next ``mlb_throttle_loads`` injection packets instead
-  of letting the MLB thrash the cache ports.
+  instead of replaying; healthy fill bursts produce streaks up to about
+  the MLB capacity, chronic thrash far beyond it), the Load Agent drops
+  the next :data:`MLB_THROTTLE_LOADS` injection packets instead of
+  letting the MLB thrash the cache ports.
 
-All knobs default to ``None``/off so a plain configuration behaves
-exactly as before; the ``faults`` campaign enables them.
+The four thresholds default to ``None``/off so a plain configuration
+behaves exactly as before; the ``faults`` campaign enables them.  The
+module constants below fix the rest of each defense's shape.
 
 :class:`RecoveryPolicy` is the constructive twin of the defenses above:
 instead of amputating a sick component forever, the fabric's
@@ -43,8 +43,18 @@ watchdog owns the triggers the controller reacts to.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+#: Consecutive no-progress fetch timeouts before the component is
+#: declared dead and the fabric disabled.
+FETCH_TIMEOUT_DISABLE_AFTER = 8
+#: Overrides per accuracy evaluation window.
+ACCURACY_WINDOW = 64
+#: FST hits suppressed after a breaker trip (doubles on re-trip, capped).
+OVERRIDE_DISABLE_PREDICTIONS = 256
+MAX_OVERRIDE_DISABLE_PREDICTIONS = 4096
+#: Injection packets dropped per MLB-thrash throttle event.
+MLB_THROTTLE_LOADS = 128
 
 
 @dataclass
@@ -53,56 +63,35 @@ class WatchdogParams:
 
     #: Max core cycles fetch may stall waiting on IntQ-F before falling
     #: back to the core's TAGE prediction (None = legacy unbounded wait,
-    #: backstopped only by ``PFMParams.watchdog_rf_cycles``).
+    #: backstopped only by the chicken switch,
+    #: :data:`repro.pfm.tenancy.WATCHDOG_RF_CYCLES`).
     fetch_timeout_cycles: int | None = None
-    #: Consecutive no-progress fetch timeouts before the component is
-    #: declared dead and the fabric disabled.
-    fetch_timeout_disable_after: int = 8
     #: Core cycles the retire unit waits for a lost squash-done before
     #: the watchdog un-stalls it (None = legacy fixed penalty).
     squash_timeout_cycles: int | None = None
 
     #: Minimum windowed override accuracy (None = breaker off).
     min_override_accuracy: float | None = None
-    #: Overrides per accuracy evaluation window.
-    accuracy_window: int = 64
-    #: FST hits suppressed after a trip (doubles on re-trip, capped).
-    override_disable_predictions: int = 256
-    max_override_disable_predictions: int = 4096
-
-    #: Mean MLB replays per injected load that counts as thrash (None =
-    #: this trigger off).  Memory-bound run-ahead bursts legitimately
-    #: reach high means, so only extreme values are safe.
-    mlb_replay_threshold: float | None = None
-    #: Injected loads per thrash evaluation window.
-    mlb_window: int = 32
-    #: Consecutive MLB-full misses that count as thrash (None = this
-    #: trigger off).  Healthy fill bursts produce streaks up to about
-    #: the MLB capacity; 1.5x the paper's 64 entries is a safe default
-    #: when enabling this trigger.
+    #: Consecutive MLB-full misses that count as thrash (None = throttle
+    #: off).  Healthy fill bursts produce streaks up to about the MLB
+    #: capacity; 1.5x the paper's 64 entries is a safe default when
+    #: enabling this trigger.
     mlb_full_streak: int | None = None
-    #: Injection packets dropped per throttle event.
-    mlb_throttle_loads: int = 128
 
     def active(self) -> bool:
         return (
             self.fetch_timeout_cycles is not None
             or self.min_override_accuracy is not None
-            or self.mlb_replay_threshold is not None
             or self.mlb_full_streak is not None
         )
 
     def __post_init__(self) -> None:
         if self.fetch_timeout_cycles is not None and self.fetch_timeout_cycles < 1:
             raise ValueError("fetch_timeout_cycles must be >= 1")
-        if self.accuracy_window < 1:
-            raise ValueError("accuracy_window must be >= 1")
         if self.min_override_accuracy is not None and not (
             0.0 <= self.min_override_accuracy <= 1.0
         ):
             raise ValueError("min_override_accuracy must be in [0, 1]")
-        if self.mlb_window < 1:
-            raise ValueError("mlb_window must be >= 1")
         if self.mlb_full_streak is not None and self.mlb_full_streak < 1:
             raise ValueError("mlb_full_streak must be >= 1")
 
@@ -119,19 +108,9 @@ class RecoveryPolicy:
 
     #: Failure-triggered hot reloads attempted before the controller
     #: gives up and disables the fabric permanently (0 = recovery off).
+    #: Their cost model (latency, backoff, drain patience) is fixed in
+    #: :mod:`repro.pfm.reconfig`.
     max_reloads: int = 0
-    #: Core cycles to load the configuration bitstream into the fabric
-    #: (the LUTstructions-style self-loading cost; drain time is extra).
-    reconfig_latency_cycles: int = 2048
-    #: Exponential backoff: failure-triggered reload *k* (0-based) costs
-    #: ``reconfig_latency_cycles * reload_backoff_factor**k`` core cycles,
-    #: so a component that keeps dying gets progressively costlier to
-    #: revive and the budget runs out in bounded time.
-    reload_backoff_factor: int = 2
-    #: Core-cycle patience while draining in-flight queue/MLB/snoop state
-    #: before the remainder is force-flushed (a frozen clkC never drains
-    #: on its own).
-    drain_timeout_cycles: int = 512
     #: Also reload when the override-accuracy breaker re-trips (the
     #: component is alive but hinting garbage — a reload scrubs it).
     reload_on_breaker: bool = False
@@ -150,12 +129,6 @@ class RecoveryPolicy:
     def __post_init__(self) -> None:
         if self.max_reloads < 0:
             raise ValueError("max_reloads must be >= 0")
-        if self.reconfig_latency_cycles < 0:
-            raise ValueError("reconfig_latency_cycles must be >= 0")
-        if self.reload_backoff_factor < 1:
-            raise ValueError("reload_backoff_factor must be >= 1")
-        if self.drain_timeout_cycles < 1:
-            raise ValueError("drain_timeout_cycles must be >= 1")
         if (
             self.squash_timeout_reload_after is not None
             and self.squash_timeout_reload_after < 1
@@ -188,12 +161,11 @@ class Watchdog:
         self._window_total = 0
         self._window_correct = 0
         self._suppress_remaining = 0
-        self._disable_period = params.override_disable_predictions
+        self._disable_period = OVERRIDE_DISABLE_PREDICTIONS
         self._trial_window = False
         # MLB-thrash throttle
         self.load_throttle_events = 0
         self.loads_dropped = 0
-        self._recent_replays: deque[int] = deque(maxlen=params.mlb_window)
         self._full_streak = 0
         self._throttle_remaining = 0
 
@@ -223,7 +195,7 @@ class Watchdog:
         else:
             self._consecutive_timeouts = 1
             self._progress_at_last_timeout = progress_token
-        if self._consecutive_timeouts >= self.params.fetch_timeout_disable_after:
+        if self._consecutive_timeouts >= FETCH_TIMEOUT_DISABLE_AFTER:
             if not self.component_dead:
                 self.dead_declarations += 1
             self.component_dead = True
@@ -258,7 +230,7 @@ class Watchdog:
             return
         self._window_total += 1
         self._window_correct += int(correct)
-        if self._window_total < self.params.accuracy_window:
+        if self._window_total < ACCURACY_WINDOW:
             return
         accuracy = self._window_correct / self._window_total
         if accuracy < threshold:
@@ -266,12 +238,11 @@ class Watchdog:
             self.breaker_trip_pending = True
             if self._trial_window:
                 self._disable_period = min(
-                    self._disable_period * 2,
-                    self.params.max_override_disable_predictions,
+                    self._disable_period * 2, MAX_OVERRIDE_DISABLE_PREDICTIONS
                 )
             self._suppress_remaining = self._disable_period
         else:
-            self._disable_period = self.params.override_disable_predictions
+            self._disable_period = OVERRIDE_DISABLE_PREDICTIONS
         self._trial_window = False
         self._window_total = 0
         self._window_correct = 0
@@ -280,37 +251,23 @@ class Watchdog:
     # MLB-thrash throttle
     # ------------------------------------------------------------------ #
 
-    def record_injected_load(
-        self, replays: int, missed: bool = False, mlb_full: bool = False
-    ) -> None:
+    def record_injected_load(self, missed: bool, mlb_full: bool) -> None:
         """One injected (non-prefetch) load issued.
 
-        *replays* is the load's MLB replay count; *missed* says it went
-        through the MLB at all; *mlb_full* says it found the MLB at
-        capacity (deferred acceptance — the signature of a shrunk or
-        overwhelmed buffer, invisible in replay counts).
+        *missed* says it went through the MLB at all; *mlb_full* says it
+        found the MLB at capacity (deferred acceptance — the signature of
+        a shrunk or overwhelmed buffer, invisible in replay counts).
         """
-        threshold = self.params.mlb_replay_threshold
         streak_limit = self.params.mlb_full_streak
-        if threshold is None and streak_limit is None:
+        if streak_limit is None:
             return
-        self._recent_replays.append(replays)
         if missed:
             self._full_streak = self._full_streak + 1 if mlb_full else 0
         if self._throttle_remaining > 0:
             return
-        trip = streak_limit is not None and self._full_streak >= streak_limit
-        if (
-            not trip
-            and threshold is not None
-            and len(self._recent_replays) == self._recent_replays.maxlen
-        ):
-            mean = sum(self._recent_replays) / len(self._recent_replays)
-            trip = mean > threshold
-        if trip:
+        if self._full_streak >= streak_limit:
             self.load_throttle_events += 1
-            self._throttle_remaining = self.params.mlb_throttle_loads
-            self._recent_replays.clear()
+            self._throttle_remaining = MLB_THROTTLE_LOADS
             self._full_streak = 0
 
     def on_reload(self) -> None:
@@ -328,7 +285,7 @@ class Watchdog:
         self._progress_at_last_timeout = None
         self.breaker_trip_pending = False
         self._suppress_remaining = 0
-        self._disable_period = self.params.override_disable_predictions
+        self._disable_period = OVERRIDE_DISABLE_PREDICTIONS
         self._trial_window = False
         self._window_total = 0
         self._window_correct = 0

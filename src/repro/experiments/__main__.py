@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 
 from repro.experiments import astar_sweeps, bfs_sweeps, energy_fig18
-from repro.experiments import chaos as chaos_module
 from repro.experiments import faults as faults_module
 from repro.experiments import fpga_table4, prefetch_sweeps, robustness
 from repro.experiments import slipstream_fig2, sweep as sweep_module
@@ -59,7 +58,6 @@ EXPERIMENTS = {
     "robust-graphs": robustness.bfs_graph_robustness,
     "sweep": sweep_module.sweep,
     "faults": faults_module.faults,
-    "chaos": chaos_module.chaos,
 }
 
 #: Experiments that produce a raw-stats payload for ``--json`` and have
@@ -67,12 +65,11 @@ EXPERIMENTS = {
 PAYLOAD_EXPERIMENTS = {
     "sweep": (sweep_module.run_sweep, sweep_module.SMOKE_WINDOW),
     "faults": (faults_module.run_faults, faults_module.FAULT_SMOKE_WINDOW),
-    "chaos": (chaos_module.run_chaos, chaos_module.CHAOS_SMOKE_WINDOW),
 }
 
 #: Experiments whose runners accept co-resident fabric tenants
 #: (``--tenant``); the others have no multi-tenant story yet.
-TENANT_EXPERIMENTS = ("sweep", "chaos")
+TENANT_EXPERIMENTS = ("sweep", "faults")
 
 
 def _run_info(pool: SweepPool) -> str:
@@ -184,12 +181,13 @@ def _cache_main(argv: list[str]) -> int:
 
             store = ResultStore(store_dir(base))
             recipes = len(store.recipe_files())
+            temps = len(store.temp_files())
             removed, freed = store.clear()
-            entries = removed - recipes
+            entries = removed - recipes - temps
             print(f"removed {entries} result-store"
-                  f" entr{'y' if entries == 1 else 'ies'} and {recipes}"
-                  f" recipe(s), freed {_fmt_bytes(freed)} from"
-                  f" {store.directory}")
+                  f" entr{'y' if entries == 1 else 'ies'}, {recipes}"
+                  f" recipe(s) and {temps} temp file(s), freed"
+                  f" {_fmt_bytes(freed)} from {store.directory}")
             return 0
         removed, freed = tracecache.clear_traces(base)
         print(f"removed {removed} compiled trace(s), freed {_fmt_bytes(freed)}"
@@ -225,9 +223,17 @@ def _cache_main(argv: list[str]) -> int:
           f" {_fmt_bytes(store_bytes)}"
           f"  (evict with 'cache gc --max-bytes SIZE')")
     recipe_dir = store.directory / RECIPES_SUBDIR
-    files, size = _dir_size(recipe_dir)
+    recipes = store.recipe_files()
+    files, size = len(recipes), sum(path.stat().st_size for path in recipes)
     grand_total += size
     print(f"recipe index ({recipe_dir}): {files} recipe(s), {_fmt_bytes(size)}")
+    from repro.store import collect
+
+    temps = [entry for entry in collect(base) if entry[0].suffix == ".tmp"]
+    size = sum(entry[1] for entry in temps)
+    grand_total += size
+    print(f"interrupted writes: {len(temps)} temp file(s), {_fmt_bytes(size)}"
+          f"  (removed by 'cache gc' and 'cache clear')")
     print(f"total cache footprint: {_fmt_bytes(grand_total)}")
     return 0
 

@@ -128,7 +128,7 @@ class SweepPoint:
 
     def config_key(self) -> str:
         """Content hash of the run configuration (label excluded)."""
-        digest = hashlib.sha256(_canonical_bytes(self._config_spec()))
+        digest = hashlib.sha256(canonical_bytes(self._config_spec()))
         return digest.hexdigest()[:16]
 
     def key(self) -> str:
@@ -152,12 +152,7 @@ class SweepPoint:
 
         spec = self._config_spec()
         spec["trace_key"] = trace_key_for(self.workload, self.overrides, store)
-        return hashlib.sha256(_canonical_bytes(spec)).hexdigest()
-
-
-# Canonical spec encoding is shared with the trace cache so sweep-point
-# keys and trace-cache memo keys agree on what "the same overrides" means.
-_canonical_bytes = canonical_bytes
+        return hashlib.sha256(canonical_bytes(spec)).hexdigest()
 
 
 class SweepFailure(RuntimeError):

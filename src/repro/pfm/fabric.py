@@ -75,11 +75,9 @@ class PFMFabric:
     ):
         self.bitstream = bitstream
         self.params = pfm
-        self.scheduler = FabricScheduler()
+        self.scheduler = FabricScheduler(pfm.width)
 
-        primary_spec = TenantSpec(
-            component=bitstream.name, priority=0, name=bitstream.name
-        )
+        primary_spec = TenantSpec(component=bitstream.name, priority=0)
         builds: list[tuple[TenantSpec, Bitstream, PFMParams]] = [
             (primary_spec, bitstream, pfm)
         ]
@@ -89,7 +87,7 @@ class PFMFabric:
             from repro.registry.tenants import build_tenant_bitstream
 
             builds.append(
-                (spec, build_tenant_bitstream(spec, bitstream), slot_params(pfm, spec))
+                (spec, build_tenant_bitstream(spec, bitstream), slot_params(pfm))
             )
 
         self.slots: list[FabricSlot] = []

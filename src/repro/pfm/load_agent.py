@@ -6,8 +6,9 @@ idle.  Injected loads are handled specially by the core: no store-queue
 search, no wakeup/bypass, no PRF write — they only translate through the
 TLB and access the data cache, and their results steer back to the agent.
 
-Loads that miss are parked in the 64-entry Missed Load Buffer and replayed
-periodically until they hit; values return to the component via the
+Loads that miss are parked in the :data:`MLB_ENTRIES`-entry Missed Load
+Buffer and replayed every :data:`MLB_REPLAY_PERIOD` core cycles until they
+hit; values return to the component via the
 Observation Queue at Execute (ObsQ-EX), possibly out of order, tagged with
 the component's unique identifier.
 """
@@ -20,6 +21,12 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.pfm.packets import LoadPacket, LoadReturn
 from repro.pfm.queues import TimedQueue
 from repro.workloads.mem import WORD_BYTES, MemoryImage
+
+#: Missed Load Buffer capacity (fixed in the paper; a fault plan may
+#: shrink it).
+MLB_ENTRIES = 64
+#: Core cycles between MLB replay attempts.
+MLB_REPLAY_PERIOD = 8
 
 
 class LoadAgent:
@@ -40,8 +47,7 @@ class LoadAgent:
         memory: MemoryImage,
         lanes,
         ls_lanes: tuple[int, ...],
-        mlb_entries: int = 64,
-        replay_period: int = 8,
+        mlb_entries: int = MLB_ENTRIES,
         watchdog=None,
         injector=None,
     ):
@@ -52,7 +58,6 @@ class LoadAgent:
         self._lanes = lanes
         self._ls_lanes = ls_lanes
         self._mlb_entries = mlb_entries
-        self._replay_period = replay_period
         self._watchdog = watchdog
         self._injector = injector
         self._mlb_fills: list[int] = []  # outstanding missed-load fill times
@@ -102,16 +107,13 @@ class LoadAgent:
             self.prefetches_issued += 1
             return
         self.loads_issued += 1
-        replay_rounds = 0
         missed = False
         mlb_full = False
         if level != "L1D" or ready > access_time + 2:
             missed = True
-            before = self.replays
             ready, mlb_full = self._mlb_schedule(access_time, ready)
-            replay_rounds = self.replays - before
         if self._watchdog is not None:
-            self._watchdog.record_injected_load(replay_rounds, missed, mlb_full)
+            self._watchdog.record_injected_load(missed, mlb_full)
         value = self._memory.load(address)
         ret = LoadReturn(ident=packet.ident, value=value, address=address)
         if self._injector is not None:
@@ -135,9 +137,9 @@ class LoadAgent:
         if was_full:
             issue_time = max(issue_time, heap[0])
         wait = max(0, fill_time - issue_time)
-        rounds = (wait + self._replay_period - 1) // self._replay_period
+        rounds = (wait + MLB_REPLAY_PERIOD - 1) // MLB_REPLAY_PERIOD
         self.replays += rounds
-        ready = issue_time + rounds * self._replay_period + 1
+        ready = issue_time + rounds * MLB_REPLAY_PERIOD + 1
         heapq.heappush(heap, ready)
         probe = self.probe
         if probe is not None:

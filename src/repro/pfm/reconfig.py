@@ -20,13 +20,13 @@ when ``PFMParams.recovery`` is active)::
   in the fabric's predict/observe paths), a squash packet is sent through
   the normal ObsQ-R bypass so the component rolls back, and the fabric's
   RF clock runs until every queue, the MLB, and in-flight snoop state
-  settle — or ``drain_timeout_cycles`` expires (a frozen clkC never
+  settle — or :data:`DRAIN_TIMEOUT_CYCLES` expires (a frozen clkC never
   drains on its own).  Whatever is still in flight is then force-flushed:
   nothing may leak into the replacement's queues.
 * **Load** — the replacement component is re-synthesized from the
   registry bitstream (:func:`repro.registry.components.rebuild_component`)
-  under the ``reconfig_latency_cycles`` cost model, with exponential
-  backoff for failure-triggered reloads.
+  under the :data:`RECONFIG_LATENCY_CYCLES` cost model, with exponential
+  backoff (:data:`RELOAD_BACKOFF_FACTOR`) for failure-triggered reloads.
 * **Resume** — the watchdog's per-instance liveness state is cleared
   (:meth:`~repro.core.watchdog.Watchdog.on_reload`), and the recorded
   ROI-begin observation is replayed so a mid-ROI swap re-arms the
@@ -36,8 +36,8 @@ Triggers come from the watchdog via :class:`~repro.core.watchdog.
 RecoveryPolicy`: dead-component declarations, RF-budget exhaustion,
 override-accuracy breaker trips (level-triggered flag polled here — the
 core layer never imports this module), repeated squash timeouts, and one
-optional *scheduled* same-bitstream swap used by the chaos campaign's
-architectural-invisibility experiment.
+optional *scheduled* same-bitstream swap used by the fault campaign's
+architectural-invisibility point.
 """
 
 from __future__ import annotations
@@ -50,6 +50,19 @@ from repro.registry.components import rebuild_component
 if TYPE_CHECKING:
     from repro.core.watchdog import RecoveryPolicy
     from repro.pfm.tenancy import FabricSlot
+
+#: Core cycles to load the configuration bitstream into the fabric (the
+#: LUTstructions-style self-loading cost; drain time is extra).
+RECONFIG_LATENCY_CYCLES = 2048
+#: Exponential backoff: failure-triggered reload *k* (0-based) costs
+#: ``RECONFIG_LATENCY_CYCLES * RELOAD_BACKOFF_FACTOR**k`` core cycles, so
+#: a component that keeps dying gets progressively costlier to revive and
+#: the budget runs out in bounded time.
+RELOAD_BACKOFF_FACTOR = 2
+#: Core-cycle patience while draining in-flight queue/MLB/snoop state
+#: before the remainder is force-flushed (a frozen clkC never drains on
+#: its own).
+DRAIN_TIMEOUT_CYCLES = 512
 
 
 class FabricState(enum.Enum):
@@ -191,9 +204,9 @@ class ReconfigController:
         drained_at = self._drain(now)
         self._goto(drained_at, FabricState.DRAINED, reason)
 
-        latency = pol.reconfig_latency_cycles
+        latency = RECONFIG_LATENCY_CYCLES
         if not scheduled:
-            latency *= pol.reload_backoff_factor**self.reload_attempts
+            latency *= RELOAD_BACKOFF_FACTOR**self.reload_attempts
             self.reload_attempts += 1
         self._goto(drained_at, FabricState.LOADING, reason)
         resume = drained_at + latency
@@ -234,7 +247,7 @@ class ReconfigController:
         c = t.clk_ratio
         slot._pending_squashes.append(start + c)
         slot.rf_cycle = max(slot.rf_cycle, start // c)
-        limit = (start + self.policy.drain_timeout_cycles) // c
+        limit = (start + DRAIN_TIMEOUT_CYCLES) // c
         while slot.rf_cycle < limit and not self._settled():
             if not slot._step_rf():
                 break

@@ -3,9 +3,9 @@
 The paper loads exactly one component into the reconfigurable fabric
 before the run.  This module removes that single-tenant assumption:
 
-* :class:`TenantSpec` — one tenant's budget envelope (clkC / wW / delayD /
-  queueQ / portP, each ``None`` = inherit the primary configuration) plus
-  a priority class and optional snoop-table capacities.
+* :class:`TenantSpec` — one co-tenant: its tenant layout, a priority
+  class and optional snoop-table capacities.  Every tenant runs at the
+  primary's clkC / wW / delayD / queueQ / portP.
 * :class:`FabricSlot` — everything one tenant owns on the RF side of the
   pipeline interface: its component, snoop tables, the ObsQ-R / IntQ-IS /
   ObsQ-EX queues, the three agents, an RF clock, a watchdog, and (for the
@@ -17,7 +17,7 @@ before the run.  This module removes that single-tenant assumption:
   ``others`` (retire-side observation is non-exclusive, fetch-side
   override is winner-takes-all).
 * :class:`FabricScheduler` — contention-aware arbitration of the
-  core-to-RF observation crossing: per core cycle at most ``cap`` packets
+  core-to-RF observation crossing: per core cycle at most wW packets
   cross, granted weighted-round-robin (top-priority tenants may fill the
   cycle, background tenants get one grant each) with priority preemption
   (a top-priority request at a full cycle evicts a background grant and
@@ -31,8 +31,8 @@ through the shared :class:`~repro.core.resources.LaneScheduler` in
 priority order (the partitioned RST iterates winner first), so a
 background tenant's destination-value packets wait behind the primary's;
 the per-slot ``port_delay_cycles`` counter attributes the contention.
-Queue push slots are budgeted per tenant by construction — each slot's
-queues are sized by its own queueQ.
+Queue push slots are budgeted per tenant by construction — each slot has
+its own queueQ-entry queues.
 """
 
 from __future__ import annotations
@@ -40,17 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.params import (
-    PORT_ALL,
-    PORT_LS,
-    PORT_LS1,
-    CoreParams,
-    PFMParams,
-)
+from repro.core.params import CoreParams, PFMParams
 from repro.core.watchdog import Watchdog
 from repro.pfm.component import CustomComponent, RFIo, RFTimings
 from repro.pfm.fetch_agent import FetchAgent
-from repro.pfm.load_agent import LoadAgent
+from repro.pfm.load_agent import MLB_ENTRIES, LoadAgent
 from repro.pfm.packets import ObsPacket, SquashPacket
 from repro.pfm.queues import TimedQueue
 from repro.pfm.reconfig import ReconfigController
@@ -77,26 +71,24 @@ PRIORITY_CLASSES: dict[str, int] = {"high": 0, "normal": 1, "background": 2}
 
 _PRIORITY_NAMES = {v: k for k, v in PRIORITY_CLASSES.items()}
 
+#: Chicken-switch threshold (§2.4): RF cycles a slot may spin waiting on
+#: one prediction or one ObsQ-R push before the fabric is disabled.
+WATCHDOG_RF_CYCLES = 200_000
+
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One co-tenant's budget envelope and priority class.
+    """One co-tenant's layout, priority class and snoop-table capacities.
 
-    Budget fields set to ``None`` inherit the primary ``PFMParams``
-    value; the snoop-table capacities bound how many RST/FST entries the
-    tenant may program (excess entries are *evicted* at configuration
-    time, ROI markers always survive).  The primary tenant is implicit —
-    it is the workload's own bitstream at priority 0.
+    ``component`` names the tenant layout (and the tenant in stats).
+    The capacities bound how many RST/FST entries the tenant may program
+    (excess entries are *evicted* at configuration time, ROI markers
+    always survive).  The primary tenant is implicit — it is the
+    workload's own bitstream at priority 0.
     """
 
     component: str
     priority: int = PRIORITY_CLASSES["background"]
-    name: str = ""
-    clk_ratio: int | None = None  # C
-    width: int | None = None  # W
-    delay: int | None = None  # D
-    queue_size: int | None = None  # Q
-    port: str | None = None  # P
     rst_capacity: int | None = None
     fst_capacity: int | None = None
 
@@ -105,18 +97,6 @@ class TenantSpec:
             raise ValueError("tenant component name must be non-empty")
         if self.priority < 0:
             raise ValueError("tenant priority must be >= 0")
-        if self.clk_ratio is not None and self.clk_ratio < 1:
-            raise ValueError("tenant clk_ratio must be >= 1")
-        if self.width is not None and self.width < 1:
-            raise ValueError("tenant width must be >= 1")
-        if self.delay is not None and self.delay < 0:
-            raise ValueError("tenant delay must be >= 0")
-        if self.queue_size is not None and self.queue_size < 1:
-            raise ValueError("tenant queue_size must be >= 1")
-        if self.port is not None and self.port not in (
-            PORT_ALL, PORT_LS, PORT_LS1
-        ):
-            raise ValueError(f"unknown tenant port option {self.port!r}")
         if self.rst_capacity is not None and self.rst_capacity < 1:
             raise ValueError("tenant rst_capacity must be >= 1")
         if self.fst_capacity is not None and self.fst_capacity < 0:
@@ -124,7 +104,7 @@ class TenantSpec:
 
     def label(self) -> str:
         cls = _PRIORITY_NAMES.get(self.priority, str(self.priority))
-        return f"{self.name or self.component}:{cls}"
+        return f"{self.component}:{cls}"
 
 
 def parse_tenant_spec(text: str) -> TenantSpec:
@@ -148,25 +128,20 @@ def parse_tenant_spec(text: str) -> TenantSpec:
     return TenantSpec(component=component, priority=priority)
 
 
-def slot_params(pfm: PFMParams, spec: TenantSpec) -> PFMParams:
+def slot_params(pfm: PFMParams) -> PFMParams:
     """The effective per-slot ``PFMParams`` for a co-tenant.
 
-    Budget fields come from the spec (``None`` inherits the primary);
-    fault plans, recovery policies, and watchdog thresholds never
-    propagate to co-tenants — those are per-tenant concerns the primary's
-    configuration must not impose on its neighbours.
+    Co-tenants inherit the primary's C/W/D/Q/P and fetch policy, but
+    never its fault plan, recovery policy or watchdog thresholds — those
+    are per-tenant concerns the primary's configuration must not impose
+    on its neighbours.
     """
     return PFMParams(
-        clk_ratio=pfm.clk_ratio if spec.clk_ratio is None else spec.clk_ratio,
-        width=pfm.width if spec.width is None else spec.width,
-        delay=pfm.delay if spec.delay is None else spec.delay,
-        queue_size=(
-            pfm.queue_size if spec.queue_size is None else spec.queue_size
-        ),
-        port=pfm.port if spec.port is None else spec.port,
-        mlb_entries=pfm.mlb_entries,
-        mlb_replay_period=pfm.mlb_replay_period,
-        watchdog_rf_cycles=pfm.watchdog_rf_cycles,
+        clk_ratio=pfm.clk_ratio,
+        width=pfm.width,
+        delay=pfm.delay,
+        queue_size=pfm.queue_size,
+        port=pfm.port,
         fetch_policy=pfm.fetch_policy,
     )
 
@@ -287,8 +262,8 @@ class FabricScheduler:
 
     Weighted round-robin with priority preemption, per core cycle:
 
-    * at most ``cap`` packets cross per core cycle (``cap`` = the widest
-      tenant's wW — the physical crossing is provisioned for the primary);
+    * at most ``cap`` packets cross per core cycle (``cap`` = the wW
+      every tenant shares);
     * a top-priority-class tenant may fill the whole cycle, every other
       tenant gets at most one grant per contested cycle (the round-robin
       weights);
@@ -306,10 +281,10 @@ class FabricScheduler:
     _PRUNE_LIMIT = 8192
     _PRUNE_HORIZON = 4096
 
-    def __init__(self) -> None:
+    def __init__(self, cap: int) -> None:
         self._slots: list[FabricSlot] = []
         self._single = True
-        self._cap = 1
+        self._cap = cap
         self._top = 0
         self._grants: dict[int, list[tuple[int, "FabricSlot"]]] = {}
         self.grants = 0
@@ -319,7 +294,6 @@ class FabricScheduler:
     def register(self, slot: "FabricSlot") -> None:
         self._slots.append(slot)
         self._single = len(self._slots) == 1
-        self._cap = max(s.timings.width for s in self._slots)
         self._top = min(s.priority for s in self._slots)
 
     def grant_obs(self, slot: "FabricSlot", send_time: int) -> int:
@@ -410,7 +384,7 @@ class FabricSlot:
         self.index = index
         self.spec = spec
         self.priority = spec.priority
-        self.tenant = spec.name or spec.component
+        self.tenant = spec.component
         self.bitstream = bitstream
         self.params = pfm
         self._scheduler = scheduler
@@ -436,14 +410,14 @@ class FabricSlot:
 
         self.watchdog = Watchdog(pfm.watchdog)
         self.injector: Any | None = None
-        mlb_entries = pfm.mlb_entries
+        mlb_entries = MLB_ENTRIES
         if pfm.fault_plan is not None:
             # Imported here so fault-free builds never touch the fault
             # subsystem (core/pfm must not depend on repro.faults).
             from repro.faults.inject import FaultInjector
 
             self.injector = FaultInjector(pfm.fault_plan)
-            mlb_entries = self.injector.mlb_entries(pfm.mlb_entries)
+            mlb_entries = self.injector.mlb_entries(MLB_ENTRIES)
 
         c = pfm.clk_ratio
         suffix = "" if index == 0 else f"@{index}"
@@ -472,7 +446,6 @@ class FabricSlot:
             lanes,
             core_params.ls_lanes(),
             mlb_entries=mlb_entries,
-            replay_period=pfm.mlb_replay_period,
             watchdog=self.watchdog,
             injector=self.injector,
         )
@@ -483,7 +456,7 @@ class FabricSlot:
         self.roi_fetch_active = False  # fetch-side (stats / markers)
         self.enabled = True  # chicken switch
         self._pending_squashes: list[int] = []  # visible times
-        self._watchdog_budget = pfm.watchdog_rf_cycles
+        self._watchdog_budget = WATCHDOG_RF_CYCLES
         self.obs_dropped = 0
         self.squashes_signalled = 0
         self.probe: Any | None = None  # optional telemetry hub

@@ -2,11 +2,12 @@
 
 ``.repro-cache/`` accumulates three kinds of content-addressed files —
 compiled traces, result-store entries and recipe-index entries — and at
-fleet scale the store grows without bound.  ``cache gc --max-bytes
-SIZE`` walks every section, sorts by mtime (every
-cache read touches its file via :func:`os.utime`-free reads, so mtime
-is write-recency: least-recently *published* goes first), and deletes
-oldest-first until the total fits the budget.
+fleet scale the store grows without bound.  Each section also counts the
+``*.tmp`` files a writer killed between its temp write and the rename
+leaves behind.  ``cache gc --max-bytes SIZE`` walks every section, sorts
+by mtime (every cache read touches its file via :func:`os.utime`-free
+reads, so mtime is write-recency: least-recently *published* goes
+first), and deletes oldest-first until the total fits the budget.
 
 Eviction is always safe: every evicted file is a pure cache entry that
 the next run recomputes and republishes.
@@ -17,12 +18,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-#: ``(section name, glob pattern relative to the cache dir)`` — the
-#: evictable sections.  Failed-points logs are deliberately absent.
-SECTIONS: tuple[tuple[str, str], ...] = (
-    ("traces", "traces/*.trace.pkl"),
-    ("store", "store/??/*.json"),
-    ("recipes", "store/recipes/??/*.json"),
+#: ``(section name, glob patterns relative to the cache dir)`` — the
+#: evictable sections, each with its orphaned temp files.  Failed-points
+#: logs are deliberately absent.
+SECTIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("traces", ("traces/*.trace.pkl", "traces/*.tmp")),
+    ("store", ("store/??/*.json", "store/??/*.tmp")),
+    ("recipes", ("store/recipes/??/*.json", "store/recipes/??/*.tmp")),
 )
 
 _SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
@@ -50,13 +52,14 @@ def collect(cache_dir: str | os.PathLike) -> list[tuple[Path, int, float, str]]:
     """Every evictable file as ``(path, size, mtime, section)``."""
     base = Path(cache_dir)
     entries: list[tuple[Path, int, float, str]] = []
-    for section, pattern in SECTIONS:
-        for path in base.glob(pattern):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently deleted
-            entries.append((path, stat.st_size, stat.st_mtime, section))
+    for section, patterns in SECTIONS:
+        for pattern in patterns:
+            for path in base.glob(pattern):
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue  # concurrently deleted
+                entries.append((path, stat.st_size, stat.st_mtime, section))
     return entries
 
 

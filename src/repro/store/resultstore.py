@@ -402,6 +402,15 @@ class ResultStore:
             return []
         return sorted(self.directory.glob(f"{RECIPES_SUBDIR}/??/*.json"))
 
+    def temp_files(self) -> list[Path]:
+        """Temp files of entries and recipes whose writer died before
+        the rename."""
+        if self.directory is None:
+            return []
+        return sorted(self.directory.glob("??/*.tmp")) + sorted(
+            self.directory.glob(f"{RECIPES_SUBDIR}/??/*.tmp")
+        )
+
     def __len__(self) -> int:
         return len(self.files())
 
@@ -419,10 +428,10 @@ class ResultStore:
         self._memo.clear()
 
     def clear(self) -> tuple[int, int]:
-        """Delete every entry and recipe; returns ``(files_removed,
-        bytes_freed)``."""
+        """Delete every entry, recipe and orphaned temp file; returns
+        ``(files_removed, bytes_freed)``."""
         removed = freed = 0
-        for path in self.files() + self.recipe_files():
+        for path in self.files() + self.recipe_files() + self.temp_files():
             try:
                 size = path.stat().st_size
                 path.unlink()

@@ -444,14 +444,7 @@ class CompiledTrace:
             "comments",
         ):
             setattr(trace, field, payload[field])
-        columns = (
-            trace.pcs, trace.next_pcs, trace.op_codes, trace.mnemonic_idx,
-            trace.dst_idx, trace.srcs_idx, trace.comment_idx,
-            trace.mem_addrs, trace.store_values, trace.dst_values,
-            trace.taken,
-        )
-        if any(len(col) != trace.length for col in columns):
-            raise ValueError("trace column lengths disagree with header")
+        trace.check_columns()
         return trace
 
 

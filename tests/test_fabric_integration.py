@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import PFMParams, SimConfig, SuperscalarCore, simulate
 from repro.memory.hierarchy import HierarchyParams
+from repro.pfm import tenancy
 from repro.pfm.component import CustomComponent
 from repro.workloads.astar import build_astar_workload
 
@@ -133,14 +134,13 @@ class _SlowComponent(_BrokenComponent):
         return False
 
 
-def test_watchdog_chicken_switch_disables_component():
+def test_watchdog_chicken_switch_disables_component(monkeypatch):
+    monkeypatch.setattr(tenancy, "WATCHDOG_RF_CYCLES", 2_000)
     workload = build_astar_workload(
         grid_width=128, grid_height=128, component_factory=_SlowComponent
     )
-    params = PFMParams()
-    params.watchdog_rf_cycles = 2_000
     core = SuperscalarCore(
-        workload, SimConfig(max_instructions=WINDOW, pfm=params)
+        workload, SimConfig(max_instructions=WINDOW, pfm=PFMParams())
     )
     stats = core.run()
     assert not core.fabric.slots[0].enabled  # chicken switch fired

@@ -20,6 +20,9 @@ from repro.faults import BUILTIN_PLANS, OracleVerdict
 
 WINDOW = 1_200
 WORKLOADS = ("astar",)
+#: PFM points per workload: clean + one per plan, and on the recovery
+#: workload (astar) also a scheduled swap + one recovery twin per plan.
+PFM_POINTS = 1 + len(BUILTIN_PLANS) + 1 + len(BUILTIN_PLANS)
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +32,33 @@ def campaign():
 
 def test_grid_shape():
     points = fault_points(WINDOW, WORKLOADS)
-    # baseline + clean + one per plan, per workload
-    assert len(points) == len(WORKLOADS) * (2 + len(BUILTIN_PLANS))
+    assert len(points) == 1 + PFM_POINTS
     labels = {p.label for p in points}
     assert "baseline:astar" in labels
     assert "astar [clean]" in labels
+    assert "astar [swap]" in labels
     assert "astar [fault:chaos]" in labels
+    assert "astar [fault:chaos/recovery]" in labels
     assert len(labels) == len(points)
+    # Recovery is armed exactly on the swap and the /recovery twins.
+    recovering = {p.label for p in points if p.pfm and p.pfm.recovery.active()}
+    assert recovering == {"astar [swap]"} | {
+        f"astar [fault:{plan}/recovery]" for plan in BUILTIN_PLANS
+    }
+
+
+def test_full_grid_is_the_union_of_detection_and_recovery():
+    # Every workload x {baseline, clean, one per plan}, plus astar's
+    # swap and recovery twins: 55 points at the default workloads.
+    points = fault_points(WINDOW)
+    per_workload = 2 + len(BUILTIN_PLANS)
+    assert len(points) == (
+        len(FAULT_WORKLOADS) * per_workload + 1 + len(BUILTIN_PLANS)
+    ) == 55
+    assert not any(
+        "/recovery]" in p.label or "[swap]" in p.label
+        for p in points if p.workload != "astar"
+    )
 
 
 def test_campaign_workloads_cover_both_component_families():
@@ -52,9 +75,11 @@ def test_all_points_pass_oracle(campaign):
         for label, entry in payload["points"].items()
         if not label.startswith("baseline:")
     }
-    assert len(checked) == 1 + len(BUILTIN_PLANS)
+    assert len(checked) == PFM_POINTS
     assert all(entry["oracle_ok"] for entry in checked.values())
     assert payload["oracle_failures"] == []
+    assert payload["swap_mismatches"] == []
+    assert payload["points"]["astar [swap]"]["swap_invisible"] is True
 
 
 def test_payload_carries_digests_and_watchdog(campaign):
@@ -69,7 +94,7 @@ def test_payload_carries_digests_and_watchdog(campaign):
 
 def test_result_rows_report_degradation(campaign):
     result, _ = campaign
-    assert len(result.rows) == 1 + len(BUILTIN_PLANS)
+    assert len(result.rows) == PFM_POINTS
     for label, value in result.rows:
         assert value > 0, f"{label} reported non-positive relative IPC"
     assert "oracle" in result.notes

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import campaign_recovery
-from repro.experiments.faults import campaign_watchdog
+from repro.experiments.faults import campaign_recovery, campaign_watchdog
 from repro.experiments.pool import (
     SweepPoint,
     baseline_point,

@@ -3,13 +3,13 @@
 from repro.core.params import CoreParams
 from repro.core.resources import LaneScheduler
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
-from repro.pfm.load_agent import LoadAgent
+from repro.pfm.load_agent import MLB_REPLAY_PERIOD, LoadAgent
 from repro.pfm.packets import LoadPacket
 from repro.pfm.queues import TimedQueue
 from repro.workloads.mem import MemoryImage
 
 
-def make_agent(mlb_entries=64, replay_period=8, warm_lines=(), retq_capacity=32):
+def make_agent(mlb_entries=64, warm_lines=(), retq_capacity=32):
     params = CoreParams()
     lanes = LaneScheduler(params.num_lanes, params.issue_width)
     hierarchy = MemoryHierarchy(
@@ -25,7 +25,7 @@ def make_agent(mlb_entries=64, replay_period=8, warm_lines=(), retq_capacity=32)
     retq = TimedQueue("ObsQ-EX", retq_capacity)
     agent = LoadAgent(
         intq, retq, hierarchy, memory, lanes, params.ls_lanes(),
-        mlb_entries=mlb_entries, replay_period=replay_period,
+        mlb_entries=mlb_entries,
     )
     return agent, intq, retq, memory, hierarchy
 
@@ -52,7 +52,7 @@ def test_prefetch_produces_no_return():
 
 
 def test_missed_load_quantized_to_replay_period():
-    agent, intq, retq, memory, _ = make_agent(replay_period=8)
+    agent, intq, retq, memory, _ = make_agent()
     intq.push(10, LoadPacket(ident=2, address=memory.base("data")))
     agent.tick(100)
     assert agent.load_misses == 1
@@ -61,7 +61,7 @@ def test_missed_load_quantized_to_replay_period():
         (r, x) for r, x in agent._pending_returns
     ]
     # Ready time is issue + ceil(miss/period)*period + 1: period-aligned.
-    assert (ready - 1) % 8 in (0, 1, 2, 3, 4, 5, 6, 7)  # sanity
+    assert (ready - 1) % MLB_REPLAY_PERIOD in range(MLB_REPLAY_PERIOD)
     assert ready > 100
 
 

@@ -1,6 +1,6 @@
 """Self-healing fabric: quiesce/drain/hot-swap state machine and recovery.
 
-Three layers of assertions, mirroring the chaos campaign's claims:
+Three layers of assertions, mirroring the fault campaign's recovery claims:
 
 * **Unit** — :class:`~repro.core.watchdog.RecoveryPolicy` validation, the
   controller's transition ledger, the Fetch/Load Agent flush-and-realign
@@ -11,8 +11,8 @@ Three layers of assertions, mirroring the chaos campaign's claims:
   more IPC than its no-recovery twin, and stay architecturally equivalent
   to the plain baseline (recovery must never buy IPC with state).
 * **Invisibility** — a scheduled mid-run same-bitstream swap retires an
-  ``arch_digest`` identical to the unswapped run, and the whole chaos
-  payload is byte-identical across ``SweepPool`` worker counts.
+  ``arch_digest`` identical to the unswapped run, and the whole fault
+  campaign payload is byte-identical across ``SweepPool`` worker counts.
 """
 
 from __future__ import annotations
@@ -24,16 +24,17 @@ import pytest
 
 from repro.core import PFMParams, SimConfig, SuperscalarCore, simulate
 from repro.core.stats import SimStats
+from repro.core import watchdog as watchdog_module
 from repro.core.watchdog import RecoveryPolicy, Watchdog, WatchdogParams
-from repro.experiments.chaos import (
-    CHAOS_SMOKE_WINDOW,
+from repro.experiments.faults import (
+    FAULT_SMOKE_WINDOW,
     campaign_recovery,
-    run_chaos,
+    campaign_watchdog,
+    run_faults,
 )
-from repro.experiments.faults import campaign_watchdog
 from repro.experiments.pool import SweepPool
 from repro.faults import BUILTIN_PLANS, check_equivalence, get_plan
-from repro.pfm.reconfig import FabricState
+from repro.pfm.reconfig import RECONFIG_LATENCY_CYCLES, FabricState
 from repro.workloads.astar import build_astar_workload
 
 #: The recovery-matrix window: long enough past the fault trigger
@@ -70,10 +71,6 @@ def baseline() -> SimStats:
 def test_recovery_policy_validation():
     with pytest.raises(ValueError, match="max_reloads"):
         RecoveryPolicy(max_reloads=-1)
-    with pytest.raises(ValueError, match="reload_backoff_factor"):
-        RecoveryPolicy(reload_backoff_factor=0)
-    with pytest.raises(ValueError, match="drain_timeout_cycles"):
-        RecoveryPolicy(drain_timeout_cycles=0)
     with pytest.raises(ValueError, match="squash_timeout_reload_after"):
         RecoveryPolicy(squash_timeout_reload_after=0)
     with pytest.raises(ValueError, match="scheduled_reload_at"):
@@ -126,7 +123,7 @@ def test_reload_walks_the_state_machine(baseline):
     # between the LOADING and ACTIVE edges.
     times = [ts for ts, _, _, _ in rc.transitions]
     assert times == sorted(times)
-    assert times[-1] - times[-2] >= campaign_recovery().reconfig_latency_cycles
+    assert times[-1] - times[-2] >= RECONFIG_LATENCY_CYCLES
 
 
 def test_exhausted_budget_ends_disabled(baseline):
@@ -137,7 +134,7 @@ def test_exhausted_budget_ends_disabled(baseline):
     pfm = PFMParams(
         watchdog=campaign_watchdog(),
         fault_plan=plan,
-        recovery=RecoveryPolicy(max_reloads=1, drain_timeout_cycles=512),
+        recovery=RecoveryPolicy(max_reloads=1),
     )
     core = _run_core(pfm)
     rc = core.fabric.slots[0].reconfig
@@ -269,19 +266,18 @@ def test_load_agent_reset_drops_inflight_returns():
 # ---------------------------------------------------------------------- #
 
 
-def test_breaker_trial_backoff_is_capped():
+def test_breaker_trial_backoff_is_capped(monkeypatch):
     """Repeated trial-window re-trips double the suppression period only
-    up to ``max_override_disable_predictions`` — never beyond."""
-    params = WatchdogParams(
-        min_override_accuracy=0.9,
-        accuracy_window=4,
-        override_disable_predictions=256,
-        max_override_disable_predictions=4096,
+    up to ``MAX_OVERRIDE_DISABLE_PREDICTIONS`` — never beyond."""
+    monkeypatch.setattr(watchdog_module, "ACCURACY_WINDOW", 4)
+    monkeypatch.setattr(watchdog_module, "OVERRIDE_DISABLE_PREDICTIONS", 256)
+    monkeypatch.setattr(
+        watchdog_module, "MAX_OVERRIDE_DISABLE_PREDICTIONS", 4096
     )
-    wd = Watchdog(params)
+    wd = Watchdog(WatchdogParams(min_override_accuracy=0.9))
 
     def trip():
-        for _ in range(params.accuracy_window):
+        for _ in range(4):
             wd.record_override(correct=False)
 
     def drain_suppression():
@@ -297,7 +293,7 @@ def test_breaker_trial_backoff_is_capped():
         assert wd.breaker_trip_pending  # level-triggered flag latched
         wd.breaker_trip_pending = False
     assert periods[0] == 256
-    assert max(periods) == params.max_override_disable_predictions
+    assert max(periods) == 4096
     assert periods == sorted(periods)  # monotone up to the cap
     # Once capped, further re-trips hold the line.
     assert periods[-1] == periods[-2] == 4096
@@ -381,13 +377,15 @@ def test_scheduled_swap_is_architecturally_invisible(baseline):
 
 
 # ---------------------------------------------------------------------- #
-# chaos campaign: determinism across worker counts
+# fault campaign: determinism across worker counts
 # ---------------------------------------------------------------------- #
 
 
-def test_chaos_payload_identical_across_jobs():
-    _, serial = run_chaos(CHAOS_SMOKE_WINDOW, SweepPool(jobs=1))
-    _, parallel = run_chaos(CHAOS_SMOKE_WINDOW, SweepPool(jobs=4))
+def test_recovery_campaign_payload_identical_across_jobs():
+    _, serial = run_faults(FAULT_SMOKE_WINDOW, SweepPool(jobs=1),
+                           workloads=("astar",))
+    _, parallel = run_faults(FAULT_SMOKE_WINDOW, SweepPool(jobs=4),
+                             workloads=("astar",))
     assert json.dumps(serial, sort_keys=True) == json.dumps(
         parallel, sort_keys=True
     )

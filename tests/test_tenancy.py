@@ -28,8 +28,7 @@ import pytest
 from repro.core import PFMParams, SimConfig, SuperscalarCore, simulate
 from repro.core.stats import SimStats
 from repro.core.watchdog import RecoveryPolicy, WatchdogParams
-from repro.experiments.chaos import campaign_recovery
-from repro.experiments.faults import campaign_watchdog
+from repro.experiments.faults import campaign_recovery, campaign_watchdog
 from repro.faults import BUILTIN_PLANS, check_equivalence
 from repro.pfm.queues import QueueFullError, TimedQueue
 from repro.pfm.snoop import RetireSnoopTable, RSTEntry, SnoopKind
@@ -90,37 +89,35 @@ def test_parse_tenant_spec_rejects_garbage():
 
 
 def test_tenant_spec_validation():
-    with pytest.raises(ValueError, match="clk_ratio"):
-        TenantSpec(component="x", clk_ratio=0)
-    with pytest.raises(ValueError, match="width"):
-        TenantSpec(component="x", width=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        TenantSpec(component="")
     with pytest.raises(ValueError, match="priority"):
         TenantSpec(component="x", priority=-1)
-    with pytest.raises(ValueError, match="port option"):
-        TenantSpec(component="x", port="portXYZ")
     with pytest.raises(ValueError, match="rst_capacity"):
         TenantSpec(component="x", rst_capacity=0)
+    with pytest.raises(ValueError, match="fst_capacity"):
+        TenantSpec(component="x", fst_capacity=-1)
 
 
 def test_slot_params_inherits_budgets_never_faults():
     pfm = PFMParams(
-        clk_ratio=2, width=2, delay=1, queue_size=16,
+        clk_ratio=2, width=2, delay=1, queue_size=16, port="LS1",
+        fetch_policy="proceed",
+        component_overrides={"cam_entries": 8},
         watchdog=campaign_watchdog(),
         fault_plan=BUILTIN_PLANS["dead-component"],
         recovery=campaign_recovery(),
+        tenants=INTROSPECT,
     )
-    spec = TenantSpec(component="introspect", queue_size=4)
-    params = slot_params(pfm, spec)
-    # Budgets: explicit spec fields win, None inherits the primary.
-    assert params.queue_size == 4
-    assert (params.clk_ratio, params.width, params.delay) == (2, 2, 1)
-    # Faults, recovery, and watchdog thresholds never propagate: the
-    # co-tenant gets the stock (inert) policies, not the campaign ones.
-    assert params.fault_plan is None
-    assert params.recovery == RecoveryPolicy()
-    assert params.recovery != campaign_recovery()
-    assert params.watchdog == WatchdogParams()
-    assert params.watchdog != campaign_watchdog()
+    # Exactly the primary's C/W/D/Q/P and fetch policy; faults, recovery,
+    # watchdog thresholds, structure overrides and the tenant list never
+    # propagate — the co-tenant gets the stock (inert) policies.
+    assert slot_params(pfm) == PFMParams(
+        clk_ratio=2, width=2, delay=1, queue_size=16, port="LS1",
+        fetch_policy="proceed",
+    )
+    assert slot_params(pfm).recovery == RecoveryPolicy()
+    assert slot_params(pfm).watchdog == WatchdogParams()
 
 
 # ---------------------------------------------------------------------- #
@@ -203,10 +200,9 @@ def test_tenant_rst_capacity_reaches_the_slot():
 # ---------------------------------------------------------------------- #
 
 
-def _sched_slot(priority: int, width: int = 2) -> SimpleNamespace:
+def _sched_slot(priority: int) -> SimpleNamespace:
     return SimpleNamespace(
         priority=priority,
-        timings=SimpleNamespace(width=width),
         sched_debt=0,
         sched_stall_cycles=0,
         sched_preemptions=0,
@@ -214,7 +210,7 @@ def _sched_slot(priority: int, width: int = 2) -> SimpleNamespace:
 
 
 def test_scheduler_single_slot_is_pass_through():
-    scheduler = FabricScheduler()
+    scheduler = FabricScheduler(cap=2)
     slot = _sched_slot(priority=0)
     scheduler.register(slot)
     for t in (0, 7, 7, 7, 7, 7):  # same-cycle floods included
@@ -223,8 +219,8 @@ def test_scheduler_single_slot_is_pass_through():
 
 
 def test_scheduler_weights_background_to_one_grant_per_cycle():
-    scheduler = FabricScheduler()
-    primary, probe = _sched_slot(0, width=2), _sched_slot(2, width=1)
+    scheduler = FabricScheduler(cap=2)
+    primary, probe = _sched_slot(0), _sched_slot(2)
     scheduler.register(primary)
     scheduler.register(probe)
     # Background tenant: one grant per contested cycle, then next cycle.
@@ -238,8 +234,8 @@ def test_scheduler_weights_background_to_one_grant_per_cycle():
 
 
 def test_scheduler_priority_preemption_debits_the_victim():
-    scheduler = FabricScheduler()
-    primary, probe = _sched_slot(0, width=1), _sched_slot(2, width=1)
+    scheduler = FabricScheduler(cap=1)
+    primary, probe = _sched_slot(0), _sched_slot(2)
     scheduler.register(primary)
     scheduler.register(probe)
     assert scheduler.grant_obs(probe, 100) == 100  # fills the cycle (cap 1)
