@@ -16,8 +16,7 @@ import pytest
 
 from conftest import BENCH_WINDOW
 
-from repro.core import PFMParams, SimConfig, SuperscalarCore, simulate
-from repro.frontend.simple import GSharePredictor
+from repro.core import CoreParams, PFMParams, SimConfig, simulate
 from repro.memory.hierarchy import HierarchyParams
 from repro.pfm.components.astar_bp import AstarBranchPredictor
 from repro.pfm.components.prefetchers import (
@@ -37,23 +36,18 @@ def test_ablation_baseline_predictor_strength(benchmark):
         tage = simulate(
             build_astar_workload(), SimConfig(max_instructions=BENCH_WINDOW)
         )
-        core = SuperscalarCore(
-            build_astar_workload(), SimConfig(max_instructions=BENCH_WINDOW)
+        gshare = simulate(
+            build_astar_workload(),
+            SimConfig(
+                max_instructions=BENCH_WINDOW,
+                core=CoreParams(predictor="gshare"),
+            ),
         )
-        core.predictor = _GshareAdapter()
-        gshare = core.run()
         return tage, gshare
 
     tage, gshare = benchmark.pedantic(run_both, rounds=1, iterations=1)
     print(f"\nTAGE-SC-L MPKI {tage.mpki:.1f} vs gshare MPKI {gshare.mpki:.1f}")
     assert tage.mpki < gshare.mpki
-
-
-class _GshareAdapter(GSharePredictor):
-    """GSharePredictor with the on_taken_control hook the core expects."""
-
-    def on_taken_control(self, pc, target):
-        return None
 
 
 def test_ablation_baseline_prefetchers(benchmark):

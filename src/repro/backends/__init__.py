@@ -9,6 +9,9 @@ feed a fused loop that calls the same live resource and memory-hierarchy
 objects in the same order, so its ``arch_digest`` and every exported
 counter are byte-identical to the reference (the safety bar set by the
 paper's hints-only argument, enforced by the differential test harness).
+Both engines take the core predictor's directions from the trace's one
+stored direction column
+(:meth:`~repro.workloads.tracecache.CompiledTrace.directions`).
 
 Selection: ``CoreParams.backend`` is the one selector.  ``"auto"`` (the
 default) picks numpy when it imports, else python; ``"python"`` and

@@ -12,7 +12,10 @@ on every run of the same workload:
 
 This backend hoists all of that into a cached per-trace
 :class:`TraceProfile`: control-flow outcome columns are computed once
-arraywise (mispredicts = ``predicted != taken`` over the whole trace),
+from the trace's stored direction column
+(:meth:`~repro.workloads.tracecache.CompiledTrace.directions`, which the
+python engine reads too) plus one BTB/RAS pass (mispredicts =
+``predicted != taken`` over the whole trace),
 digest prefixes are cached as sha256 midstates per window, registers
 become integer slots, and bulk counters (branches, loads, stores, PRF
 traffic) are numpy reductions over column slices.  What remains — the
@@ -26,8 +29,9 @@ register/memory state is folded with last-writer ``np.unique`` passes.
 
 Eligibility is conservative: a compiled trace must cover the window and
 the run must be hint-free (no PFM fabric — hence no faults/watchdogs —
-no oracle, no telemetry, no instrumented core subclass).  Anything else
-falls back to python (counted in ``SimStats.backend_fallbacks``).
+no oracle, no telemetry, no instrumented core subclass, no predictor
+swapped in after construction).  Anything else falls back to python
+(counted in ``SimStats.backend_fallbacks``).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from repro.core.stages.execute import InFlightStore
 from repro.frontend.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.isa.instructions import OpClass
 from repro.memory.cache import LINE_SHIFT
-from repro.registry.predictors import make_predictor
 from repro.workloads import tracecache
 
 if TYPE_CHECKING:
@@ -78,9 +81,9 @@ _KIND_OF_CODE = tuple(
 class ControlProfile:
     """Per-instruction control-flow outcomes for one (predictor, bp) pair.
 
-    Built by replaying the front-end predictors over the whole trace in
-    program order — the exact call sequence of the python engine, with
-    fresh predictor/BTB/RAS instances — then frozen into flag columns:
+    Built from the trace's direction column plus one pass of fresh
+    BTB/RAS instances over the whole trace in program order — the exact
+    call sequence of the python engine — then frozen into flag columns:
     ``bundle`` (the op breaks the fetch bundle), ``misp`` (the op squash-
     resolves at execute: wrong branch direction or RAS return target),
     ``btb_bubble`` (a taken-control BTB miss costs a fetch bubble).
@@ -91,7 +94,7 @@ class ControlProfile:
         "misp_np", "ras_np", "btbb_np",
     )
 
-    def __init__(self, trace: "CompiledTrace", predictor_name: str,
+    def __init__(self, trace: "CompiledTrace", directions: list[bool],
                  perfect_bp: bool) -> None:
         n = trace.length
         bundle = [False] * n
@@ -99,10 +102,7 @@ class ControlProfile:
         btb_bubble = [False] * n
         ras_misp = [False] * n
 
-        predictor = make_predictor(predictor_name)
-        predict = predictor.predict
-        update = predictor.update
-        on_taken = predictor.on_taken_control
+        predictions = iter(directions)
         btb = BranchTargetBuffer()
         btb_predict = btb.predict
         btb_update = btb.update
@@ -123,7 +123,7 @@ class ControlProfile:
             if code == bc:
                 pc = pcs[i]
                 taken = takens[i]
-                predicted = predict(pc)
+                predicted = next(predictions)
                 if perfect_bp:
                     predicted = bool(taken)
                 bundle[i] = predicted
@@ -133,11 +133,9 @@ class ControlProfile:
                     if btb_predict(pc) != npc:
                         btb_bubble[i] = True
                         btb_update(pc, npc)
-                update(pc, bool(taken))
             elif code == jc:
                 pc = pcs[i]
                 npc = npcs[i]
-                on_taken(pc, npc)
                 bundle[i] = True
                 mn = mnemonics[i]
                 if mn == "jalr":
@@ -232,7 +230,9 @@ class TraceProfile:
         key = (predictor_name, perfect_bp)
         ctrl = self.control.get(key)
         if ctrl is None:
-            ctrl = ControlProfile(self.trace, predictor_name, perfect_bp)
+            ctrl = ControlProfile(
+                self.trace, self.trace.directions(predictor_name), perfect_bp
+            )
             self.control[key] = ctrl
         return ctrl
 
@@ -316,11 +316,12 @@ class NumpyBackend(ExecutionBackend):
         knob, both carried inside ``PFMParams``), no oracle, no
         telemetry; and the core must be the plain engine, not an
         instrumented subclass whose ``_process`` override the fused loop
-        would silently bypass.
+        would silently bypass, still holding the predictor it was built
+        with (the stored direction column is that predictor's).
         """
         if np is None or trace is None:
             return False
-        if type(core) is not SuperscalarCore:
+        if type(core) is not SuperscalarCore or not core.predictor_is_built():
             return False
         config = core.config
         return (

@@ -6,6 +6,15 @@ instruction walks through the four stage objects via
 hooks), the digest observes every retired instruction, and the pruning
 cadence bounds memory.  It accepts every run — cold compiles, functional
 execution, PFM fabric, faults, watchdogs, oracles, telemetry.
+
+A run that replays a compiled trace reads the core predictor's
+directions from the trace's stored column (the same column the numpy
+backend reads) through a :class:`~repro.frontend.predictor.
+ReplayPredictor`, so the predictor itself never runs.  The core's own
+predictor always runs and trains whether or not the Fetch Agent
+overrides it (§2.2), so the column serves PFM, fault, tenant, watchdog,
+oracle, perfect-BP and telemetry runs alike.  Functional execution, and
+a core whose predictor was swapped after construction, run it live.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.backends.base import ExecutionBackend
 from repro.core.archstate import ArchDigest
+from repro.frontend.predictor import ReplayPredictor
 
 if TYPE_CHECKING:
     from repro.core.core import SuperscalarCore
@@ -45,8 +55,16 @@ class PythonBackend(ExecutionBackend):
         # are architecturally indistinguishable (same DynInst stream,
         # same live-memory store timing, same final regs/memory), which
         # the executed-vs-replayed arch_digest tests pin down.
+        replay = None
         if trace is not None:
             source = trace.cursor(workload.memory, workload.initial_regs)
+            if core.predictor_is_built():
+                replay = ReplayPredictor(
+                    trace.directions(core.params.predictor)
+                )
+                core.predictor = replay
+                core.fetch_stage.predictor = replay
+                core.retire_stage.predictor = replay
         else:
             source = workload.executor()
         digest = ArchDigest()
@@ -60,6 +78,11 @@ class PythonBackend(ExecutionBackend):
             if stats.instructions % _PRUNE_INTERVAL == 0:
                 prune()
         core._finalize()
+        if replay is not None and replay.consumed != stats.conditional_branches:
+            raise RuntimeError(
+                f"direction column served {replay.consumed} bits for"
+                f" {stats.conditional_branches} conditional branches"
+            )
         stats.arch_digest = digest.finalize(
             getattr(source, "regs", None), source.memory
         )

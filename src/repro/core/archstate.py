@@ -65,16 +65,20 @@ class ArchDigest:
         """Fold in the final register file and memory image; return hex.
 
         *memory* is a :class:`~repro.workloads.mem.MemoryImage`; only
-        materialized (written) words participate, in address order.
+        materialized (written) words participate, in address order.  Each
+        part is hashed in one joined update; the byte stream is the same
+        as one update per line.
         ``regs=None`` means the executor exposes no register file (trace
         replay): the stream and memory still pin architectural identity.
         """
         self._flush()
         h = self._hash
         h.update(b"=regs=\n")
-        for name in sorted(regs or ()):
-            h.update(f"{name}={regs[name]!r}\n".encode())
+        h.update("".join(
+            f"{name}={regs[name]!r}\n" for name in sorted(regs or ())
+        ).encode())
         h.update(b"=mem=\n")
-        for addr, value in memory.iter_words():
-            h.update(f"{addr}={value!r}\n".encode())
+        h.update("".join(
+            f"{addr}={value!r}\n" for addr, value in memory.iter_words()
+        ).encode())
         return h.hexdigest()

@@ -69,6 +69,7 @@ class SuperscalarCore:
         self.hierarchy = ctx.hierarchy
         self.lanes = ctx.lanes
         self.predictor = predictor
+        self._built_predictor = predictor
         self.btb = self.fetch_stage.btb
         self.ras = self.fetch_stage.ras
 
@@ -133,6 +134,18 @@ class SuperscalarCore:
             backend = PythonBackend()
         stats.backend = "python"
         return backend.run(self, trace, limit)
+
+    def predictor_is_built(self) -> bool:
+        """True while the core and both stages that call the direction
+        predictor still hold the one built from ``CoreParams.predictor``.
+        Only then may a run serve the trace's stored direction column; a
+        predictor swapped in after construction runs live."""
+        built = self._built_predictor
+        return (
+            self.predictor is built
+            and self.fetch_stage.predictor is built
+            and self.retire_stage.predictor is built
+        )
 
     def _prune(self) -> None:
         ctx = self.ctx

@@ -132,7 +132,8 @@ def _cache_main(argv: list[str]) -> int:
     parser.add_argument(
         "action", nargs="?", default="list", choices=("list", "clear", "gc"),
         help="list (default): report per-section sizes; clear: delete"
-             " compiled traces (the result store with --store); gc: evict"
+             " compiled traces and their direction columns (the result"
+             " store with --store); gc: evict"
              " least-recently-written cache files until the total fits"
              " --max-bytes",
     )
@@ -189,8 +190,9 @@ def _cache_main(argv: list[str]) -> int:
                   f" recipe(s) and {temps} temp file(s), freed"
                   f" {_fmt_bytes(freed)} from {store.directory}")
             return 0
-        removed, freed = tracecache.clear_traces(base)
-        print(f"removed {removed} compiled trace(s), freed {_fmt_bytes(freed)}"
+        removed, columns, freed = tracecache.clear_traces(base)
+        print(f"removed {removed} compiled trace(s) and {columns} direction"
+              f" column(s), freed {_fmt_bytes(freed)}"
               f" from {tracecache.trace_dir(base)}")
         return 0
 
@@ -210,6 +212,19 @@ def _cache_main(argv: list[str]) -> int:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be recompiled on next use)")
     print(f"  total: {len(entries)} file(s), {_fmt_bytes(total)}")
+    columns = tracecache.column_files(base)
+    size = 0
+    print("direction columns:")
+    for entry in columns:
+        size += entry["size_bytes"]
+        if entry["valid"]:
+            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
+                  f"  ({entry['predictor']}, {entry['branches']} branches)")
+        else:
+            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
+                  f"  (unreadable — will be rebuilt on next use)")
+    print(f"  total: {len(columns)} file(s), {_fmt_bytes(size)}")
+    total += size
     files, size = _dir_size(base / "checkpoints")
     grand_total = total + size
     print(f"checkpoints: {files} file(s), {_fmt_bytes(size)}")

@@ -52,3 +52,31 @@ class PerfectPredictor(BranchPredictor):
 
     def update(self, pc: int, taken: bool) -> None:
         return None
+
+
+class ReplayPredictor(BranchPredictor):
+    """Serves a stored direction column instead of running a predictor.
+
+    ``predict`` returns the column's next bit; ``update`` and
+    ``on_taken_control`` do nothing, because the column already holds
+    the trained predictor's output (see
+    :meth:`repro.workloads.tracecache.CompiledTrace.directions`).
+    ``consumed`` counts the bits served.
+    """
+
+    __slots__ = ("_bits", "consumed")
+
+    def __init__(self, bits: list[bool]) -> None:
+        self._bits = bits
+        self.consumed = 0
+
+    def predict(self, pc: int) -> bool:
+        i = self.consumed
+        self.consumed = i + 1
+        return self._bits[i]
+
+    def update(self, pc: int, taken: bool) -> None:
+        return None
+
+    def on_taken_control(self, pc: int, target: int) -> None:
+        return None

@@ -1,8 +1,9 @@
 """LRU-by-mtime eviction across the on-disk cache sections.
 
 ``.repro-cache/`` accumulates three kinds of content-addressed files —
-compiled traces, result-store entries and recipe-index entries — and at
-fleet scale the store grows without bound.  Each section also counts the
+compiled traces (with their direction columns), result-store entries
+and recipe-index entries — and at fleet scale the store grows without
+bound.  Each section also counts the
 ``*.tmp`` files a writer killed between its temp write and the rename
 leaves behind.  ``cache gc --max-bytes SIZE`` walks every section, sorts
 by mtime (every cache read touches its file via :func:`os.utime`-free
@@ -22,7 +23,7 @@ from pathlib import Path
 #: evictable sections, each with its orphaned temp files.  Failed-points
 #: logs are deliberately absent.
 SECTIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("traces", ("traces/*.trace.pkl", "traces/*.tmp")),
+    ("traces", ("traces/*.trace.pkl", "traces/*.pred", "traces/*.tmp")),
     ("store", ("store/??/*.json", "store/??/*.tmp")),
     ("recipes", ("store/recipes/??/*.json", "store/recipes/??/*.tmp")),
 )

@@ -31,6 +31,20 @@ are memoized in-process so every SweepPool worker compiles each workload
 at most once.  Each file carries a sha256 of its payload, and the payload
 decodes as plain containers only; corrupt, tampered, stale, or
 version-skewed files are recompiled, never trusted.
+
+Beside each trace lies a *direction column* per core predictor
+(``<name>--<key>.<predictor>.pred``): the predictor's raw ``predict()``
+bit for every conditional branch, in program order.  The core's
+predictor always runs and always trains, whether or not the Fetch Agent
+overrides it (§2.2), so on a correct-path trace those bits depend on the
+trace alone.  :meth:`CompiledTrace.directions` builds the column on
+first use by replaying the engine's exact call sequence on a fresh
+predictor, and both engines read it instead of re-running the predictor.
+A column file carries the sha256 of its body and is keyed on the trace
+key and length, the predictor name and the package's
+:func:`~repro.store.resultstore.source_fingerprint`, so an edit to
+predictor code never serves stale bits; any file that fails a check is
+rejected with a named reason (:class:`ColumnRejected`) and rebuilt.
 """
 
 from __future__ import annotations
@@ -75,6 +89,9 @@ TRACE_MAX = 2_000_000
 #: File format version; bump on any layout change to shed stale files.
 TRACE_VERSION = 2
 
+#: Direction-column file format version.
+COLUMN_VERSION = 1
+
 #: Content-key schema version.  Separate from :data:`TRACE_VERSION`:
 #: trace keys feed every result-store key, so a file-format change must
 #: not re-address stored results.
@@ -82,6 +99,8 @@ KEY_VERSION = 1
 
 _OPCLASSES: tuple[OpClass, ...] = tuple(OpClass)
 _OPCODE_OF: dict[OpClass, int] = {op: i for i, op in enumerate(_OPCLASSES)}
+_BRANCH_CODE = _OPCODE_OF[OpClass.BRANCH]
+_JUMP_CODE = _OPCODE_OF[OpClass.JUMP]
 
 #: In-process memoization: content key -> compiled trace.  Shared by all
 #: simulate() calls in this process (SweepPool points, baseline cache
@@ -103,6 +122,9 @@ STATS = {
     "disk_hits": 0,
     "replays": 0,
     "recoveries": 0,
+    "column_builds": 0,
+    "column_disk_hits": 0,
+    "column_recoveries": 0,
 }
 
 
@@ -219,7 +241,7 @@ class CompiledTrace:
         "srcs_idx", "comment_idx", "mem_addrs", "store_values",
         "dst_values", "taken",
         "mnemonics", "registers", "src_tuples", "comments",
-        "_cols", "_nd", "_profile",
+        "_cols", "_nd", "_profile", "_directions",
     )
 
     def __init__(self, name: str, key: str) -> None:
@@ -246,6 +268,8 @@ class CompiledTrace:
         self._nd: dict[str, Any] | None = None
         #: The numpy backend's replay profile of this trace, built lazily.
         self._profile: Any = None
+        #: Predictor name -> direction column (see :meth:`directions`).
+        self._directions: dict[str, list[bool]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -402,6 +426,26 @@ class CompiledTrace:
         }
         return self._nd
 
+    def branch_count(self) -> int:
+        """Conditional branches in the whole trace."""
+        return self.op_codes.count(_BRANCH_CODE)
+
+    def directions(self, predictor: str) -> list[bool]:
+        """The *predictor*'s raw ``predict()`` bit for every conditional
+        branch of the whole trace, in program order.
+
+        Read from the column file beside the trace when it passes every
+        check, else built (one predictor pass over the trace) and
+        published.  Built lazily, never by :meth:`compile`: a run that
+        never asks for a column pays nothing for it.
+        """
+        bits = self._directions.get(predictor)
+        if bits is None:
+            bits = self._directions[predictor] = _direction_column(
+                self, predictor
+            )
+        return bits
+
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
@@ -501,6 +545,127 @@ class TraceCursor:
             yield dyn
         if n == trace.length and trace.halted:
             self.halted = True
+
+
+# --------------------------------------------------------------------- #
+# direction columns
+# --------------------------------------------------------------------- #
+
+
+class ColumnRejected(ValueError):
+    """A direction-column file that must not be used.
+
+    ``reason`` names the failed check: ``checksum`` (torn, truncated or
+    flipped bytes), ``header`` (undecodable or another format version),
+    ``stale`` (another trace key, trace length, predictor or source
+    fingerprint), ``count`` (not one bit per conditional branch) or
+    ``bits`` (a byte other than 0 or 1).
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"direction column rejected: {reason}")
+        self.reason = reason
+
+
+def build_directions(trace: CompiledTrace, predictor: str) -> list[bool]:
+    """Run a fresh *predictor* over *trace* with the engine's exact call
+    sequence: ``on_taken_control`` on each jump, ``predict`` then
+    ``update`` on each conditional branch."""
+    from repro.registry.predictors import make_predictor
+
+    live = make_predictor(predictor)
+    predict = live.predict
+    update = live.update
+    on_taken = live.on_taken_control
+    bits: list[bool] = []
+    append = bits.append
+    branch = _BRANCH_CODE
+    jump = _JUMP_CODE
+    for code, pc, npc, taken in zip(
+        trace.op_codes, trace.pcs, trace.next_pcs, trace.taken
+    ):
+        if code == branch:
+            append(bool(predict(pc)))
+            update(pc, bool(taken))
+        elif code == jump:
+            on_taken(pc, npc)
+    return bits
+
+
+def column_header(trace: CompiledTrace, predictor: str) -> dict:
+    """Everything a stored column must agree with to be used."""
+    from repro.store.resultstore import source_fingerprint
+
+    return {
+        "version": COLUMN_VERSION,
+        "key": trace.key,
+        "length": trace.length,
+        "predictor": predictor,
+        "fingerprint": source_fingerprint(),
+    }
+
+
+def encode_column(header: dict, bits: list[bool]) -> bytes:
+    """File bytes: sha256 of the body, then the body (the JSON header, a
+    newline, and one 0/1 byte per branch)."""
+    body = json.dumps(header, sort_keys=True).encode() + b"\n" + bytes(bits)
+    return hashlib.sha256(body).digest() + body
+
+
+def _column_body(raw: bytes) -> tuple[Any, bytes]:
+    """(decoded header, bit bytes) of a checksum-valid column file."""
+    digest, body = raw[:32], raw[32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise ColumnRejected("checksum")
+    head, newline, bits = body.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        raise ColumnRejected("header") from None
+    if not newline or not isinstance(header, dict):
+        raise ColumnRejected("header")
+    return header, bits
+
+
+def decode_column(raw: bytes, header: dict, branches: int) -> list[bool]:
+    """The bits of a column file, checked against the *header* it must
+    carry and the trace's *branches* count; raises
+    :class:`ColumnRejected` on any defect."""
+    stored, bits = _column_body(raw)
+    if stored.get("version") != header["version"]:
+        raise ColumnRejected("header")
+    if stored != header:
+        raise ColumnRejected("stale")
+    if len(bits) != branches:
+        raise ColumnRejected("count")
+    if bits.translate(None, b"\x00\x01"):
+        raise ColumnRejected("bits")
+    return [bit == 1 for bit in bits]
+
+
+def _column_path(name: str, key: str, predictor: str) -> Path:
+    return trace_dir() / f"{name}--{key}.{predictor}.pred"
+
+
+def _direction_column(trace: CompiledTrace, predictor: str) -> list[bool]:
+    """Load the trace's stored column, or build and publish it."""
+    path = _column_path(trace.name, trace.key, predictor)
+    header = column_header(trace, predictor)
+    try:
+        bits = decode_column(path.read_bytes(), header, trace.branch_count())
+    except OSError:
+        pass
+    except ColumnRejected:
+        STATS["column_recoveries"] += 1
+    else:
+        STATS["column_disk_hits"] += 1
+        return bits
+    bits = build_directions(trace, predictor)
+    STATS["column_builds"] += 1
+    from repro.store.resultstore import ResultStore
+
+    ResultStore._write_raw(path, encode_column(header, bits))
+    return bits
 
 
 # --------------------------------------------------------------------- #
@@ -678,20 +843,52 @@ def trace_files(base: str | os.PathLike | None = None) -> list[dict]:
     return entries
 
 
-def clear_traces(base: str | os.PathLike | None = None) -> tuple[int, int]:
-    """Delete every on-disk trace; return (files removed, bytes freed)."""
-    removed = 0
+def column_files(base: str | os.PathLike | None = None) -> list[dict]:
+    """Metadata of every on-disk direction column, sorted by filename.
+
+    Each entry: path, size_bytes, valid (the checksum and header
+    decode), and when valid the predictor and the bit count.  Staleness
+    needs the trace and the current sources, so it is checked only when
+    a run reads the column.
+    """
+    directory = trace_dir(base)
+    entries: list[dict] = []
+    if not directory.is_dir():
+        return entries
+    for path in sorted(directory.glob("*.pred")):
+        info: dict[str, Any] = {
+            "path": path,
+            "size_bytes": path.stat().st_size,
+            "valid": False,
+        }
+        try:
+            header, bits = _column_body(path.read_bytes())
+            info.update(
+                valid=True, predictor=header["predictor"], branches=len(bits)
+            )
+        except (ColumnRejected, KeyError):
+            pass
+        entries.append(info)
+    return entries
+
+
+def clear_traces(
+    base: str | os.PathLike | None = None,
+) -> tuple[int, int, int]:
+    """Delete every on-disk trace and direction column; return (traces
+    and temp files removed, columns removed, bytes freed)."""
+    counts = {"*.trace.pkl": 0, "*.tmp": 0, "*.pred": 0}
     freed = 0
     directory = trace_dir(base)
     if not directory.is_dir():
-        return removed, freed
-    for pattern in ("*.trace.pkl", "*.tmp"):
+        return 0, 0, freed
+    for pattern in counts:
         for path in directory.glob(pattern):
             try:
                 size = path.stat().st_size
                 path.unlink()
             except OSError:
                 continue
-            removed += 1
+            counts[pattern] += 1
             freed += size
-    return removed, freed
+    return counts["*.trace.pkl"] + counts["*.tmp"], counts["*.pred"], freed
