@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.backends import have_numpy
 from repro.core import CoreParams, PFMParams, SimConfig, SuperscalarCore, simulate
+from repro.core.stages.fetch import FetchStage
 from repro.experiments import pool
 from repro.experiments.pool import SweepPoint, run_point, stats_to_dict
 from repro.experiments.runner import parse_config_label
@@ -161,6 +162,26 @@ def test_warm_replay_never_calls_the_predictor(monkeypatch):
     assert plain.conditional_branches > 0
     assert calls == Counter()
     assert tracecache.STATS["column_disk_hits"] == 1
+
+
+def test_a_run_checks_it_consumed_one_bit_per_branch(monkeypatch):
+    """A run whose stages draw a bit the branches did not account for
+    fails loudly instead of reporting shifted predictions."""
+    simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
+    original = FetchStage.predict_branch
+    extra = []
+
+    def predict_branch(self, dyn, *args):
+        if not extra:
+            extra.append(self.predictor.predict(dyn.pc))
+        return original(self, dyn, *args)
+
+    monkeypatch.setattr(FetchStage, "predict_branch", predict_branch)
+    with pytest.raises(RuntimeError, match="direction column served"):
+        simulate(build_workload("astar"), SimConfig(
+            max_instructions=SMALL_WINDOW // 2,
+            pfm=parse_config_label(PFM_CONFIG),
+        ))
 
 
 class _CountingGshare(GSharePredictor):
