@@ -64,8 +64,6 @@ class ReplayPredictor(BranchPredictor):
     ``consumed`` counts the bits served.
     """
 
-    __slots__ = ("_bits", "consumed")
-
     def __init__(self, bits: list[bool]) -> None:
         self._bits = bits
         self.consumed = 0
