@@ -13,8 +13,11 @@ backend reads) through a :class:`~repro.frontend.predictor.
 ReplayPredictor`, so the predictor itself never runs.  The core's own
 predictor always runs and trains whether or not the Fetch Agent
 overrides it (§2.2), so the column serves PFM, fault, tenant, watchdog,
-oracle, perfect-BP and telemetry runs alike.  Functional execution, and
-a core whose predictor was swapped after construction, run it live.
+oracle, perfect-BP and telemetry runs alike.  A run reads (and, on a
+cold trace, builds) the column over its own window only.  Functional
+execution, a core whose predictor was swapped after construction, and a
+predictor defined outside the package (whose edits the column's source
+fingerprint cannot see) run it live.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import TYPE_CHECKING
 from repro.backends.base import ExecutionBackend
 from repro.core.archstate import ArchDigest
 from repro.frontend.predictor import ReplayPredictor
+from repro.workloads import tracecache
 
 if TYPE_CHECKING:
     from repro.core.core import SuperscalarCore
@@ -58,10 +62,11 @@ class PythonBackend(ExecutionBackend):
         replay = None
         if trace is not None:
             source = trace.cursor(workload.memory, workload.initial_regs)
-            if core.predictor_is_built():
-                replay = ReplayPredictor(
-                    trace.directions(core.params.predictor)
-                )
+            predictor = core.params.predictor
+            if core.predictor_is_built() and tracecache.stores_directions(
+                predictor
+            ):
+                replay = ReplayPredictor(trace.directions(predictor, limit))
                 core.predictor = replay
                 core.fetch_stage.predictor = replay
                 core.retire_stage.predictor = replay

@@ -219,7 +219,8 @@ def _cache_main(argv: list[str]) -> int:
         size += entry["size_bytes"]
         if entry["valid"]:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
-                  f"  ({entry['predictor']}, {entry['branches']} branches)")
+                  f"  ({entry['predictor']}, {entry['length']} insts,"
+                  f" {entry['branches']} branches)")
         else:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be rebuilt on next use)")

@@ -39,12 +39,15 @@ predictor always runs and always trains, whether or not the Fetch Agent
 overrides it (§2.2), so on a correct-path trace those bits depend on the
 trace alone.  :meth:`CompiledTrace.directions` builds the column on
 first use by replaying the engine's exact call sequence on a fresh
-predictor, and both engines read it instead of re-running the predictor.
-A column file carries the sha256 of its body and is keyed on the trace
-key and length, the predictor name and the package's
+predictor, over the asking run's window only (the bits are
+prefix-stable; a longer window rebuilds the file), and both engines
+read it instead of re-running the predictor.  A column file uses the
+trace file's framing (sha256, then a plain-container pickle) and is
+keyed on the trace key, the predictor name and the package's
 :func:`~repro.store.resultstore.source_fingerprint`, so an edit to
-predictor code never serves stale bits; any file that fails a check is
-rejected with a named reason (:class:`ColumnRejected`) and rebuilt.
+predictor code never serves stale bits; predictors defined outside the
+package are never stored.  Any file that fails a check is rejected with
+a named reason (:class:`ColumnRejected`) and rebuilt.
 """
 
 from __future__ import annotations
@@ -268,8 +271,9 @@ class CompiledTrace:
         self._nd: dict[str, Any] | None = None
         #: The numpy backend's replay profile of this trace, built lazily.
         self._profile: Any = None
-        #: Predictor name -> direction column (see :meth:`directions`).
-        self._directions: dict[str, list[bool]] = {}
+        #: Predictor name -> (instructions covered, direction column);
+        #: see :meth:`directions`.
+        self._directions: dict[str, tuple[int, list[bool]]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -426,24 +430,30 @@ class CompiledTrace:
         }
         return self._nd
 
-    def branch_count(self) -> int:
-        """Conditional branches in the whole trace."""
-        return self.op_codes.count(_BRANCH_CODE)
+    def branch_count(self, length: int | None = None) -> int:
+        """Conditional branches among the first *length* instructions
+        (default: the whole trace)."""
+        codes = self.op_codes if length is None else self.op_codes[:length]
+        return codes.count(_BRANCH_CODE)
 
-    def directions(self, predictor: str) -> list[bool]:
+    def directions(self, predictor: str, length: int | None = None) -> list[bool]:
         """The *predictor*'s raw ``predict()`` bit for every conditional
-        branch of the whole trace, in program order.
+        branch of the first *length* instructions (default: the whole
+        trace), in program order; may cover more instructions than asked.
 
         Read from the column file beside the trace when it passes every
-        check, else built (one predictor pass over the trace) and
-        published.  Built lazily, never by :meth:`compile`: a run that
-        never asks for a column pays nothing for it.
+        check and covers *length*, else built (one predictor pass over
+        those instructions) and published.  The bits are prefix-stable,
+        so a run builds only its own window and a longer run rebuilds the
+        file over its longer window.  Built lazily, never by
+        :meth:`compile`: a run that never asks for a column pays nothing
+        for it.
         """
-        bits = self._directions.get(predictor)
-        if bits is None:
-            bits = self._directions[predictor] = _direction_column(
-                self, predictor
-            )
+        need = self.length if length is None else min(length, self.length)
+        covered, bits = self._directions.get(predictor, (0, None))
+        if bits is None or covered < need:
+            covered, bits = _direction_column(self, predictor, need)
+            self._directions[predictor] = (covered, bits)
         return bits
 
     # ------------------------------------------------------------------ #
@@ -557,9 +567,9 @@ class ColumnRejected(ValueError):
 
     ``reason`` names the failed check: ``checksum`` (torn, truncated or
     flipped bytes), ``header`` (undecodable or another format version),
-    ``stale`` (another trace key, trace length, predictor or source
-    fingerprint), ``count`` (not one bit per conditional branch) or
-    ``bits`` (a byte other than 0 or 1).
+    ``stale`` (another trace key, predictor or source fingerprint),
+    ``count`` (not one bit per conditional branch of the instructions it
+    covers) or ``bits`` (a byte other than 0 or 1).
     """
 
     def __init__(self, reason: str) -> None:
@@ -567,10 +577,29 @@ class ColumnRejected(ValueError):
         self.reason = reason
 
 
-def build_directions(trace: CompiledTrace, predictor: str) -> list[bool]:
-    """Run a fresh *predictor* over *trace* with the engine's exact call
-    sequence: ``on_taken_control`` on each jump, ``predict`` then
-    ``update`` on each conditional branch."""
+def stores_directions(predictor: str) -> bool:
+    """True when *predictor* is defined inside the ``repro`` package.
+
+    Only such a predictor may be served from a stored column: the
+    column's source fingerprint covers the package alone, so a stored
+    column of a predictor defined elsewhere could outlive an edit to it.
+    """
+    from repro.registry.predictors import PREDICTORS
+
+    try:
+        factory = PREDICTORS.get(predictor)
+    except ValueError:
+        return False
+    return getattr(factory, "__module__", "").startswith("repro.")
+
+
+def build_directions(
+    trace: CompiledTrace, predictor: str, length: int
+) -> list[bool]:
+    """Run a fresh *predictor* over the first *length* instructions of
+    *trace* with the engine's exact call sequence: ``on_taken_control``
+    on each jump, ``predict`` then ``update`` on each conditional
+    branch."""
     from repro.registry.predictors import make_predictor
 
     live = make_predictor(predictor)
@@ -582,7 +611,7 @@ def build_directions(trace: CompiledTrace, predictor: str) -> list[bool]:
     branch = _BRANCH_CODE
     jump = _JUMP_CODE
     for code, pc, npc, taken in zip(
-        trace.op_codes, trace.pcs, trace.next_pcs, trace.taken
+        trace.op_codes[:length], trace.pcs, trace.next_pcs, trace.taken
     ):
         if code == branch:
             append(bool(predict(pc)))
@@ -593,79 +622,90 @@ def build_directions(trace: CompiledTrace, predictor: str) -> list[bool]:
 
 
 def column_header(trace: CompiledTrace, predictor: str) -> dict:
-    """Everything a stored column must agree with to be used."""
+    """Everything a stored column must agree with to be used, besides
+    the number of instructions it covers."""
     from repro.store.resultstore import source_fingerprint
 
     return {
         "version": COLUMN_VERSION,
         "key": trace.key,
-        "length": trace.length,
         "predictor": predictor,
         "fingerprint": source_fingerprint(),
     }
 
 
-def encode_column(header: dict, bits: list[bool]) -> bytes:
-    """File bytes: sha256 of the body, then the body (the JSON header, a
-    newline, and one 0/1 byte per branch)."""
-    body = json.dumps(header, sort_keys=True).encode() + b"\n" + bytes(bits)
-    return hashlib.sha256(body).digest() + body
-
-
-def _column_body(raw: bytes) -> tuple[Any, bytes]:
-    """(decoded header, bit bytes) of a checksum-valid column file."""
-    digest, body = raw[:32], raw[32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise ColumnRejected("checksum")
-    head, newline, bits = body.partition(b"\n")
+def decode_column(
+    raw: bytes, header: dict, trace: CompiledTrace
+) -> tuple[int, list[bool]]:
+    """(instructions covered, bits) of a column file, checked against
+    the *header* it must carry and the branches of *trace*; raises
+    :class:`ColumnRejected` on any defect.  A column built over a
+    longer trace of the same key is cut to *trace*."""
     try:
-        header = json.loads(head)
-    except ValueError:
+        payload = _loads(raw)
+    except _ChecksumMismatch:
+        raise ColumnRejected("checksum") from None
+    except Exception:
         raise ColumnRejected("header") from None
-    if not newline or not isinstance(header, dict):
-        raise ColumnRejected("header")
-    return header, bits
-
-
-def decode_column(raw: bytes, header: dict, branches: int) -> list[bool]:
-    """The bits of a column file, checked against the *header* it must
-    carry and the trace's *branches* count; raises
-    :class:`ColumnRejected` on any defect."""
-    stored, bits = _column_body(raw)
-    if stored.get("version") != header["version"]:
+    try:
+        stored = dict(payload["header"])
+        length = stored.pop("length")
+        bits = payload["bits"]
+    except (TypeError, KeyError, ValueError):
+        raise ColumnRejected("header") from None
+    if (
+        stored.get("version") != header["version"]
+        or not isinstance(bits, bytes)
+        or type(length) is not int
+        or length < 0
+    ):
         raise ColumnRejected("header")
     if stored != header:
         raise ColumnRejected("stale")
-    if len(bits) != branches:
+    covered = min(length, trace.length)
+    branches = trace.branch_count(covered)
+    if len(bits) != branches and not (
+        length > trace.length and len(bits) > branches
+    ):
         raise ColumnRejected("count")
+    bits = bits[:branches]
     if bits.translate(None, b"\x00\x01"):
         raise ColumnRejected("bits")
-    return [bit == 1 for bit in bits]
+    return covered, [bit == 1 for bit in bits]
 
 
 def _column_path(name: str, key: str, predictor: str) -> Path:
     return trace_dir() / f"{name}--{key}.{predictor}.pred"
 
 
-def _direction_column(trace: CompiledTrace, predictor: str) -> list[bool]:
-    """Load the trace's stored column, or build and publish it."""
+def _direction_column(
+    trace: CompiledTrace, predictor: str, length: int
+) -> tuple[int, list[bool]]:
+    """(instructions covered, bits) of the trace's stored column when it
+    covers *length*, else of a column built over *length* and published.
+    A predictor defined outside the package is built, never stored."""
+    if not stores_directions(predictor):
+        return length, build_directions(trace, predictor, length)
     path = _column_path(trace.name, trace.key, predictor)
     header = column_header(trace, predictor)
     try:
-        bits = decode_column(path.read_bytes(), header, trace.branch_count())
+        covered, bits = decode_column(path.read_bytes(), header, trace)
     except OSError:
         pass
     except ColumnRejected:
         STATS["column_recoveries"] += 1
     else:
-        STATS["column_disk_hits"] += 1
-        return bits
-    bits = build_directions(trace, predictor)
+        if covered >= length:
+            STATS["column_disk_hits"] += 1
+            return covered, bits
+    bits = build_directions(trace, predictor, length)
     STATS["column_builds"] += 1
     from repro.store.resultstore import ResultStore
 
-    ResultStore._write_raw(path, encode_column(header, bits))
-    return bits
+    ResultStore._write_raw(path, _dumps(
+        {"header": {**header, "length": length}, "bits": bytes(bits)}
+    ))
+    return length, bits
 
 
 # --------------------------------------------------------------------- #
@@ -705,12 +745,16 @@ def _dumps(payload: dict) -> bytes:
     return hashlib.sha256(body).digest() + body
 
 
+class _ChecksumMismatch(ValueError):
+    """File bytes that do not match their sha256."""
+
+
 def _loads(raw: bytes) -> dict:
     """Inverse of :func:`_dumps`; raises on a checksum mismatch or on a
     payload that names any class or function."""
     digest, body = raw[:32], raw[32:]
     if hashlib.sha256(body).digest() != digest:
-        raise ValueError("trace checksum mismatch")
+        raise _ChecksumMismatch("checksum mismatch")
     return _PlainUnpickler(io.BytesIO(body)).load()
 
 
@@ -847,9 +891,9 @@ def column_files(base: str | os.PathLike | None = None) -> list[dict]:
     """Metadata of every on-disk direction column, sorted by filename.
 
     Each entry: path, size_bytes, valid (the checksum and header
-    decode), and when valid the predictor and the bit count.  Staleness
-    needs the trace and the current sources, so it is checked only when
-    a run reads the column.
+    decode), and when valid the predictor, the instructions covered and
+    the bit count.  Staleness needs the trace and the current sources,
+    so it is checked only when a run reads the column.
     """
     directory = trace_dir(base)
     entries: list[dict] = []
@@ -862,11 +906,14 @@ def column_files(base: str | os.PathLike | None = None) -> list[dict]:
             "valid": False,
         }
         try:
-            header, bits = _column_body(path.read_bytes())
+            payload = _loads(path.read_bytes())
             info.update(
-                valid=True, predictor=header["predictor"], branches=len(bits)
+                predictor=payload["header"]["predictor"],
+                length=payload["header"]["length"],
+                branches=len(payload["bits"]),
+                valid=True,
             )
-        except (ColumnRejected, KeyError):
+        except Exception:
             pass
         entries.append(info)
     return entries

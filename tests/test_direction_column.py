@@ -12,7 +12,9 @@ that makes:
 * a warm replay never calls the predictor, and a predictor swapped in
   after construction always runs live;
 * a damaged column is rejected with a named reason and rebuilt, never
-  used and never a crash.
+  used and never a crash;
+* a run builds the column over its own window only, and a predictor
+  defined outside the package is never stored.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from repro.experiments.runner import parse_config_label
 from repro.frontend.simple import GSharePredictor
 from repro.frontend.tagescl import TageSCL
 from repro.registry import build_workload
+from repro.registry.predictors import PREDICTORS
 from repro.slipstream import make_astar_slipstream
 from repro.telemetry import TelemetryParams
 from repro.workloads import tracecache
@@ -249,19 +253,23 @@ def _signed(body: bytes) -> bytes:
     return hashlib.sha256(body).digest() + body
 
 
+def _payload(raw: bytes) -> dict:
+    return pickle.loads(raw[32:])
+
+
 def _resigned(raw: bytes, *, header=None, bits=None) -> bytes:
-    """A checksum-valid file with the header or bits replaced."""
-    head, _, stored_bits = raw[32:].partition(b"\n")
+    """A checksum-valid file with the stored header or bits replaced."""
+    payload = _payload(raw)
     if header is not None:
-        head = header if isinstance(header, bytes) else json.dumps(
-            header, sort_keys=True
-        ).encode()
-    return _signed(head + b"\n" + (stored_bits if bits is None else bits))
+        payload["header"] = header
+    if bits is not None:
+        payload["bits"] = bits
+    return _signed(pickle.dumps(payload, protocol=4))
 
 
-def _mutations(raw: bytes, header: dict):
+def _mutations(raw: bytes):
     """Strategy of (file bytes, expected rejection reason or None)."""
-    head, _, bits = raw[32:].partition(b"\n")
+    header, bits = _payload(raw)["header"], _payload(raw)["bits"]
     raw_writes = st.tuples(
         st.lists(
             st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
@@ -269,7 +277,7 @@ def _mutations(raw: bytes, header: dict):
         ),
         st.none() | st.integers(0, len(raw) - 1),
     ).map(lambda wc: _written(raw, *wc))
-    stale = st.sampled_from(["key", "length", "predictor", "fingerprint"]).map(
+    stale = st.sampled_from(["key", "predictor", "fingerprint"]).map(
         lambda field: (_resigned(raw, header={
             **header, field: _other(header[field]),
         }), "stale")
@@ -278,9 +286,15 @@ def _mutations(raw: bytes, header: dict):
         (_resigned(raw, header={**header, "version": header["version"] + 1}),
          "header")
     )
-    garbage = st.binary(max_size=16).filter(
-        lambda b: b"\n" not in b and not _is_json_dict(b)
-    ).map(lambda b: (_resigned(raw, header=b), "header"))
+    garbage = st.binary(max_size=16).map(lambda b: (_signed(b), "header"))
+    malformed = st.sampled_from([
+        {"header": header},
+        {"bits": bits},
+        {"header": header, "bits": list(bits)},
+        {"header": {**header, "length": -1}, "bits": bits},
+        {"header": {**header, "length": "1500"}, "bits": bits},
+        [header, bits],
+    ]).map(lambda p: (_signed(pickle.dumps(p, protocol=4)), "header"))
     count = st.integers(-len(bits), 8).filter(lambda d: d != 0).map(
         lambda d: (_resigned(raw, bits=bits[:d] if d < 0 else bits + b"\x01" * d),
                    "count")
@@ -288,7 +302,9 @@ def _mutations(raw: bytes, header: dict):
     not_a_bit = st.tuples(
         st.integers(0, len(bits) - 1), st.integers(2, 255)
     ).map(lambda pv: (_resigned(raw, bits=_put(bits, *pv)), "bits"))
-    return st.one_of(raw_writes, stale, version, garbage, count, not_a_bit)
+    return st.one_of(
+        raw_writes, stale, version, garbage, malformed, count, not_a_bit
+    )
 
 
 def _written(raw: bytes, writes, cut) -> tuple[bytes, str | None]:
@@ -311,32 +327,27 @@ def _other(value):
     return value + "x"
 
 
-def _is_json_dict(data: bytes) -> bool:
-    try:
-        return isinstance(json.loads(data), dict)
-    except ValueError:
-        return False
-
-
 def test_mutated_column_file_is_rejected_and_rebuilt():
     """Truncation, bit flips, a wrong bit count, bytes other than 0/1, a
-    stale fingerprint (or key, length, predictor) and an unreadable
-    header are each rejected with their named reason; the run rebuilds
-    the exact column and heals the file."""
+    stale fingerprint (or key, predictor) and an unreadable header are
+    each rejected with their named reason; the run rebuilds the exact
+    column and heals the file."""
     trace, path, raw, bits = _column_fixture()
     header = tracecache.column_header(trace, PREDICTOR)
-    branches = trace.branch_count()
-    assert len(bits) == branches
+    assert len(bits) == trace.branch_count()
+    assert _payload(raw)["header"]["length"] == trace.length
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_mutations(raw, header))
+    @given(case=_mutations(raw))
     def check(case):
         mutated, reason = case
         if reason is None:
-            assert tracecache.decode_column(mutated, header, branches) == bits
+            assert tracecache.decode_column(mutated, header, trace) == (
+                trace.length, bits
+            )
         else:
             with pytest.raises(tracecache.ColumnRejected) as excinfo:
-                tracecache.decode_column(mutated, header, branches)
+                tracecache.decode_column(mutated, header, trace)
             assert excinfo.value.reason == reason
 
         path.write_bytes(mutated)
@@ -364,8 +375,7 @@ def test_a_run_over_a_damaged_column_matches_the_live_predictor(
     monkeypatch.setattr(tracecache, "ENABLED", True)
 
     trace, path, raw, _ = _column_fixture()
-    header = tracecache.column_header(trace, PREDICTOR)
-    bits = raw[32:].partition(b"\n")[2]
+    header, bits = _payload(raw)["header"], _payload(raw)["bits"]
     path.write_bytes({
         "checksum": raw[:-1],
         "stale": _resigned(raw, header={**header, "fingerprint": "0" * 64}),
@@ -391,6 +401,103 @@ def test_a_source_edit_rebuilds_the_column(monkeypatch):
     assert tracecache.STATS["column_recoveries"] == 1
     assert tracecache.STATS["column_builds"] == 2
     assert path.read_bytes() != raw
+
+
+# --------------------------------------------------------------------- #
+# how much a column covers, and which predictors are stored
+# --------------------------------------------------------------------- #
+
+
+def _stored_length() -> int:
+    (entry,) = tracecache.column_files()
+    return entry["length"]
+
+
+def test_a_run_builds_the_column_over_its_own_window(monkeypatch):
+    """A cold run pays one predictor pass over its own window, not the
+    whole trace; a longer run rebuilds the file over its longer window
+    as a plain miss, and shorter runs then read that file."""
+    short = SMALL_WINDOW // 3
+    tracecache.get_trace(build_workload("astar"), SMALL_WINDOW)
+
+    def run(window: int) -> dict:
+        return stats_to_dict(simulate(
+            build_workload("astar"),
+            SimConfig(max_instructions=window, core=CoreParams(backend="python")),
+        ))
+
+    replay = run(short)
+    assert _stored_length() == short
+    run(SMALL_WINDOW)
+    assert _stored_length() == SMALL_WINDOW
+    assert tracecache.STATS["column_builds"] == 2
+    assert tracecache.STATS["column_recoveries"] == 0
+
+    tracecache.reset_memory_cache()
+    assert run(short) == replay
+    assert tracecache.STATS["column_disk_hits"] == 1
+    assert tracecache.STATS["column_builds"] == 0
+    monkeypatch.setattr(tracecache, "ENABLED", False)
+    assert run(short) == replay
+
+
+def test_a_column_over_a_longer_trace_serves_its_prefix():
+    """A column built over a longer trace of the same key is cut to a
+    shorter trace: the predictor's bits are prefix-stable."""
+    trace, path, raw, bits = _column_fixture()
+    shorter = tracecache.CompiledTrace.compile(
+        build_workload("astar"), SMALL_WINDOW // 2,
+        key=trace.key, name=trace.name,
+    )
+    tracecache.reset_memory_cache()
+    prefix = shorter.directions(PREDICTOR)
+    assert prefix == bits[:shorter.branch_count()]
+    assert prefix == tracecache.build_directions(
+        shorter, PREDICTOR, shorter.length
+    )
+    assert tracecache.STATS["column_disk_hits"] == 1
+    assert tracecache.STATS["column_builds"] == 0
+    assert path.read_bytes() == raw
+
+
+class _OutsidePredictor(GSharePredictor):
+    """A predictor registered from outside the package."""
+
+    predictions = 0
+
+    def predict(self, pc: int) -> bool:
+        type(self).predictions += 1
+        return super().predict(pc)
+
+
+def test_a_predictor_defined_outside_the_package_runs_live(monkeypatch):
+    """The column's source fingerprint covers only the package, so a
+    predictor registered elsewhere is never stored: every run calls it
+    for every branch, on both engines, and leaves no column file."""
+    PREDICTORS.names()  # autoload the package's predictors first
+    monkeypatch.setitem(PREDICTORS._entries, "outside", _OutsidePredictor)
+    assert not tracecache.stores_directions("outside")
+    assert tracecache.stores_directions(PREDICTOR)
+
+    def run(predictor: str, backend: str = "python"):
+        _OutsidePredictor.predictions = 0
+        config = SimConfig(
+            max_instructions=SMALL_WINDOW,
+            core=CoreParams(predictor=predictor, backend=backend),
+        )
+        return simulate(build_workload("astar"), config)
+
+    expected = stats_to_dict(run("gshare"))
+    for _ in range(2):  # cold trace, then warm
+        stats = run("outside")
+        assert _OutsidePredictor.predictions == stats.conditional_branches
+        assert stats_to_dict(stats) == expected
+    if have_numpy():
+        stats = run("outside", "numpy")
+        assert stats.backend == "numpy"
+        assert _OutsidePredictor.predictions > 0
+        assert stats_to_dict(stats) == expected
+    assert not list(tracecache.trace_dir().glob("*.outside.pred"))
 
 
 # --------------------------------------------------------------------- #
