@@ -91,7 +91,7 @@ GOLDEN_POINTS = _golden_points()
     ids=[name for name, _, _ in GOLDEN_POINTS],
 )
 def test_column_matches_the_live_predictor(point, golden, monkeypatch):
-    """18 goldens and 4 variants: live predictor (no trace) and replay
+    """18 goldens and 6 variants: live predictor (no trace) and replay
     (stored column) give byte-identical full stats, equal to the golden."""
     _python_engine(monkeypatch)
     monkeypatch.setattr(tracecache, "ENABLED", False)

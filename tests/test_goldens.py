@@ -41,11 +41,17 @@ CASES = [
 
 #: Fabric paths the standard goldens leave unpinned, as
 #: ``name -> (workload, config label, PFMParams overrides)``: the
-#: observation scheduler at a one-wide crossing, a co-tenant on the
+#: observation scheduler at a one-wide crossing (at clock ratios 4 and
+#: 1), astar's component at a one-entry index_queue, a co-tenant on the
 #: retire side of two workloads, and a dead primary component revived
 #: by the recovery policy.
 VARIANTS = {
     "clk4_w1-delay0": ("astar", "clk4_w1, delay0", {}),
+    "clk1_w1-delay0": ("astar", "clk1_w1, delay0", {}),
+    "index-queue-1": (
+        "astar", PFM_CONFIG,
+        {"component_overrides": {"index_queue_entries": 1}},
+    ),
     "introspect": (
         "astar", PFM_CONFIG, {"tenants": (parse_tenant_spec("introspect"),)},
     ),
