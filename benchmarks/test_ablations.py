@@ -12,16 +12,21 @@ mechanisms in the reproduction:
   on every in-window revisit).
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import BENCH_WINDOW
 
 from repro.core import CoreParams, PFMParams, SimConfig, simulate
 from repro.memory.hierarchy import HierarchyParams
-from repro.pfm.components.astar_bp import AstarBranchPredictor
 from repro.pfm.components.prefetchers import (
     AdaptiveDistanceController,
     LibquantumPrefetcher,
+)
+from repro.pfm.components.template import (
+    TemplatedRunaheadPredictor,
+    astar_template_spec,
 )
 from repro.workloads.astar import build_astar_workload
 from repro.workloads.libquantum import build_libquantum_workload
@@ -111,12 +116,14 @@ def test_ablation_distance_policy(benchmark):
     assert hill.ipc > base.ipc * 0.9
 
 
-class _NoCamAstar(AstarBranchPredictor):
-    """astar component with the index1_CAM inference disabled."""
+_NO_CAM_SPEC = dataclasses.replace(astar_template_spec(), infer_stores=False)
 
-    def _t2(self, io):
-        self._cam.clear()  # forget inferences every cycle
-        super()._t2(io)
+
+def _no_cam_astar(timings, memory, metadata=None):
+    """astar component with the index1_CAM inference disabled."""
+    return TemplatedRunaheadPredictor(
+        timings, memory, {**(metadata or {}), "spec": _NO_CAM_SPEC}
+    )
 
 
 def test_ablation_astar_alt_strategy(benchmark):
@@ -157,7 +164,7 @@ def test_ablation_store_inference(benchmark):
             SimConfig(max_instructions=BENCH_WINDOW, pfm=PFMParams(delay=0)),
         )
         without_cam = simulate(
-            build_astar_workload(component_factory=_NoCamAstar),
+            build_astar_workload(component_factory=_no_cam_astar),
             SimConfig(max_instructions=BENCH_WINDOW, pfm=PFMParams(delay=0)),
         )
         return with_cam, without_cam

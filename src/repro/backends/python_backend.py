@@ -88,7 +88,5 @@ class PythonBackend(ExecutionBackend):
                 f"direction column served {replay.consumed} bits for"
                 f" {stats.conditional_branches} conditional branches"
             )
-        stats.arch_digest = digest.finalize(
-            getattr(source, "regs", None), source.memory
-        )
+        stats.arch_digest = digest.finalize(source.regs, source.memory)
         return stats

@@ -67,9 +67,8 @@ class ArchDigest:
         *memory* is a :class:`~repro.workloads.mem.MemoryImage`; only
         materialized (written) words participate, in address order.  Each
         part is hashed in one joined update; the byte stream is the same
-        as one update per line.
-        ``regs=None`` means the executor exposes no register file (trace
-        replay): the stream and memory still pin architectural identity.
+        as one update per line.  Both engines pass the final register
+        file; ``regs=None`` hashes the same as an empty one.
         """
         self._flush()
         h = self._hash

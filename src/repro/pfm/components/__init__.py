@@ -1,8 +1,9 @@
 """The paper's custom components (Sections 4.1–4.3).
 
-* :mod:`repro.pfm.components.astar_bp` — the custom astar branch
-  predictor: three decoupled engines (T0–T2) over index_queue /
-  pred_queue / index1_queue / index1_CAM with inferred-store overrides.
+* :mod:`repro.pfm.components.template` — the worklist-sweep run-ahead
+  template (Section 7) and its astar instance, the custom astar branch
+  predictor (``astar-custom-bp``): three decoupled engines (T0–T2) over
+  index_queue / index1_queue / index1_CAM with inferred-store overrides.
 * :mod:`repro.pfm.components.bfs_engine` — bfs's combined
   prefetcher/predictor: four decoupled engines (T0–T3) over frontier /
   begin-address / trip-count / neighbor queues.
@@ -11,7 +12,6 @@
   adaptive prefetch-distance feedback mechanism.
 """
 
-from repro.pfm.components.astar_bp import AstarBranchPredictor
 from repro.pfm.components.bfs_engine import BfsEngine
 from repro.pfm.components.prefetchers import (
     AdaptiveDistanceController,
@@ -22,9 +22,13 @@ from repro.pfm.components.prefetchers import (
     MilcPrefetcher,
     StridePrefetchEngine,
 )
+from repro.pfm.components.template import (
+    TemplatedRunaheadPredictor,
+    TemplateSpec,
+    astar_template_spec,
+)
 
 __all__ = [
-    "AstarBranchPredictor",
     "BfsEngine",
     "AdaptiveDistanceController",
     "StridePrefetchEngine",
@@ -33,4 +37,7 @@ __all__ = [
     "LbmPrefetcher",
     "MilcPrefetcher",
     "LesliePrefetcher",
+    "TemplatedRunaheadPredictor",
+    "TemplateSpec",
+    "astar_template_spec",
 ]

@@ -1,4 +1,4 @@
-"""Templated run-ahead predictor generation (Section 7, future work).
+"""Templated run-ahead predictors (Section 7) and the astar predictor.
 
 The paper observes that "the astar and bfs designs presented in this paper
 follow a similar strategy.  If this could be templated, it suggests a path
@@ -16,12 +16,12 @@ worklist-sweep family: a declarative :class:`TemplateSpec` describes
   inferred for later in-window visits to the same derived index (the
   index1_CAM behaviour).
 
-``TemplatedRunaheadPredictor`` synthesizes the T0/T1/T2 machinery from the
-spec.  ``astar_template_spec()`` reproduces the hand-written astar design;
-``tests/test_component_template.py`` shows it matches the hand-written
-component's accuracy and speedup — the "path toward automation" made
-concrete.  (bfs additionally needs a variable-fanout stage fed by the
-offsets array; that extension is future work here too.)
+:class:`TemplatedRunaheadPredictor` synthesizes the T0/T1/T2 machinery
+from the spec, and the paper's custom astar branch predictor (Section
+4.1.2, Figure 7) is simply the template instantiated with
+:func:`astar_template_spec`, registered as ``astar-custom-bp``.  (bfs
+additionally needs a variable-fanout stage fed by the offsets array; that
+extension is future work here too.)
 """
 
 from __future__ import annotations
@@ -69,114 +69,145 @@ class TemplateSpec:
     @property
     def fanout(self) -> int:
         # Derived-index count must be fixed for the template (v1).
-        return len(self.derive(0, _probe_env(self)))
-
-
-def _probe_env(spec: TemplateSpec) -> dict:
-    env = {tag: 0 for tag in spec.scalar_tags}
-    env[spec.roi_value_name] = 0
-    return env
+        probe = dict.fromkeys((*self.scalar_tags, self.roi_value_name), 0)
+        return len(self.derive(0, probe))
 
 
 @dataclass(slots=True)
 class _Slot:
+    """One worklist entry plus its derived-index / prediction segment."""
+
     iteration: int = -1
     item_valid: bool = False
     item: int = 0
     t1_next: int = 0  # next derived index to issue loads for
     indices: list = field(default_factory=list)
-    values: list = field(default_factory=list)  # per index: list per check
+    values: list = field(default_factory=list)  # index-major, per check
+    arrived: list = field(default_factory=list)  # per index: returned checks
     t2_next: int = 0
     t2_check_pushed: int = 0  # checks of the current index already pushed
+
+    def clear(self, iteration: int, fanout: int) -> None:
+        self.iteration = iteration
+        self.item_valid = False
+        self.t1_next = self.t2_next = self.t2_check_pushed = 0
+        self.arrived = [0] * fanout
 
 
 @register_component("templated-runahead")
 class TemplatedRunaheadPredictor(CustomComponent):
     """Generic T0/T1/T2 run-ahead predictor generated from a spec.
 
-    Pass the :class:`TemplateSpec` as ``metadata["spec"]``.
+    Pass the :class:`TemplateSpec` as ``metadata["spec"]``; the
+    ``index_queue_entries`` metadata overrides the spec's scope.
     """
 
     name = "templated-runahead"
 
     def __init__(self, timings, memory, metadata=None):
         super().__init__(timings, memory, metadata)
-        self.spec: TemplateSpec = self.metadata["spec"]
-        self.scope = int(self.metadata.get("scope", self.spec.scope))
+        spec: TemplateSpec = self.metadata["spec"]
+        self.spec = spec
+        self.scope = int(self.metadata.get("index_queue_entries", spec.scope))
         self.env: dict = {}
         self.bases: dict[str, int] = {}
         self.worklist_base: int | None = None
         self.enabled = False
 
-        fanout = self.spec.fanout
-        nchecks = len(self.spec.checks)
+        # Per-spec constants of the hot path.
+        fanout = spec.fanout
+        nchecks = len(spec.checks)
+        if nchecks > 4 or fanout > 64 or self.scope > 256:
+            raise ValueError(
+                "a load ident holds at most 4 checks, 64 derived indices"
+                " and 256 worklist entries"
+            )
         self._fanout = fanout
         self._nchecks = nchecks
-        self._slots = [self._fresh_slot() for _ in range(self.scope)]
-        self._head = 0
-        self._spec_head = 0
-        self._t2_head = 0
-        self._tail = 0
+        self._all_arrived = (1 << nchecks) - 1
+        self._predicates = tuple(
+            enumerate(check.predicate for check in spec.checks)
+        )
+        self._tags = tuple(  # index-major, like each slot's values
+            check.fst_tag.format(k=position)
+            for position in range(fanout)
+            for check in spec.checks
+        )
+        self._t1_groups = max(1, timings.width // max(1, nchecks))
+        self._base_tags = frozenset(check.base_tag for check in spec.checks)
+        self._ready = False  # every scalar and table base snooped
+        self._load_plan: tuple[tuple[int, int, int], ...] = ()
+
+        self._slots = [
+            _Slot(values=[None] * (fanout * nchecks), arrived=[0] * fanout)
+            for _ in range(self.scope)
+        ]
+        self._head = 0  # oldest unretired iteration (commit head)
+        self._spec_head = 0  # next iteration T1 consumes
+        self._t2_head = 0  # iteration T2 converts predictions for
+        self._tail = 0  # next iteration T0 allocates
+        # derived index -> iteration that inferred a store, scoped to
+        # iterations in [head, tail)
         self._cam: dict[int, int] = {}
-        self._call_gen = 0
-        self.predictions_made = 0
+        self._call_gen = 0  # distinguishes in-flight loads across calls
         self.store_inferences = 0
 
-    def _fresh_slot(self) -> _Slot:
-        return _Slot(
-            indices=[0] * self._fanout,
-            values=[[None] * self._nchecks for _ in range(self._fanout)],
-        )
-
-    def _slot(self, iteration: int) -> _Slot:
-        return self._slots[iteration % self.scope]
-
     def _reset_call(self) -> None:
-        for i in range(self.scope):
-            self._slots[i] = self._fresh_slot()
+        for slot in self._slots:
+            slot.clear(-1, self._fanout)
         self._head = self._spec_head = self._t2_head = self._tail = 0
         self._cam.clear()
         self._call_gen = (self._call_gen + 1) & 0xF
 
-    def _ready(self) -> bool:
-        return (
-            self.enabled
-            and self.worklist_base is not None
-            and all(tag in self.env for tag in self.spec.scalar_tags)
-            and all(check.base_tag in self.bases for check in self.spec.checks)
-        )
-
+    # ------------------------------------------------------------------ #
+    # observation handling
     # ------------------------------------------------------------------ #
 
     def _handle_obs(self, packet: ObsPacket, io: RFIo) -> None:
+        # Branch-outcome and store packets feed the commit-side bookkeeping
+        # the hardware uses to reconcile its replay queue; the model needs
+        # only the ROI-begin and destination-value packets.
         spec = self.spec
+        tag = packet.tag
         if packet.kind is SnoopKind.ROI_BEGIN:
             self.enabled = True
             self.env[spec.roi_value_name] = int(packet.value or 0)
+        elif packet.kind is not SnoopKind.DEST_VALUE:
             return
-        if packet.kind is not SnoopKind.DEST_VALUE:
+        elif tag == spec.head_counter_tag:
+            # An absolute count tolerates dropped packets.
+            self._advance_head_to(int(packet.value))
             return
-        tag = packet.tag
-        if tag == spec.worklist_base_tag:
+        elif tag == spec.worklist_base_tag:
             self.worklist_base = int(packet.value)
             self._reset_call()
             io.begin_new_call()
-        elif tag == spec.head_counter_tag:
-            self._advance_head_to(int(packet.value))
         elif tag in spec.scalar_tags:
             self.env[tag] = int(packet.value)
+        elif tag in self._base_tags:
+            self.bases[tag] = int(packet.value)
+            if len(self.bases) == len(self._base_tags):
+                self._load_plan = tuple(
+                    (check_idx, self.bases[check.base_tag], check.stride)
+                    for check_idx, check in enumerate(spec.checks)
+                )
         else:
-            for check in spec.checks:
-                if tag == check.base_tag:
-                    self.bases[tag] = int(packet.value)
+            return
+        self._ready = self._ready or (
+            self.enabled
+            and self.worklist_base is not None
+            and all(tag in self.env for tag in spec.scalar_tags)
+            and bool(self._load_plan)
+        )
 
     def _advance_head_to(self, retired: int) -> None:
+        """Retired iterations free their worklist entry and CAM scope."""
         while self._head < min(retired, self._tail):
             retiring = self._head
             stale = [key for key, it in self._cam.items() if it == retiring]
             for key in stale:
                 del self._cam[key]
-            slot = self._slot(retiring)
+            slot = self._slots[retiring % self.scope]
             slot.iteration = -1
             slot.item_valid = False
             self._head += 1
@@ -186,87 +217,110 @@ class TemplatedRunaheadPredictor(CustomComponent):
     # ------------------------------------------------------------------ #
 
     def _t0(self, io: RFIo) -> None:
+        """Allocate the tail entry and load the next worklist item."""
         if self.worklist_base is None or self._tail - self._head >= self.scope:
             return
         iteration = self._tail
         ident = (self._call_gen << 24) | (iteration % self.scope)
         if not io.push_load(ident, self.worklist_base + iteration * 8):
             return
-        self._slots[iteration % self.scope] = self._fresh_slot()
-        slot = self._slot(iteration)
-        slot.iteration = iteration
-        self._tail += 1
+        self._slots[iteration % self.scope].clear(iteration, self._fanout)
+        self._tail = iteration + 1
 
     def _t1(self, io: RFIo) -> None:
-        if not self._ready():
+        """Derive indices at the speculative head; issue one load group
+        (one load per check) per derived index."""
+        if not self._ready:
             return
-        budget = max(1, self.timings.width // max(1, self._nchecks))
+        scope = self.scope
+        nchecks = self._nchecks
+        budget = self._t1_groups
         while budget > 0:
-            if self._spec_head >= self._tail:
+            head = self._spec_head
+            if head >= self._tail:
                 return
-            slot = self._slot(self._spec_head)
+            slot = self._slots[head % scope]
             if not slot.item_valid:
-                return
+                return  # in-order consumption at the speculative head
             position = slot.t1_next
             if position >= self._fanout:
-                self._spec_head += 1
+                self._spec_head = head + 1
                 continue
-            if slot.t1_next == 0 and position == 0:
+            if io.load_budget < nchecks:
+                return  # issue the group atomically next cycle
+            if position == 0:
                 slot.indices = self.spec.derive(slot.item, self.env)
-            if io.load_budget < self._nchecks or not io.can_push_load():
-                return
             index = slot.indices[position]
-            base_ident = (
+            ident = (
                 (self._call_gen << 24)
                 | _T1_ID_FLAG
-                | ((self._spec_head % self.scope) << 8)
+                | ((head % scope) << 8)
                 | (position << 2)
             )
-            for check_idx, check in enumerate(self.spec.checks):
-                address = self.bases[check.base_tag] + index * check.stride
-                if not io.push_load(base_ident | check_idx, address):
-                    return  # reissue the group next cycle
+            for check_idx, base, stride in self._load_plan:
+                if not io.push_load(ident | check_idx, base + index * stride):
+                    # IntQ-IS full (a refused push has no effect), or it
+                    # filled mid-group: re-issue the whole group next cycle
+                    # (a duplicate return overwrites the slot).
+                    return
             slot.t1_next = position + 1
             budget -= 1
 
     def _t2(self, io: RFIo) -> None:
-        if not self._ready():
+        """Convert complete check groups to final predictions, in order.
+
+        Checks are evaluated as they are pushed.  A group may straddle RF
+        cycles at narrow widths: on resume its pushed checks are evaluated
+        again (for the CAM decision) but not pushed again.
+        """
+        if not self._ready:
             return
+        budget = -1  # read once a group is ready; only T2 pushes predictions
         while True:
-            if self._t2_head >= self._tail:
+            head = self._t2_head
+            if head >= self._tail:
                 return
-            slot = self._slot(self._t2_head)
-            if slot.iteration != self._t2_head:
+            slot = self._slots[head % self.scope]
+            if slot.iteration != head:
                 return
             position = slot.t2_next
             if position >= self._fanout:
-                self._t2_head += 1
+                self._t2_head = head + 1
                 continue
-            values = slot.values[position]
-            if any(v is None for v in values):
-                return
+            if slot.arrived[position] != self._all_arrived:
+                return  # predicates not back yet
+            if budget < 0:
+                budget = io.pred_budget
+                infer_stores = self.spec.infer_stores
+                env = self.env
             index = slot.indices[position]
-
-            taken_chain = [
-                check.predicate(value, self.env)
-                for check, value in zip(self.spec.checks, values)
-            ]
-            if self.spec.infer_stores and not taken_chain[0] and index in self._cam:
-                taken_chain[0] = True
-                self.store_inferences += 1
-
-            while slot.t2_check_pushed < self._nchecks:
-                check_idx = slot.t2_check_pushed
-                check = self.spec.checks[check_idx]
-                if not io.push_pred(
-                    taken_chain[check_idx], tag=check.fst_tag.format(k=position)
+            first = position * self._nchecks  # this index's values and tags
+            values = slot.values
+            tags = self._tags
+            pushed = slot.t2_check_pushed
+            none_taken = True
+            for check_idx, predicate in self._predicates:
+                emit = check_idx >= pushed
+                if emit and not budget:
+                    slot.t2_check_pushed = check_idx
+                    return  # no prediction can leave this cycle
+                taken = predicate(values[first + check_idx], env)
+                if (
+                    not check_idx and not taken and infer_stores
+                    and index in self._cam
                 ):
-                    return
-                self.predictions_made += 1
-                slot.t2_check_pushed += 1
-
-            if self.spec.infer_stores and not any(taken_chain):
-                self._cam[index] = self._t2_head
+                    # Inferred store: an older in-scope visit marked index.
+                    taken = True
+                    self.store_inferences += 1
+                if emit:
+                    if not io.push_pred(taken, tags[first + check_idx]):
+                        slot.t2_check_pushed = check_idx
+                        return
+                    budget -= 1
+                if taken:
+                    none_taken = False
+            if infer_stores and none_taken:
+                self._cam[index] = head
             slot.t2_check_pushed = 0
             slot.t2_next = position + 1
 
@@ -279,67 +333,79 @@ class TemplatedRunaheadPredictor(CustomComponent):
                 break
             if isinstance(packet, ObsPacket):
                 self._handle_obs(packet, io)
+        call_gen = self._call_gen
+        slots = self._slots
+        nchecks = self._nchecks
         while True:
             ret = io.pop_return()
             if ret is None:
                 break
-            self._route_return(ret)
+            ident = ret.ident
+            if (ident >> 24) & 0xF != call_gen:
+                continue  # stale in-flight load from a previous call
+            if ident & _T1_ID_FLAG:
+                slot = slots[(ident >> 8) & 0xFF]
+                position = (ident >> 2) & 0x3F
+                check_idx = ident & 0x3
+                slot.values[position * nchecks + check_idx] = ret.value
+                slot.arrived[position] |= 1 << check_idx
+            else:
+                slot = slots[ident & 0xFF]
+                slot.item = int(ret.value)
+                slot.item_valid = True
         if not self.enabled:
             return
         self._t0(io)
         self._t1(io)
         self._t2(io)
 
-    def _route_return(self, ret) -> None:
-        ident = ret.ident
-        if (ident >> 24) & 0xF != self._call_gen:
-            return
-        if ident & _T1_ID_FLAG:
-            slot = self._slots[(ident >> 8) & 0xFF]
-            position = (ident >> 2) & 0x3F
-            check_idx = ident & 0x3
-            if position < self._fanout and check_idx < self._nchecks:
-                slot.values[position][check_idx] = ret.value
-        else:
-            slot = self._slots[ident & 0xFF]
-            slot.item = int(ret.value)
-            slot.item_valid = True
-
     def on_squash(self, packet: SquashPacket) -> None:
+        # T2's rollback/replay is a timing effect (the fabric floors the
+        # unconsumed prediction stream); value state needs no rewind in the
+        # correct-path model.
         return None
 
     def is_idle(self) -> bool:
         if not self.enabled or self.worklist_base is None:
             return True
         if self._tail - self._head < self.scope:
-            return False
+            return False  # T0 can allocate
+        scope = self.scope
+        fanout = self._fanout
+        slots = self._slots
         for it in range(self._spec_head, self._tail):
-            slot = self._slot(it)
-            if slot.item_valid and slot.t1_next < self._fanout:
+            slot = slots[it % scope]
+            if slot.item_valid and slot.t1_next < fanout:
                 return False
-        if self._t2_head < self._tail:
-            slot = self._slot(self._t2_head)
-            if (
-                slot.iteration == self._t2_head
-                and slot.t2_next < self._fanout
-                and all(v is not None for v in slot.values[slot.t2_next])
-            ):
-                return False
+        head = self._t2_head
+        if head < self._tail:
+            slot = slots[head % scope]
+            return not (
+                slot.iteration == head
+                and slot.t2_next < fanout
+                and slot.arrived[slot.t2_next] == self._all_arrived
+            )
         return True
 
     def structure(self) -> dict[str, int]:
+        """Structural inventory for the Table 4 cost model."""
         scope = self.scope
         fanout = self._fanout
         nchecks = self._nchecks
+        width = self.timings.width
         return {
-            "queue_bits": scope * 33 + scope * fanout * (nchecks + 24),
+            # worklist entries (33 bits), then per derived index its check
+            # bits (2 per check) and its 24-bit index
+            "queue_bits": (
+                scope * 33 + scope * fanout * nchecks * 2 + scope * fanout * 24
+            ),
             "cam_bits": scope * fanout * 24 if self.spec.infer_stores else 0,
-            "comparators": nchecks * self.timings.width + scope,
-            "adders": (1 + nchecks) * self.timings.width,
+            "comparators": nchecks * width + scope * fanout // 4,
+            "adders": (1 + nchecks) * width,
             "multipliers": 0,
             "fsm_states": 8 + 2 * nchecks,
             "table_bits": 0,
-            "width": self.timings.width,
+            "width": width,
         }
 
 
@@ -347,8 +413,35 @@ class TemplatedRunaheadPredictor(CustomComponent):
 # the astar instantiation
 # ---------------------------------------------------------------------- #
 
-def astar_template_spec(scope: int = 8) -> TemplateSpec:
-    """The hand-written astar predictor, expressed declaratively."""
+def astar_template_spec(waymap_stride: int = 16) -> TemplateSpec:
+    """The custom astar branch predictor (Section 4.1.2, Figure 7).
+
+    Three decoupled engines, "threads" in fixed hardware:
+
+    * **T0** pre-allocates index_queue tail entries and issues loads to
+      the input worklist (one per RF cycle), tagging each load with its
+      entry number so out-of-order returns land in the right slot.
+    * **T1** consumes valid index_queue entries in order at the
+      speculative head, computes the eight neighbour ``index1`` values
+      with the snooped ``yoffset``, records them in index1_queue, and
+      issues the waymap and maparp loads (two index1 / four loads per RF
+      cycle at W=4).
+    * **T2** converts returned predicate pairs into final predictions:
+      an ``index1`` hitting the index1_CAM means an older in-scope visit
+      logically stored ``fillnum`` (the loop-carried dependency automated
+      pre-execution misses), so the raw pair is overridden with [T, -];
+      a final [NT, NT] writes ``index1`` into the CAM.
+
+    Deviation from the figure (documented in DESIGN.md §5): T2 pushes
+    the maparp prediction even when the waymap prediction is taken; the
+    Fetch Agent discards predictions for branches the core never
+    fetches.  This moves the paper's T2-side discard to the agent,
+    costing strictly more IntQ-F bandwidth while making squash
+    realignment exact.
+
+    Commit-side windows (index_queue head, CAM scope) advance on the
+    absolute ``iter_inc`` count snooped at retire.
+    """
 
     def derive(index: int, env: dict) -> list[int]:
         yoffset = env["yoffset"]
@@ -368,7 +461,7 @@ def astar_template_spec(scope: int = 8) -> TemplateSpec:
             GuardedCheck(
                 name="waymap",
                 base_tag="waymap_base",
-                stride=16,
+                stride=waymap_stride,
                 predicate=lambda value, env: int(value) == env["fillnum"],
                 fst_tag="waymap:{k}",
             ),
@@ -381,19 +474,15 @@ def astar_template_spec(scope: int = 8) -> TemplateSpec:
             ),
         ),
         infer_stores=True,
-        scope=scope,
     )
 
 
-def make_astar_template_factory(scope: int = 8):
-    """Component factory for ``build_astar_workload(component_factory=...)``."""
-
-    def factory(timings, memory, metadata=None):
-        merged = dict(metadata or {})
-        merged["spec"] = astar_template_spec(
-            scope=int(merged.get("index_queue_entries", scope))
-        )
-        merged.setdefault("scope", merged["spec"].scope)
-        return TemplatedRunaheadPredictor(timings, memory, merged)
-
-    return factory
+@register_component("astar-custom-bp")
+def astar_custom_bp(timings, memory, metadata=None) -> TemplatedRunaheadPredictor:
+    """The astar bitstream's component: the template over the astar spec,
+    sized by the ``index_queue_entries`` and ``waymap_stride`` metadata."""
+    merged = dict(metadata or {})
+    merged["spec"] = astar_template_spec(
+        waymap_stride=int(merged.get("waymap_stride", 16))
+    )
+    return TemplatedRunaheadPredictor(timings, memory, merged)

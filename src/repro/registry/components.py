@@ -23,7 +23,6 @@ ComponentFactory = Callable[..., object]
 COMPONENTS: Registry[ComponentFactory] = Registry(
     "component",
     autoload=(
-        "repro.pfm.components.astar_bp",
         "repro.pfm.components.astar_alt",
         "repro.pfm.components.bfs_engine",
         "repro.pfm.components.prefetchers",

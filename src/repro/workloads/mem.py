@@ -87,8 +87,10 @@ class MemoryImage:
         if name not in self._regions:
             self.allocate(name, max(1, len(values)))
         base = self.base(name)
-        for i, v in enumerate(values):
-            self.store(base + i * WORD_BYTES, v)
+        if values and base % WORD_BYTES:
+            raise ValueError(f"misaligned store address {base:#x}")
+        end = base + len(values) * WORD_BYTES
+        self._words.update(zip(range(base, end, WORD_BYTES), values))
         return base
 
     def touched_words(self) -> int:

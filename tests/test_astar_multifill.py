@@ -68,5 +68,4 @@ def test_component_tracks_fillnum_across_fills():
     )
     core.run()
     component = core.fabric.slots[0].component
-    assert component.fillnum is not None
-    assert component.fillnum > 8  # advanced beyond the first fill
+    assert component.env["fillnum"] > 8  # advanced beyond the first fill

@@ -1,11 +1,15 @@
-"""The custom astar branch predictor: engines, ordering, store inference."""
+"""The custom astar branch predictor (the registered ``astar-custom-bp``,
+the run-ahead template over the astar spec): engines, ordering, store
+inference."""
 
 from tests.pfm_harness import FakeFabric, enable, make_io, send_obs, step_component
 
 from repro.pfm.component import RFTimings
-from repro.pfm.components.astar_bp import AstarBranchPredictor
 from repro.pfm.snoop import SnoopKind
+from repro.registry.components import resolve_component
 from repro.workloads.mem import MemoryImage
+
+astar_bp = resolve_component("astar-custom-bp")
 
 
 def make_setup(width=4, scope=8, grid_width=16, fillnum=8):
@@ -14,7 +18,7 @@ def make_setup(width=4, scope=8, grid_width=16, fillnum=8):
     waymap_base = memory.allocate("waymap", 2 * ncells)
     maparp_base = memory.allocate("maparp", ncells)
     worklist_base = memory.allocate("worklist", ncells)
-    component = AstarBranchPredictor(
+    component = astar_bp(
         RFTimings(clk_ratio=4, width=width, delay=0),
         memory,
         {"index_queue_entries": scope, "waymap_stride": 16},
@@ -33,8 +37,7 @@ def test_snoops_configure_component():
     component, fabric, io, _ = make_setup()
     step_component(component, fabric, io, cycles=3)
     assert component.enabled
-    assert component.fillnum == 8
-    assert component.yoffset == 16
+    assert component.env == {"fillnum": 8, "yoffset": 16}
     assert component.worklist_base is not None
     assert fabric.new_calls == 1
 
@@ -153,7 +156,7 @@ def test_width_limits_prediction_rate():
 
 def test_is_idle_before_enable_and_after_work():
     component, fabric, io, memory = make_setup(scope=2)
-    fresh = AstarBranchPredictor(
+    fresh = astar_bp(
         RFTimings(4, 4, 0), memory, {"index_queue_entries": 2}
     )
     assert fresh.is_idle()
@@ -164,10 +167,10 @@ def test_is_idle_before_enable_and_after_work():
 
 
 def test_structure_inventory_scales_with_scope():
-    small = AstarBranchPredictor(
+    small = astar_bp(
         RFTimings(4, 4, 0), MemoryImage(), {"index_queue_entries": 4}
     ).structure()
-    large = AstarBranchPredictor(
+    large = astar_bp(
         RFTimings(4, 4, 0), MemoryImage(), {"index_queue_entries": 16}
     ).structure()
     assert large["queue_bits"] > small["queue_bits"]

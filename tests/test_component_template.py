@@ -1,5 +1,7 @@
 """Templated run-ahead predictor generation (Section 7's future work)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import PFMParams, SimConfig, simulate
@@ -8,7 +10,6 @@ from repro.pfm.components.template import (
     TemplatedRunaheadPredictor,
     TemplateSpec,
     astar_template_spec,
-    make_astar_template_factory,
 )
 from repro.workloads.astar import build_astar_workload
 
@@ -33,33 +34,9 @@ def test_spec_derive_uses_snooped_scalars():
     assert indices == [89, 90, 91, 99, 101, 109, 110, 111]
 
 
-def test_template_matches_hand_written_design():
-    """The generated component reproduces the hand-written astar design's
-    accuracy and speedup — the paper's 'path toward automation'."""
-    baseline = simulate(
-        build_astar_workload(**grid_kwargs()),
-        SimConfig(max_instructions=WINDOW),
-    )
-    hand = simulate(
-        build_astar_workload(**grid_kwargs()),
-        SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
-    )
-    generated = simulate(
-        build_astar_workload(
-            component_factory=make_astar_template_factory(), **grid_kwargs()
-        ),
-        SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
-    )
-    assert generated.ipc > baseline.ipc * 1.5
-    assert abs(generated.ipc - hand.ipc) / hand.ipc < 0.1
-    assert abs(generated.mpki - hand.mpki) < 2.0
-
-
 def test_template_respects_scope_override():
     small = simulate(
-        build_astar_workload(
-            component_factory=make_astar_template_factory(), **grid_kwargs()
-        ),
+        build_astar_workload(**grid_kwargs()),
         SimConfig(
             max_instructions=WINDOW,
             pfm=PFMParams(
@@ -68,36 +45,22 @@ def test_template_respects_scope_override():
         ),
     )
     full = simulate(
-        build_astar_workload(
-            component_factory=make_astar_template_factory(), **grid_kwargs()
-        ),
+        build_astar_workload(**grid_kwargs()),
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
     )
     assert full.ipc > small.ipc * 1.2
 
 
 def test_template_store_inference_can_be_disabled():
-    spec = astar_template_spec()
-    no_infer = TemplateSpec(
-        worklist_base_tag=spec.worklist_base_tag,
-        head_counter_tag=spec.head_counter_tag,
-        scalar_tags=spec.scalar_tags,
-        roi_value_name=spec.roi_value_name,
-        derive=spec.derive,
-        checks=spec.checks,
-        infer_stores=False,
-        scope=spec.scope,
-    )
+    no_infer = dataclasses.replace(astar_template_spec(), infer_stores=False)
 
     def factory(timings, memory, metadata=None):
-        merged = dict(metadata or {})
-        merged["spec"] = no_infer
-        return TemplatedRunaheadPredictor(timings, memory, merged)
+        return TemplatedRunaheadPredictor(
+            timings, memory, {**(metadata or {}), "spec": no_infer}
+        )
 
     with_infer = simulate(
-        build_astar_workload(
-            component_factory=make_astar_template_factory(), **grid_kwargs()
-        ),
+        build_astar_workload(**grid_kwargs()),
         SimConfig(max_instructions=WINDOW, pfm=PFMParams(delay=0)),
     )
     without = simulate(
@@ -109,7 +72,7 @@ def test_template_store_inference_can_be_disabled():
 
 
 def test_template_structure_scales_with_spec():
-    spec = astar_template_spec(scope=8)
+    spec = astar_template_spec()
     component = TemplatedRunaheadPredictor(
         __import__("repro.pfm.component", fromlist=["RFTimings"]).RFTimings(4, 4, 0),
         None,
@@ -145,3 +108,16 @@ def test_custom_single_check_spec():
         {"spec": spec},
     )
     assert component.is_idle()
+
+
+def test_spec_beyond_the_load_ident_is_rejected():
+    """Load idents carry 2 check bits, 6 index bits and 8 entry bits; a
+    spec or scope that does not fit fails at construction instead of
+    aliasing returns."""
+    from repro.pfm.component import RFTimings
+
+    spec = astar_template_spec()
+    wide = dataclasses.replace(spec, checks=spec.checks * 3)
+    for metadata in ({"spec": wide}, {"spec": spec, "index_queue_entries": 257}):
+        with pytest.raises(ValueError, match="load ident"):
+            TemplatedRunaheadPredictor(RFTimings(4, 4, 0), None, metadata)

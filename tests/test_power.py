@@ -96,12 +96,22 @@ def test_pfm_run_reduces_total_energy():
 
 def astar_structure(width=4, scope=8):
     from repro.pfm.component import RFTimings
-    from repro.pfm.components.astar_bp import AstarBranchPredictor
+    from repro.registry.components import resolve_component
     from repro.workloads.mem import MemoryImage
 
-    return AstarBranchPredictor(
+    return resolve_component("astar-custom-bp")(
         RFTimings(4, width, 4), MemoryImage(), {"index_queue_entries": scope}
     ).structure()
+
+
+def test_astar_inventory_is_the_figure7_design():
+    """Table 4's astar row: the registered component at clk4_w4, scope 8
+    carries Figure 7's inventory (queues, CAM, comparators, adders)."""
+    assert astar_structure() == {
+        "queue_bits": 2056, "cam_bits": 1536, "comparators": 24,
+        "adders": 12, "multipliers": 0, "fsm_states": 12, "table_bits": 0,
+        "width": 4,
+    }
 
 
 def test_astar_estimate_matches_paper_band():
