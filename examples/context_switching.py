@@ -31,7 +31,7 @@ def main() -> None:
           f"predictions supplied {stats.pfm_predicted_branches}")
 
     print("\n--- context switch out: deprogram the fabric ---")
-    fabric.deprogram(now=10**7)
+    fabric.deprogram()
     print(f"fabric enabled: {slot.enabled}")
     print(f"queues flushed: ObsQ-R={slot.obs_q.occupancy}, "
           f"IntQ-IS={slot.intq_is.occupancy}, "

@@ -26,8 +26,8 @@ Three properties the harness guarantees:
   point finishes, so an interrupted sweep resumes by simply running it
   again: finished points are store hits, only the remainder computes.
 * **Crash containment** — a point that raises, or a worker process that
-  dies (OOM-killed, segfaulted), is retried up to ``retries`` times with
-  ``retry_backoff``-second exponential backoff, in a fresh executor when
+  dies (OOM-killed, segfaulted), is retried up to ``RETRIES`` times with
+  ``RETRY_BACKOFF``-second exponential backoff, in a fresh executor when
   the pool itself broke.  Points that still fail are appended to the
   ``checkpoint`` file (an fsynced JSONL log of
   ``{"key": ..., "failed": true, "error": ...}`` records) which is
@@ -57,6 +57,11 @@ from repro.workloads.tracecache import (
     DEFAULT_CACHE_DIR,
     canonical_bytes,
 )
+
+#: Retry rounds a failed point gets before it is logged as lost, and the
+#: base of the exponential backoff between rounds, in seconds.
+RETRIES = 2
+RETRY_BACKOFF = 0.5
 
 #: Named oracle factories, so oracle-driven points stay declarative and
 #: picklable (the factory runs inside the worker, next to the workload).
@@ -245,22 +250,14 @@ class SweepPool:
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
         checkpoint: str | os.PathLike | None = None,
-        retries: int = 2,
-        retry_backoff: float = 0.5,
         fail_fast: bool = False,
         store: ResultStore | str | os.PathLike | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.checkpoint = Path(checkpoint) if checkpoint is not None else None
-        self.retries = 0 if fail_fast else retries
-        self.retry_backoff = retry_backoff
         self.fail_fast = fail_fast
         if store is None and self.cache_dir is not None:
             store = store_dir(self.cache_dir)
@@ -384,7 +381,7 @@ class SweepPool:
         Each round runs all still-pending points; a point that raises —
         including :class:`BrokenProcessPool` when a worker process died
         under it — is retried in the next round (under a fresh executor)
-        until it exhausts ``self.retries``, with exponential backoff
+        until it exhausts ``RETRIES``, with exponential backoff
         between rounds.  ``fail_fast`` re-raises the first error
         unretried; ``KeyboardInterrupt`` always propagates.
         """
@@ -394,7 +391,7 @@ class SweepPool:
         round_index = 0
         while remaining:
             if round_index:
-                time.sleep(self.retry_backoff * (2 ** (round_index - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (round_index - 1)))
             retry: list[SweepPoint] = []
 
             def on_error(point: SweepPoint, exc: Exception) -> None:
@@ -402,7 +399,7 @@ class SweepPool:
                     raise exc
                 count = attempts.get(point.key(), 0) + 1
                 attempts[point.key()] = count
-                if count > self.retries:
+                if count > RETRIES:
                     message = f"{type(exc).__name__}: {exc}"
                     failures[point.label] = message
                     self._append_failure(point, message)

@@ -98,7 +98,6 @@ class AstarAltPredictor(CustomComponent):
         self._k = 0  # neighbour template position within the current index
         self._way_pushed = False
         self._first_call = True
-        self.predictions_made = 0
         self.active_updates = 0
         self.corrections = 0
 
@@ -182,11 +181,9 @@ class AstarAltPredictor(CustomComponent):
             if not self._way_pushed:
                 if not io.push_pred(way_taken, tag=f"waymap:{self._k}"):
                     return
-                self.predictions_made += 1
                 self._way_pushed = True
             if not io.push_pred(map_taken, tag=f"maparp:{self._k}"):
                 return
-            self.predictions_made += 1
             self._way_pushed = False
 
             if not way_taken and not map_taken:

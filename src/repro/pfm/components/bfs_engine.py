@@ -87,7 +87,6 @@ class BfsEngine(CustomComponent):
         self._pending_loads: dict[int, tuple] = {}
         self._t3_queue: deque[tuple[int, int, int]] = deque()
         self._next_ident = 1
-        self.predictions_made = 0
         self.store_inferences = 0
 
     # ------------------------------------------------------------------ #
@@ -262,12 +261,10 @@ class BfsEngine(CustomComponent):
                 if record.emit_j < trip:
                     if not io.push_pred(False, tag="loop_exit"):
                         return
-                    self.predictions_made += 1
                     record.emit_phase = "visited"
                 else:
                     if not io.push_pred(True, tag="loop_exit"):
                         return
-                    self.predictions_made += 1
                     record.done = True
                     self._emit_head += 1
             else:  # visited phase for neighbour emit_j
@@ -288,7 +285,6 @@ class BfsEngine(CustomComponent):
                     return
                 if not io.push_pred(visited_taken, tag="visited"):
                     return
-                self.predictions_made += 1
                 if not visited_taken:
                     self._inferred[v] = record.position
                 record.emit_j = j + 1

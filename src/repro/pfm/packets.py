@@ -4,8 +4,9 @@ Observation packets (core -> RF, via ObsQ-R): Section 2.1's three kinds —
 destination value, store value, branch outcome — plus begin-of-ROI and
 squash control packets.
 
-Intervention packets (RF -> core): conditional branch predictions
-(IntQ-F, Section 2.2) and prefetch/load requests (IntQ-IS, Section 2.3).
+Intervention packets (RF -> core): prefetch/load requests (IntQ-IS,
+Section 2.3).  Conditional branch predictions (IntQ-F, Section 2.2) travel
+as the Fetch Agent's own pending entries.
 Load values return RF-ward via ObsQ-EX, tagged with the component's unique
 identifier because they may come back out of order.
 """
@@ -35,22 +36,6 @@ class SquashPacket:
 
     core_time: int
     reason: str  # "branch", "disambiguation", "roi_begin"
-
-
-@dataclass(slots=True)
-class PredPacket:
-    """Component -> Fetch Agent: one conditional branch prediction.
-
-    ``call_id``/``seq`` realize the realignment contract of the
-    squash/replay protocol: the Fetch Agent drops packets whose position
-    tag is older than the fetch unit's current position (the rollback +
-    replay machinery of Section 4.1.2 guarantees the same alignment in
-    hardware; the tags express its effect in the timestamp domain).
-    """
-
-    call_id: int
-    seq: int
-    taken: bool
 
 
 @dataclass(slots=True)

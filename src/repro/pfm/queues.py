@@ -1,10 +1,11 @@
 """Finite communication queues in the timestamp domain.
 
 The one-pass cycle model binds events to timestamps rather than stepping
-every queue every cycle.  A :class:`TimedQueue` therefore tracks, for each
-entry, when it was pushed and when it was popped; capacity back-pressure
-falls out of the invariant that push *n* cannot complete before pop
-*n - capacity* has happened.
+every queue every cycle.  A :class:`TimedQueue` therefore tags each entry
+with the time it becomes visible to the consumer.  Capacity is a plain
+occupancy bound: the producer tests :meth:`TimedQueue.can_push` and, on a
+full queue, advances the consumer (the RF clock) or sheds the packet —
+the back-pressure policy lives with each queue's agent.
 
 A fixed crossing latency models the core/RF clock-domain synchronizers on
 each queue's read side.
@@ -43,7 +44,7 @@ class TimedQueue:
 
     __slots__ = (
         "name", "owner", "capacity", "crossing_latency", "monotonic_push",
-        "_entries", "_pop_times", "_last_push_time",
+        "_entries", "_last_push_time",
         "pushes", "pops", "push_backpressure", "max_occupancy",
         "full_rejects", "probe",
     )
@@ -67,7 +68,6 @@ class TimedQueue:
         self.crossing_latency = crossing_latency
         self.monotonic_push = monotonic_push
         self._entries: deque[tuple[int, object]] = deque()  # (visible_time, item)
-        self._pop_times: deque[int] = deque(maxlen=capacity)
         self._last_push_time: int | None = None
         self.pushes = 0
         self.pops = 0
@@ -96,23 +96,8 @@ class TimedQueue:
     def can_push(self) -> bool:
         return len(self._entries) < self.capacity
 
-    def earliest_push(self, now: int) -> int:
-        """Earliest time >= *now* a push can take effect.
-
-        If the queue is full, that is the pop time of the oldest entry
-        still occupying space — which requires the consumer to have popped
-        (advance the consumer first if this returns a past-full condition).
-        """
-        if len(self._entries) < self.capacity:
-            return now
-        if not self._pop_times:
-            raise QueueFullError(
-                f"{self._who()}: full and consumer never popped"
-            )
-        return max(now, self._pop_times[0])
-
-    def push(self, now: int, item) -> int:
-        """Push at time *now*; return the effective push time."""
+    def push(self, now: int, item) -> None:
+        """Push at time *now*; raises :class:`QueueFullError` when full."""
         if len(self._entries) >= self.capacity:
             self.push_backpressure += 1
             raise QueueFullError(f"{self._who()}: push while full")
@@ -131,7 +116,6 @@ class TimedQueue:
             self.max_occupancy = len(self._entries)
         if self.probe is not None:
             self.probe.queue(now, self.name, "push", len(self._entries))
-        return now
 
     def note_reject(self, now: int | None = None) -> None:
         """Producer observed the queue full and shed the item."""
@@ -172,28 +156,15 @@ class TimedQueue:
                 f"consumer clock ran ahead of the synchronizer"
             )
         self._entries.popleft()
-        self._pop_times.append(now)
         self.pops += 1
         if self.probe is not None:
             self.probe.queue(now, self.name, "pop", len(self._entries))
         return item
 
-    def drain(self, now: int) -> list:
-        """Pop every entry visible at *now*."""
-        out = []
-        while self._entries and self._entries[0][0] <= now:
-            out.append(self.pop(now))
-        return out
-
-    def clear(self, now: int) -> int:
-        """Drop all entries (squash recovery); returns how many were dropped.
-
-        Dropped entries count as popped for capacity purposes.
-        """
+    def clear(self) -> int:
+        """Drop all entries (squash recovery); returns how many were dropped."""
         dropped = len(self._entries)
-        for _ in range(dropped):
-            self._entries.popleft()
-            self._pop_times.append(now)
+        self._entries.clear()
         return dropped
 
     def stats(self) -> dict[str, int]:

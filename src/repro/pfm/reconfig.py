@@ -254,7 +254,7 @@ class ReconfigController:
         handshake_done = start + (t.delay + 3) * c
         end = max(t.core_time(slot.rf_cycle), handshake_done)
         self.drain_stall_cycles += end - start
-        self.flushed_packets += slot._flush_inflight(end)
+        self.flushed_packets += slot._flush_inflight()
         return end
 
     def _settled(self) -> bool:

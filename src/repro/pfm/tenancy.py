@@ -287,7 +287,6 @@ class FabricScheduler:
         self._cap = cap
         self._top = 0
         self._grants: dict[int, list[tuple[int, "FabricSlot"]]] = {}
-        self.grants = 0
         self.preemptions = 0
         self.stall_cycles = 0
 
@@ -336,19 +335,11 @@ class FabricScheduler:
             stalled = cycle - send_time
             slot.sched_stall_cycles += stalled
             self.stall_cycles += stalled
-        self.grants += 1
         if len(grants) > self._PRUNE_LIMIT:
             floor = cycle - self._PRUNE_HORIZON
             for old in [c for c in grants if c < floor]:
                 del grants[old]
         return cycle
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "grants": self.grants,
-            "preemptions": self.preemptions,
-            "stall_cycles": self.stall_cycles,
-        }
 
 
 # ---------------------------------------------------------------------- #
@@ -457,7 +448,6 @@ class FabricSlot:
         self.enabled = True  # chicken switch
         self._pending_squashes: list[int] = []  # visible times
         self._watchdog_budget = WATCHDOG_RF_CYCLES
-        self.obs_dropped = 0
         self.squashes_signalled = 0
         self.probe: Any | None = None  # optional telemetry hub
         #: ROI-begin snoop value, recorded so a hot swap can re-arm the
@@ -699,10 +689,8 @@ class FabricSlot:
                 break
             guard -= 1
         if not self.obs_q.can_push():
-            self.obs_dropped += 1
             self.obs_q.note_reject(send_time)
             return
-        send_time = max(send_time, self.obs_q.earliest_push(send_time))
         self.obs_q.push(send_time, packet)
 
     def on_core_squash(self, squash_time: int, reason: str) -> int:
@@ -773,8 +761,6 @@ class FabricSlot:
             delivered, taken = self.injector.on_pred(taken)
             if not delivered:
                 return True  # lost in transit: the component saw success
-        if not self.fetch_agent.can_push(ready):
-            return False
         return self.fetch_agent.push(taken, ready, tag)
 
     def pred_new_call(self) -> None:
@@ -784,29 +770,26 @@ class FabricSlot:
         return self.intq_is.can_push()
 
     def load_push(self, packet: Any, ready: int) -> bool:
-        if self.injector is not None:
-            packets = self.injector.on_load(packet)
-            if not packets:
-                return True  # lost in transit: the component saw success
-            if not self.intq_is.can_push():
-                return False
-            self.intq_is.push(ready, packets[0])
-            for dup in packets[1:]:
-                if self.intq_is.can_push():  # a full queue sheds the dup
-                    self.intq_is.push(ready, dup)
-                else:
-                    self.intq_is.note_reject(ready)
+        """Push into IntQ-IS; the caller has just passed :meth:`load_can_push`."""
+        if self.injector is None:
+            self.intq_is.push(ready, packet)
             return True
-        if not self.intq_is.can_push():
-            return False
-        self.intq_is.push(ready, packet)
+        packets = self.injector.on_load(packet)
+        if not packets:
+            return True  # lost in transit: the component saw success
+        self.intq_is.push(ready, packets[0])
+        for dup in packets[1:]:
+            if self.intq_is.can_push():  # a full queue sheds the dup
+                self.intq_is.push(ready, dup)
+            else:
+                self.intq_is.note_reject(ready)
         return True
 
     # ------------------------------------------------------------------ #
     # context isolation (Section 2.4)
     # ------------------------------------------------------------------ #
 
-    def _flush_inflight(self, now: int) -> int:
+    def _flush_inflight(self) -> int:
         """Flush every queue and in-flight token; returns packets dropped.
 
         Shared by :meth:`deprogram` and the reconfiguration drain: nothing
@@ -815,16 +798,16 @@ class FabricSlot:
         tokens — may leak into the next program's queues.  Per-slot by
         construction: one tenant's drain never touches a neighbour.
         """
-        dropped = self.obs_q.clear(now)
-        dropped += self.intq_is.clear(now)
-        dropped += self.retq.clear(now)
+        dropped = self.obs_q.clear()
+        dropped += self.intq_is.clear()
+        dropped += self.retq.clear()
         dropped += self.fetch_agent.reset()
         dropped += self.load_agent.reset()
         dropped += len(self._pending_squashes)
         self._pending_squashes.clear()
         return dropped
 
-    def deprogram(self, now: int) -> None:
+    def deprogram(self) -> None:
         """Remove the context's component from RF and the Agents.
 
         Section 2.4: "The system must not allow one context's custom
@@ -838,7 +821,7 @@ class FabricSlot:
         self.roi_active = False
         self.roi_fetch_active = False
         self.last_roi_value = None
-        self._flush_inflight(now)
+        self._flush_inflight()
 
     def reprogram(self, now: int) -> None:
         """Re-synthesize the component when the context is swapped back in.
@@ -891,14 +874,15 @@ class FabricSlot:
 
         IntQ-F lives inside the Fetch Agent (predictions carry ready
         times through the delay pipeline rather than a TimedQueue), so
-        its summary comes from the agent; ObsQ-R additionally reports the
-        observation packets the Retire Agent shed on back-pressure.
+        its summary comes from the agent.  ObsQ-R additionally reports its
+        ``full_rejects`` as ``dropped``: the observation packets the Retire
+        Agent shed on back-pressure.
         """
         suffix = "" if self.index == 0 else f"@{self.index}"
         stats = {
             q.name: q.stats() for q in (self.obs_q, self.intq_is, self.retq)
         }
-        stats[f"ObsQ-R{suffix}"]["dropped"] = self.obs_dropped
+        stats[f"ObsQ-R{suffix}"]["dropped"] = self.obs_q.full_rejects
         stats[f"IntQ-F{suffix}"] = self.fetch_agent.stats()
         return stats
 
@@ -914,7 +898,7 @@ class FabricSlot:
             "prediction_packets_dropped": fa.packets_dropped,
             "fetch_stall_cycles": fa.stall_cycles,
             "obs_pushes": self.obs_q.pushes,
-            "obs_dropped": self.obs_dropped,
+            "obs_dropped": self.obs_q.full_rejects,
             "packets_built": ra.packets_built,
             "port_delay_cycles": ra.port_delay_cycles,
             "loads_issued": la.loads_issued,

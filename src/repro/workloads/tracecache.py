@@ -397,13 +397,9 @@ class CompiledTrace:
         """Numeric columns as NumPy arrays (shared, built once).
 
         Feeds the vectorized backend's per-trace profile: op codes,
-        dst-register indices, taken flags, next-pcs, and the iline column
-        as dense integer arrays; store addresses/values as float arrays
-        with NaN holes (``mem_addrs``/``store_values`` are None except on
-        memory ops, and stores never carry NaN payloads in practice —
-        the backend only consumes these where the op-code mask says a
-        store exists, so the NaN encoding is a representation detail).
-        Returns None when numpy is unavailable.
+        dst-register indices and pcs as dense integer arrays, and
+        ``mem_addrs`` as an int64 array with -1 where the column holds
+        None (non-memory ops).  Returns None when numpy is unavailable.
         """
         if self._nd is not None:
             return self._nd
@@ -417,12 +413,7 @@ class CompiledTrace:
         self._nd = {
             "op_codes": np.asarray(self.op_codes, dtype=np.int8),
             "dst_idx": np.asarray(self.dst_idx, dtype=np.int32),
-            "srcs_idx": np.asarray(self.srcs_idx, dtype=np.int32),
             "pcs": np.asarray(self.pcs, dtype=np.int64),
-            "next_pcs": np.asarray(self.next_pcs, dtype=np.int64),
-            "taken": np.asarray(
-                [bool(t) for t in self.taken], dtype=np.bool_
-            ),
             "mem_addrs": np.asarray(
                 [-1 if a is None else a for a in self.mem_addrs],
                 dtype=np.int64,

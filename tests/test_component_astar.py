@@ -2,6 +2,8 @@
 the run-ahead template over the astar spec): engines, ordering, store
 inference."""
 
+import pytest
+
 from tests.pfm_harness import FakeFabric, enable, make_io, send_obs, step_component
 
 from repro.pfm.component import RFTimings
@@ -116,6 +118,19 @@ def test_inferred_store_overrides_later_visit():
     way3 = [p for p in second if p[1] == "waymap:3"]
     assert way3 and way3[0][0] is True
     assert component.store_inferences >= 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_each_inferred_store_counted_once(width):
+    """A check group straddling RF cycles (W < 2 checks) re-evaluates its
+    CAM hit on resume; the inference still counts once, at its push."""
+    component, fabric, io, memory = make_setup(width=width, grid_width=16)
+    a = 5 * 16 + 5
+    memory.store_index("worklist", 0, a)
+    memory.store_index("worklist", 1, a + 2)
+    step_component(component, fabric, io, cycles=200)
+    # 43 distinct (iteration, derived index) inferences at every width.
+    assert component.store_inferences == 43
 
 
 def test_cam_scope_deallocates_on_retire():

@@ -4,26 +4,31 @@ A field that no experiment, example or benchmark ever sets is an option
 nobody uses: it belongs as a module constant at its reader.  This scans
 ``src/``, ``examples/`` and ``benchmarks/`` for a keyword argument or an
 attribute assignment naming each field of the fabric's configuration
-classes, ignoring the defining class's own body (its validation and
-normalization do not count as callers).
+classes and each ``SweepPool`` constructor parameter, ignoring the
+defining class's own body (its validation and normalization do not count
+as callers).
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.core.params import PFMParams
 from repro.core.watchdog import RecoveryPolicy, WatchdogParams
+from repro.experiments.pool import SweepPool
 from repro.faults.plan import FaultPlan
 from repro.pfm.tenancy import TenantSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "examples", "benchmarks")
-CLASSES = (PFMParams, WatchdogParams, RecoveryPolicy, TenantSpec, FaultPlan)
+CLASSES = (
+    PFMParams, WatchdogParams, RecoveryPolicy, TenantSpec, FaultPlan, SweepPool
+)
 
 #: ``(class, field) -> reason`` for fields kept without a caller.
 EXEMPT = {
@@ -59,6 +64,13 @@ def _set_names(tree: ast.AST, skip_class: str) -> set[str]:
     return names
 
 
+def _settable(cls: type) -> list[str]:
+    """A dataclass's fields, else its constructor's parameters."""
+    if dataclasses.is_dataclass(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+    return list(inspect.signature(cls).parameters)
+
+
 @pytest.fixture(scope="module")
 def trees() -> list[ast.AST]:
     return [
@@ -74,11 +86,11 @@ def test_every_config_field_is_set_somewhere(cls, trees):
     for tree in trees:
         used |= _set_names(tree, cls.__name__)
     unset = [
-        field.name
-        for field in dataclasses.fields(cls)
-        if field.name not in used and (cls.__name__, field.name) not in EXEMPT
+        name
+        for name in _settable(cls)
+        if name not in used and (cls.__name__, name) not in EXEMPT
     ]
     assert not unset, (
-        f"{cls.__name__} fields never set outside tests: {unset}; fold"
+        f"{cls.__name__} options never set outside tests: {unset}; fold"
         " each into a module constant at its reader"
     )

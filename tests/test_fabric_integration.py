@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core import PFMParams, SimConfig, SuperscalarCore, simulate
+from repro.experiments.pool import SweepPoint, run_point
+from repro.experiments.runner import parse_config_label
 from repro.memory.hierarchy import HierarchyParams
 from repro.pfm import tenancy
 from repro.pfm.component import CustomComponent
+from repro.pfm.fetch_agent import FetchAgent
 from repro.workloads.astar import build_astar_workload
 
 WINDOW = 15_000
@@ -153,3 +156,29 @@ def test_pfm_prefetch_effect_can_beat_perfect_bp():
     _, perfect = astar_run(perfect_branch_prediction=True)
     _, custom = astar_run(pfm=PFMParams(delay=0))
     assert custom.ipc > perfect.ipc * 0.9  # at least comparable
+
+
+
+def test_one_intqf_admission_scan_per_prediction_push(monkeypatch):
+    """IntQ-F occupancy is scanned once per prediction push, inside
+    ``FetchAgent.push``: the fabric does not pre-check it (astar golden
+    configuration, fault-free, so every push reaches the agent)."""
+    calls = {"can_push": 0, "pred_push": 0}
+    for cls, name in ((FetchAgent, "can_push"), (tenancy.FabricSlot, "pred_push")):
+        method = getattr(cls, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    run_point(
+        SweepPoint(
+            label="pfm:astar",
+            workload="astar",
+            window=5_000,
+            pfm=parse_config_label("clk4_w4, delay4, queue32, portLS1"),
+        )
+    )
+    assert calls["pred_push"] > 0
+    assert calls["can_push"] == calls["pred_push"]

@@ -89,7 +89,8 @@ def test_returns_blocked_by_full_obsq():
     # ObsQ-EX capacity 8: the rest wait in the agent.
     assert retq.occupancy == 8
     assert agent.in_flight > 0
-    retq.drain(10_000)
+    while retq.peek_visible(10_000) is not None:
+        retq.pop(10_000)
     agent.tick(6000)
     assert retq.occupancy > 0  # drained returns pushed afterwards
 

@@ -2,7 +2,7 @@
 
 from repro.core import PFMParams, SimConfig, SuperscalarCore
 from repro.core.stats import SimStats
-from repro.pfm.packets import LoadPacket, ObsPacket, PredPacket, SquashPacket
+from repro.pfm.packets import LoadPacket, ObsPacket, SquashPacket
 from repro.pfm.snoop import SnoopKind
 from repro.workloads.astar import build_astar_workload
 
@@ -12,8 +12,6 @@ def test_packet_dataclasses_hold_fields():
         kind=SnoopKind.STORE_VALUE, tag="s", pc=0x10, value=1.0, address=0x80
     )
     assert obs.kind is SnoopKind.STORE_VALUE and obs.address == 0x80
-    pred = PredPacket(call_id=2, seq=5, taken=True)
-    assert pred.call_id == 2 and pred.taken
     load = LoadPacket(ident=9, address=0x100, is_prefetch=True)
     assert load.is_prefetch
     squash = SquashPacket(core_time=77, reason="branch")

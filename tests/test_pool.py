@@ -241,16 +241,11 @@ def test_resume_short_circuits_through_store(tmp_path, counted_run_point):
 # ---------------------------------------------------------------------- #
 
 
-def _retry_pool(**kwargs) -> SweepPool:
-    kwargs.setdefault("retry_backoff", 0.0)
+def _retry_pool(monkeypatch, retries: int = pool_module.RETRIES, **kwargs) -> SweepPool:
+    """A pool retrying failed points *retries* times without backoff."""
+    monkeypatch.setattr(pool_module, "RETRIES", retries)
+    monkeypatch.setattr(pool_module, "RETRY_BACKOFF", 0.0)
     return SweepPool(**kwargs)
-
-
-def test_retry_params_validated():
-    with pytest.raises(ValueError):
-        SweepPool(retries=-1)
-    with pytest.raises(ValueError):
-        SweepPool(retry_backoff=-0.5)
 
 
 def test_transient_failure_retried_to_success(monkeypatch):
@@ -264,7 +259,7 @@ def test_transient_failure_retried_to_success(monkeypatch):
 
     monkeypatch.setattr(pool_module, "run_point", flaky)
     point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
-    results = _retry_pool().run([point])
+    results = _retry_pool(monkeypatch).run([point])
     assert attempts == ["p", "p"]
     assert "p" in results
 
@@ -283,7 +278,7 @@ def test_persistent_failure_raises_and_keeps_checkpoint(
         pfm_point("bad", "libquantum", WINDOW, PFMParams(delay=2)),
     ]
     checkpoint = tmp_path / "ck.jsonl"
-    pool = _retry_pool(cache_dir=tmp_path, checkpoint=checkpoint)
+    pool = _retry_pool(monkeypatch, cache_dir=tmp_path, checkpoint=checkpoint)
     with pytest.raises(SweepFailure) as exc_info:
         pool.run(points)
     assert exc_info.value.errors == {"bad": "RuntimeError: always dies"}
@@ -316,7 +311,7 @@ def test_resume_retries_previously_failed_point(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pool_module, "run_point", half_broken)
     with pytest.raises(SweepFailure):
-        _retry_pool(retries=0, cache_dir=tmp_path,
+        _retry_pool(monkeypatch, retries=0, cache_dir=tmp_path,
                     checkpoint=checkpoint).run(points)
     assert checkpoint.exists()
 
@@ -327,7 +322,9 @@ def test_resume_retries_previously_failed_point(tmp_path, monkeypatch):
         return _fake_stats()
 
     monkeypatch.setattr(pool_module, "run_point", healed)
-    results = _retry_pool(cache_dir=tmp_path, checkpoint=checkpoint).run(points)
+    results = _retry_pool(
+        monkeypatch, cache_dir=tmp_path, checkpoint=checkpoint
+    ).run(points)
     assert calls == ["bad"]  # only the failed point recomputed
     assert set(results) == {"ok", "bad"}
     assert not checkpoint.exists()  # fully successful sweep cleans up
@@ -343,7 +340,7 @@ def test_fail_fast_raises_original_error_unretried(monkeypatch):
     monkeypatch.setattr(pool_module, "run_point", dies)
     point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
     with pytest.raises(ValueError, match="bad config"):
-        _retry_pool(fail_fast=True).run([point])
+        _retry_pool(monkeypatch, fail_fast=True).run([point])
     assert attempts == ["p"]
 
 
@@ -357,7 +354,7 @@ def test_retries_zero_fails_after_single_attempt(monkeypatch):
     monkeypatch.setattr(pool_module, "run_point", dies)
     point = pfm_point("p", "libquantum", WINDOW, PFMParams(delay=0))
     with pytest.raises(SweepFailure):
-        _retry_pool(retries=0).run([point])
+        _retry_pool(monkeypatch, retries=0).run([point])
     assert attempts == ["p"]
 
 
@@ -384,7 +381,7 @@ def test_worker_crash_retried_in_fresh_executor(tmp_path, monkeypatch):
         pfm_point("crashy", "libquantum", WINDOW, PFMParams(delay=0)),
         pfm_point("ok", "libquantum", WINDOW, PFMParams(delay=2)),
     ]
-    results = _retry_pool(jobs=2).run(points)
+    results = _retry_pool(monkeypatch, jobs=2).run(points)
     assert set(results) == {"crashy", "ok"}
     assert os.path.exists(str(tmp_path / "crashed-once"))
 
@@ -415,6 +412,6 @@ def test_checkpoint_appends_are_fsynced(tmp_path, monkeypatch):
         pfm_point("bad", "libquantum", WINDOW, PFMParams(delay=4)),
     ]
     with pytest.raises(SweepFailure):
-        _retry_pool(retries=0, cache_dir=tmp_path,
+        _retry_pool(monkeypatch, retries=0, cache_dir=tmp_path,
                     checkpoint=tmp_path / "ck.jsonl").run(points)
     assert len(synced) == 2 + 1

@@ -179,7 +179,7 @@ def test_deprogram_drops_inflight_obs_packets():
     slot.fetch_agent.push(True, now, "waymap:0")
     assert slot.obs_q.occupancy >= 1
     dropped_before = slot.fetch_agent.packets_dropped
-    fabric.deprogram(now=now + 1)
+    fabric.deprogram()
     assert slot.obs_q.occupancy == 0
     assert slot.intq_is.occupancy == 0
     assert slot.retq.occupancy == 0
@@ -199,7 +199,7 @@ def test_deprogram_drops_pending_squash_done_tokens():
     assert slot.roi_active
     fabric.on_core_squash(now, "branch")
     assert slot._pending_squashes  # token queued for the component
-    fabric.deprogram(now=now + 1)
+    fabric.deprogram()
     assert slot._pending_squashes == []
     # The component never sees a stale squash: obs_peek finds nothing.
     assert slot.obs_peek(now + 10**6) is None

@@ -87,7 +87,7 @@ def test_deprogram_flushes_and_disables():
     fabric = core.fabric
     slot = fabric.slots[0]
     assert slot.enabled and slot.roi_active
-    fabric.deprogram(now=10**6)
+    fabric.deprogram()
     assert not slot.enabled
     assert not slot.roi_active
     assert slot.obs_q.occupancy == 0
@@ -106,7 +106,7 @@ def test_reprogram_builds_fresh_component():
     fabric = core.fabric
     slot = fabric.slots[0]
     old_component = slot.component
-    fabric.deprogram(now=10**6)
+    fabric.deprogram()
     fabric.reprogram(now=10**6 + 100)
     assert slot.enabled
     assert slot.component is not old_component  # no state survives

@@ -263,11 +263,11 @@ def test_fabric_reports_roi_active_while_any_slot_is():
     assert fabric.roi_fetch_active and fabric.roi_active
 
     # Deprogramming the primary alone leaves tenant 1's ROI live.
-    primary.deprogram(now=10**6)
+    primary.deprogram()
     assert not primary.roi_active and not primary.roi_fetch_active
     assert fabric.roi_fetch_active and fabric.roi_active
 
-    probe.deprogram(now=10**6)
+    probe.deprogram()
     assert not fabric.roi_fetch_active and not fabric.roi_active
 
 
