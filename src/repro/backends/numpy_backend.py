@@ -6,7 +6,10 @@ on every run of the same workload:
 
 * the direction predictor / BTB / RAS call sequence (predict at fetch,
   train at retire of the same instruction, strictly in program order),
-* the digest byte stream of the retired instructions, and
+* the ``arch_digest``, which depends on the trace and the window alone
+  (served from the trace's stored direction column or computed once from
+  the trace rows, :func:`~repro.workloads.tracecache.replay_digest`, the
+  same path the python engine takes; nothing is observed live), and
 * the per-instruction decode (op class, lane/latency parameters,
   register names, source tuples).
 
@@ -15,8 +18,7 @@ This backend hoists all of that into a cached per-trace
 from the trace's stored direction column
 (:meth:`~repro.workloads.tracecache.CompiledTrace.directions`, which the
 python engine reads too) plus one BTB/RAS pass (mispredicts =
-``predicted != taken`` over the whole trace),
-digest prefixes are cached as sha256 midstates per window, registers
+``predicted != taken`` over the whole trace), registers
 become integer slots, and bulk counters (branches, loads, stores, PRF
 traffic) are numpy reductions over column slices.  What remains — the
 serial timing recurrence through the finite structural resources — runs
@@ -36,12 +38,10 @@ swapped in after construction).  Anything else falls back to python
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from typing import TYPE_CHECKING
 
 from repro.backends.base import ExecutionBackend
-from repro.core.archstate import ArchDigest
 from repro.core.core import _PRUNE_INTERVAL, SuperscalarCore
 from repro.core.stages.execute import InFlightStore
 from repro.frontend.btb import BranchTargetBuffer, ReturnAddressStack
@@ -163,7 +163,7 @@ class TraceProfile:
     __slots__ = (
         "trace", "srcs_slots", "dst_slots", "nslots", "iline_change",
         "op_np", "dst_idx_np", "dst_write_np", "dst_fold_np",
-        "prf_reads_np", "control", "_digest_lines", "_digest_states",
+        "prf_reads_np", "control",
     )
 
     def __init__(self, trace: "CompiledTrace") -> None:
@@ -221,8 +221,6 @@ class TraceProfile:
         self.prf_reads_np = prf_reads
 
         self.control: dict[tuple[str, bool], ControlProfile] = {}
-        self._digest_lines: list[str] | None = None
-        self._digest_states: dict[int, "hashlib._Hash"] = {}
 
     def control_profile(
         self, predictor_name: str, perfect_bp: bool
@@ -235,43 +233,6 @@ class TraceProfile:
             )
             self.control[key] = ctrl
         return ctrl
-
-    def digest_state(self, n: int):
-        """sha256 midstate over the first *n* retired-stream lines (a copy).
-
-        The byte stream matches :meth:`ArchDigest.observe` exactly (hash
-        results are independent of update() chunking); windows extend the
-        longest cached prefix instead of rehashing from scratch.
-        """
-        states = self._digest_states
-        cached = states.get(n)
-        if cached is None:
-            lines = self._digest_lines
-            if lines is None:
-                trace = self.trace
-                cols = trace.columns()
-                dsts = cols[3]
-                pcs = trace.pcs
-                npcs = trace.next_pcs
-                addrs = trace.mem_addrs
-                svals = trace.store_values
-                dvals = trace.dst_values
-                takens = trace.taken
-                lines = [
-                    f"{i};{pcs[i]};{npcs[i]};{dsts[i]};{dvals[i]!r};"
-                    f"{addrs[i]};{svals[i]!r};{takens[i]}\n"
-                    for i in range(trace.length)
-                ]
-                self._digest_lines = lines
-            best_m, best = 0, None
-            for m, hm in states.items():
-                if best_m < m <= n:
-                    best_m, best = m, hm
-            cached = best.copy() if best is not None else hashlib.sha256()
-            if n > best_m:
-                cached.update("".join(lines[best_m:n]).encode())
-            states[n] = cached
-        return cached.copy()
 
 
 def _profile(trace: "CompiledTrace") -> TraceProfile:
@@ -352,10 +313,8 @@ class NumpyBackend(ExecutionBackend):
 
         regs_out = self._fold_regs(core, trace, prof, n)
         self._fold_memory(core, trace, prof, n)
-        digest = ArchDigest()
-        digest._hash = prof.digest_state(n)
-        core.stats.arch_digest = digest.finalize(
-            regs_out, core.workload.memory
+        core.stats.arch_digest = tracecache.replay_digest(
+            trace, core.params.predictor, n, regs_out, core.workload.memory
         )
         return core.stats
 

@@ -3,9 +3,15 @@
 This is the engine every other backend is measured against: each dynamic
 instruction walks through the four stage objects via
 ``SuperscalarCore._process`` (so instrumented core subclasses keep their
-hooks), the digest observes every retired instruction, and the pruning
-cadence bounds memory.  It accepts every run — cold compiles, functional
-execution, PFM fabric, faults, watchdogs, oracles, telemetry.
+hooks), and the pruning cadence bounds memory.  It accepts every run —
+cold compiles, functional execution, PFM fabric, faults, watchdogs,
+oracles, telemetry.
+
+Only functional execution observes each retired instruction into the
+``arch_digest``.  A replay's digest depends on the trace and the number
+of instructions replayed alone, so after the run it is served from the
+trace's stored direction column or computed once from the trace rows
+and stored there (:func:`~repro.workloads.tracecache.replay_digest`).
 
 A run that replays a compiled trace reads the core predictor's
 directions from the trace's stored column (the same column the numpy
@@ -60,6 +66,7 @@ class PythonBackend(ExecutionBackend):
         # same live-memory store timing, same final regs/memory), which
         # the executed-vs-replayed arch_digest tests pin down.
         replay = None
+        digest = None
         if trace is not None:
             source = trace.cursor(workload.memory, workload.initial_regs)
             predictor = core.params.predictor
@@ -72,13 +79,14 @@ class PythonBackend(ExecutionBackend):
                 core.retire_stage.predictor = replay
         else:
             source = workload.executor()
-        digest = ArchDigest()
-        observe = digest.observe
+            digest = ArchDigest()
         process = core._process
         stats = core.stats
         prune = core._prune
-        for dyn in source.run(limit):
-            observe(dyn)
+        stream = source.run(limit)
+        if digest is not None:
+            stream = digest.tap(stream)
+        for dyn in stream:
             process(dyn)
             if stats.instructions % _PRUNE_INTERVAL == 0:
                 prune()
@@ -88,5 +96,11 @@ class PythonBackend(ExecutionBackend):
                 f"direction column served {replay.consumed} bits for"
                 f" {stats.conditional_branches} conditional branches"
             )
-        stats.arch_digest = digest.finalize(source.regs, source.memory)
+        if digest is not None:
+            stats.arch_digest = digest.finalize(source.regs, source.memory)
+        else:
+            stats.arch_digest = tracecache.replay_digest(
+                trace, core.params.predictor if replay is not None else None,
+                stats.instructions, source.regs, source.memory,
+            )
         return stats

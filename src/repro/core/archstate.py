@@ -8,11 +8,19 @@ can therefore cost performance but can never corrupt architectural state.
 
 This module makes that claim falsifiable.  Every simulation folds its
 retired instruction stream and final architectural state (register file +
-data memory) into a running hash, reported as ``SimStats.arch_digest``.
-Two runs of the same workload retire the same instructions with the same
+data memory) into a hash, reported as ``SimStats.arch_digest``.  Two runs
+of the same workload retire the same instructions with the same
 architectural effects *iff* their digests match — which is exactly what
 the fault-injection oracle (:mod:`repro.faults.oracle`) asserts between a
 faulted PFM run and the plain-core baseline.
+
+Only functional execution observes the stream live, one
+:meth:`ArchDigest.observe` per retired instruction.  A replayed run's
+stream is the compiled trace's first rows, written by the replay cursor
+alone, so its digest is a function of the trace and the window: it is
+served from the trace's direction-column file, or computed from the
+trace columns (:meth:`ArchDigest.observe_columns`) and stored there (see
+:func:`repro.workloads.tracecache.replay_digest`).
 
 Only architectural quantities enter the hash: sequence numbers, PCs,
 control-flow targets, destination/store values, effective addresses, and
@@ -24,6 +32,7 @@ untouched while any state corruption changes it.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 from repro.workloads.trace import DynInst
 
@@ -55,6 +64,31 @@ class ArchDigest:
         if len(pending) >= _FLUSH_EVERY:
             self._hash.update("".join(pending).encode())
             pending.clear()
+
+    def tap(self, stream: Iterator[DynInst]) -> Iterator[DynInst]:
+        """Yield *stream* unchanged, observing each instruction first."""
+        observe = self.observe
+        for dyn in stream:
+            observe(dyn)
+            yield dyn
+
+    def observe_columns(
+        self, n: int, pcs, next_pcs, dsts, dst_values, mem_addrs,
+        store_values, taken,
+    ) -> None:
+        """Fold in rows ``0..n-1`` of per-instruction columns: the bytes
+        :meth:`observe` folds for the instructions of sequence numbers
+        ``0..n-1`` with those fields."""
+        self._flush()
+        self._hash.update("".join([
+            f"{seq};{pc};{next_pc};{dst};{dst_value!r};{mem_addr};"
+            f"{store_value!r};{tk}\n"
+            for seq, pc, next_pc, dst, dst_value, mem_addr, store_value, tk
+            in zip(
+                range(n), pcs, next_pcs, dsts, dst_values, mem_addrs,
+                store_values, taken,
+            )
+        ]).encode())
 
     def _flush(self) -> None:
         if self._pending:

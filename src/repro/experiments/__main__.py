@@ -218,9 +218,11 @@ def _cache_main(argv: list[str]) -> int:
     for entry in columns:
         size += entry["size_bytes"]
         if entry["valid"]:
+            windows = ", ".join(map(str, entry["digests"])) or "none"
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  ({entry['predictor']}, {entry['length']} insts,"
-                  f" {entry['branches']} branches)")
+                  f" {entry['branches']} branches,"
+                  f" digests at {windows})")
         else:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be rebuilt on next use)")

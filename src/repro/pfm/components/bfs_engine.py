@@ -275,17 +275,18 @@ class BfsEngine(CustomComponent):
                 prop = record.prop_values.get(j)
                 if prop is None:
                     return  # property value not back yet
-                visited_taken = prop >= 0
-                if not visited_taken and v in self._inferred:
-                    # An older in-window instance of V logically stored its
-                    # visited mark: override the prediction as taken.
-                    visited_taken = True
-                    self.store_inferences += 1
+                # An older in-window instance of V logically stored its
+                # visited mark: override the prediction as taken.
+                inferred = prop < 0 and v in self._inferred
                 if not io.can_push_pred():
                     return
-                if not io.push_pred(visited_taken, tag="visited"):
+                if not io.push_pred(prop >= 0 or inferred, tag="visited"):
                     return
-                if not visited_taken:
+                if inferred:
+                    # Counted once, when the override is pushed: a refused
+                    # push is retried next RF cycle.
+                    self.store_inferences += 1
+                elif prop < 0:
                     self._inferred[v] = record.position
                 record.emit_j = j + 1
                 record.emit_phase = "loop"

@@ -17,9 +17,8 @@ register / source-tuple tables — and replays it through a zero-copy
 :class:`TraceCursor`: the cursor indexes the shared columns directly,
 re-applies each store to the live memory image (so Load-Agent-injected
 loads observe exactly the state they would under functional execution)
-and rebuilds the architectural register file as it advances, so the
-:class:`~repro.core.archstate.ArchDigest` of a replayed run is
-byte-identical to an executed one.
+and rebuilds the architectural register file as it advances, so a
+replayed run ends in the same registers and memory as an executed one.
 
 Cache identity is a *content* digest of the built workload (program text,
 labels, initial memory words, initial registers, entry), not of the
@@ -48,6 +47,14 @@ keyed on the trace key, the predictor name and the package's
 predictor code never serves stale bits; predictors defined outside the
 package are never stored.  Any file that fails a check is rejected with
 a named reason (:class:`ColumnRejected`) and rebuilt.
+
+The same file stores the replay's ``arch_digest`` per window
+(``digests``: instructions replayed -> hex digest).  A replay's stream
+is the trace's first rows and only the cursor writes registers and
+memory, so the digest depends on the trace key and the window alone,
+never on timing or PFM hints (§2.1–2.3).  :func:`replay_digest` serves a
+stored one, or hashes the trace rows and the final state once and
+stores the result; only functional execution observes instructions live.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ TRACE_MAX = 2_000_000
 TRACE_VERSION = 2
 
 #: Direction-column file format version.
-COLUMN_VERSION = 1
+COLUMN_VERSION = 2
 
 #: Content-key schema version.  Separate from :data:`TRACE_VERSION`:
 #: trace keys feed every result-store key, so a file-format change must
@@ -271,9 +278,12 @@ class CompiledTrace:
         self._nd: dict[str, Any] | None = None
         #: The numpy backend's replay profile of this trace, built lazily.
         self._profile: Any = None
-        #: Predictor name -> (instructions covered, direction column);
-        #: see :meth:`directions`.
-        self._directions: dict[str, tuple[int, list[bool]]] = {}
+        #: Predictor name -> (instructions covered, direction column,
+        #: stored replay digests or None when the column is not stored);
+        #: see :meth:`directions` and :func:`replay_digest`.
+        self._directions: dict[
+            str, tuple[int, list[bool], dict[int, str] | None]
+        ] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -441,11 +451,11 @@ class CompiledTrace:
         for it.
         """
         need = self.length if length is None else min(length, self.length)
-        covered, bits = self._directions.get(predictor, (0, None))
-        if bits is None or covered < need:
-            covered, bits = _direction_column(self, predictor, need)
-            self._directions[predictor] = (covered, bits)
-        return bits
+        column = self._directions.get(predictor)
+        if column is None or column[0] < need:
+            column = _direction_column(self, predictor, need)
+            self._directions[predictor] = column
+        return column[1]
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -560,7 +570,9 @@ class ColumnRejected(ValueError):
     flipped bytes), ``header`` (undecodable or another format version),
     ``stale`` (another trace key, predictor or source fingerprint),
     ``count`` (not one bit per conditional branch of the instructions it
-    covers) or ``bits`` (a byte other than 0 or 1).
+    covers), ``bits`` (a byte other than 0 or 1) or ``digests`` (a
+    replay-digest map that is not a dict of instruction counts within
+    the covered window to 64-digit lowercase hex strings).
     """
 
     def __init__(self, reason: str) -> None:
@@ -627,11 +639,12 @@ def column_header(trace: CompiledTrace, predictor: str) -> dict:
 
 def decode_column(
     raw: bytes, header: dict, trace: CompiledTrace
-) -> tuple[int, list[bool]]:
-    """(instructions covered, bits) of a column file, checked against
-    the *header* it must carry and the branches of *trace*; raises
-    :class:`ColumnRejected` on any defect.  A column built over a
-    longer trace of the same key is cut to *trace*."""
+) -> tuple[int, list[bool], dict[int, str]]:
+    """(instructions covered, bits, replay digests) of a column file,
+    checked against the *header* it must carry and the branches of
+    *trace*; raises :class:`ColumnRejected` on any defect.  A column
+    built over a longer trace of the same key is cut to *trace*, and so
+    are its digests."""
     try:
         payload = _loads(raw)
     except _ChecksumMismatch:
@@ -662,7 +675,17 @@ def decode_column(
     bits = bits[:branches]
     if bits.translate(None, b"\x00\x01"):
         raise ColumnRejected("bits")
-    return covered, [bit == 1 for bit in bits]
+    digests = payload.get("digests")
+    if type(digests) is not dict or not all(
+        type(n) is int and 0 <= n <= length
+        and type(hexdigest) is str and len(hexdigest) == 64
+        and not hexdigest.strip("0123456789abcdef")
+        for n, hexdigest in digests.items()
+    ):
+        raise ColumnRejected("digests")
+    return covered, [bit == 1 for bit in bits], {
+        n: hexdigest for n, hexdigest in digests.items() if n <= covered
+    }
 
 
 def _column_path(name: str, key: str, predictor: str) -> Path:
@@ -671,16 +694,19 @@ def _column_path(name: str, key: str, predictor: str) -> Path:
 
 def _direction_column(
     trace: CompiledTrace, predictor: str, length: int
-) -> tuple[int, list[bool]]:
-    """(instructions covered, bits) of the trace's stored column when it
-    covers *length*, else of a column built over *length* and published.
-    A predictor defined outside the package is built, never stored."""
+) -> tuple[int, list[bool], dict[int, str] | None]:
+    """(instructions covered, bits, replay digests) of the trace's stored
+    column when it covers *length*, else of a column built over *length*
+    and published, keeping the stored digests.  A predictor defined
+    outside the package is built, never stored, and has no digests."""
     if not stores_directions(predictor):
-        return length, build_directions(trace, predictor, length)
-    path = _column_path(trace.name, trace.key, predictor)
-    header = column_header(trace, predictor)
+        return length, build_directions(trace, predictor, length), None
+    digests: dict[int, str] = {}
     try:
-        covered, bits = decode_column(path.read_bytes(), header, trace)
+        covered, bits, digests = decode_column(
+            _column_path(trace.name, trace.key, predictor).read_bytes(),
+            column_header(trace, predictor), trace,
+        )
     except OSError:
         pass
     except ColumnRejected:
@@ -688,15 +714,69 @@ def _direction_column(
     else:
         if covered >= length:
             STATS["column_disk_hits"] += 1
-            return covered, bits
+            return covered, bits, digests
     bits = build_directions(trace, predictor, length)
     STATS["column_builds"] += 1
+    _write_column(trace, predictor, length, bits, digests)
+    return length, bits, digests
+
+
+def _write_column(
+    trace: CompiledTrace, predictor: str, length: int, bits: list[bool],
+    digests: dict[int, str],
+) -> None:
+    """Publish a column file.  Concurrent writers race and the last one
+    wins; what the loser wrote (a digest, or a column over a longer
+    window) is rebuilt by a later run that needs it."""
     from repro.store.resultstore import ResultStore
 
-    ResultStore._write_raw(path, _dumps(
-        {"header": {**header, "length": length}, "bits": bytes(bits)}
-    ))
-    return length, bits
+    ResultStore._write_raw(
+        _column_path(trace.name, trace.key, predictor),
+        _dumps({
+            "header": {**column_header(trace, predictor), "length": length},
+            "bits": bytes(bits),
+            "digests": digests,
+        }),
+    )
+
+
+#: What :func:`replay_digest` reads for a run with no stored column.
+_NO_COLUMN: tuple[int, list[bool], None] = (0, [], None)
+
+
+def replay_digest(
+    trace: CompiledTrace, predictor: str | None, n: int,
+    regs: dict[str, float], memory: Any,
+) -> str:
+    """``arch_digest`` of a run that replayed the first *n* rows of
+    *trace* and ended in *regs* and *memory*.
+
+    Served from the run's stored direction column (*predictor*'s, read
+    by :meth:`CompiledTrace.directions`) when it holds a digest for
+    exactly *n* instructions.  Otherwise the rows are hashed straight
+    from the columns, then the final state, and the result is stored
+    in that column.  ``predictor=None`` (a predictor swapped in after
+    construction) and a predictor whose column is never stored serve
+    and store nothing.
+    """
+    from repro.core.archstate import ArchDigest
+
+    covered, bits, digests = (
+        trace._directions.get(predictor, _NO_COLUMN) if predictor
+        else _NO_COLUMN
+    )
+    if digests is not None and n in digests:
+        return digests[n]
+    digest = ArchDigest()
+    digest.observe_columns(
+        n, trace.pcs, trace.next_pcs, trace.columns()[3], trace.dst_values,
+        trace.mem_addrs, trace.store_values, trace.taken,
+    )
+    hexdigest = digest.finalize(regs, memory)
+    if digests is not None and n <= covered:
+        digests[n] = hexdigest
+        _write_column(trace, predictor, covered, bits, digests)
+    return hexdigest
 
 
 # --------------------------------------------------------------------- #
@@ -882,9 +962,10 @@ def column_files(base: str | os.PathLike | None = None) -> list[dict]:
     """Metadata of every on-disk direction column, sorted by filename.
 
     Each entry: path, size_bytes, valid (the checksum and header
-    decode), and when valid the predictor, the instructions covered and
-    the bit count.  Staleness needs the trace and the current sources,
-    so it is checked only when a run reads the column.
+    decode), and when valid the predictor, the instructions covered, the
+    bit count and the sorted windows with a stored replay digest.
+    Staleness needs the trace and the current sources, so it is checked
+    only when a run reads the column.
     """
     directory = trace_dir(base)
     entries: list[dict] = []
@@ -902,6 +983,7 @@ def column_files(base: str | os.PathLike | None = None) -> list[dict]:
                 predictor=payload["header"]["predictor"],
                 length=payload["header"]["length"],
                 branches=len(payload["bits"]),
+                digests=sorted(payload["digests"]),
                 valid=True,
             )
         except Exception:

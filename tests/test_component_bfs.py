@@ -1,5 +1,7 @@
 """The bfs custom component: T0-T3 decoupling and visited inference."""
 
+import pytest
+
 from tests.pfm_harness import FakeFabric, enable, make_io, send_obs, step_component
 
 from repro.pfm.component import RFTimings
@@ -136,3 +138,17 @@ def test_structure_inventory():
     ).structure()
     assert structure["queue_bits"] > 0
     assert structure["width"] == 4
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_each_inferred_store_counted_once(width):
+    """No node is visited in memory, so every visited prediction pushed
+    taken is one inferred store (8 at W=1, 14 at W=2 and 4).  A visited
+    push refused for budget is retried next RF cycle; the retry must not
+    count the inference again (counting before the push reads 16, 20
+    and 15)."""
+    component, fabric, io, _, _ = make_setup(frontier=(1, 3), width=width)
+    step_component(component, fabric, io, cycles=80)
+    taken = [t for t, tag in fabric.preds if tag == "visited" and t]
+    assert len(taken) >= 8
+    assert component.store_inferences == len(taken)

@@ -14,7 +14,10 @@ that makes:
 * a damaged column is rejected with a named reason and rebuilt, never
   used and never a crash;
 * a run builds the column over its own window only, and a predictor
-  defined outside the package is never stored.
+  defined outside the package is never stored;
+* the replay ``arch_digest`` stored in the same file per window equals
+  the live one on both engines, and a replay of a stored window hashes
+  nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import have_numpy
+from repro.backends import PythonBackend, have_numpy
 from repro.core import CoreParams, PFMParams, SimConfig, SuperscalarCore, simulate
+from repro.core.archstate import ArchDigest
 from repro.core.stages.fetch import FetchStage
 from repro.experiments import pool
 from repro.experiments.pool import SweepPoint, run_point, stats_to_dict
@@ -60,11 +64,37 @@ def _fresh_memo():
     tracecache.reset_memory_cache()
 
 
-def _python_engine(monkeypatch) -> None:
-    """Pin ``run_point`` to the python engine, the column's replay path."""
+def _pin_engine(monkeypatch, backend: str = "python") -> None:
+    """Pin ``run_point`` to an engine (by default python, the column's
+    replay path)."""
     monkeypatch.setattr(pool, "SimConfig", functools.partial(
-        SimConfig, core=CoreParams(backend="python")
+        SimConfig, core=CoreParams(backend=backend)
     ))
+
+
+def _digest_calls(monkeypatch) -> Counter:
+    """Count every hashing call of :class:`ArchDigest` from now on."""
+    calls: Counter[str] = Counter()
+    for name in ("observe", "observe_columns", "finalize"):
+        original = getattr(ArchDigest, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ArchDigest, name, counted)
+    return calls
+
+
+def _live_digest(window: int = SMALL_WINDOW) -> tuple[str, dict, object]:
+    """(digest, final registers, final memory) of *window* astar
+    instructions under plain functional execution."""
+    executor = build_workload("astar").executor()
+    digest = ArchDigest()
+    for _ in digest.tap(executor.run(window)):
+        pass
+    regs, memory = executor.regs, executor.memory
+    return digest.finalize(regs, memory), regs, memory
 
 
 def _golden_points() -> list[tuple[str, SweepPoint, Path]]:
@@ -92,8 +122,10 @@ GOLDEN_POINTS = _golden_points()
 )
 def test_column_matches_the_live_predictor(point, golden, monkeypatch):
     """18 goldens and 6 variants: live predictor (no trace) and replay
-    (stored column) give byte-identical full stats, equal to the golden."""
-    _python_engine(monkeypatch)
+    (stored column) give byte-identical full stats, equal to the golden.
+    The replay stored its digest; a later replay on either engine serves
+    it without hashing, and it equals the live digest."""
+    _pin_engine(monkeypatch)
     monkeypatch.setattr(tracecache, "ENABLED", False)
     live = json.loads(json.dumps(stats_to_dict(run_point(point))))
     monkeypatch.setattr(tracecache, "ENABLED", True)
@@ -101,6 +133,15 @@ def test_column_matches_the_live_predictor(point, golden, monkeypatch):
     assert tracecache.STATS["column_builds"] == 1
     assert replay == live
     assert live == json.loads(golden.read_text())["stats"]
+
+    calls = _digest_calls(monkeypatch)
+    # A fabric run never takes the numpy engine.
+    vectorized = have_numpy() and point.pfm is None
+    for backend in ("python", "numpy") if vectorized else ("python",):
+        tracecache.reset_memory_cache()
+        _pin_engine(monkeypatch, backend)
+        assert run_point(point).arch_digest == live["arch_digest"]
+    assert calls == Counter()
 
 
 def _live_and_replay(make_config, monkeypatch) -> tuple[dict, dict]:
@@ -168,6 +209,79 @@ def test_warm_replay_never_calls_the_predictor(monkeypatch):
     assert tracecache.STATS["column_disk_hits"] == 1
 
 
+def test_warm_replay_never_hashes(monkeypatch):
+    """A second replay of a stored window, on either engine, with or
+    without the fabric, makes no observe and no finalize call; its
+    digest is the live one."""
+    live = _live_digest()[0]
+    configs = {
+        "fabric": SimConfig(max_instructions=SMALL_WINDOW, pfm=PFMParams(delay=0)),
+        "python": SimConfig(
+            max_instructions=SMALL_WINDOW, core=CoreParams(backend="python"),
+        ),
+    }
+    if have_numpy():
+        configs["numpy"] = SimConfig(
+            max_instructions=SMALL_WINDOW, core=CoreParams(backend="numpy"),
+        )
+    cold = simulate(build_workload("astar"), configs["python"])
+    assert cold.arch_digest == live
+    tracecache.reset_memory_cache()
+
+    calls = _digest_calls(monkeypatch)
+    for name, config in configs.items():
+        stats = simulate(build_workload("astar"), config)
+        assert stats.backend == ("numpy" if name == "numpy" else "python")
+        assert stats.arch_digest == live
+    assert calls == Counter()
+    assert tracecache.STATS["column_disk_hits"] == 1
+
+
+def test_a_run_of_another_window_recomputes(monkeypatch):
+    """A stored digest is served only to a run that consumed exactly its
+    window: a shorter run on the same column hashes its own window (and
+    stores it beside the first), and the stored entry is looked up by
+    the consumed count, not by the configured window."""
+    short = SMALL_WINDOW - 1
+    live, live_short = _live_digest()[0], _live_digest(short)[0]
+    simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
+    calls = _digest_calls(monkeypatch)
+    stats = simulate(build_workload("astar"), SimConfig(max_instructions=short))
+    assert calls == Counter(observe_columns=1, finalize=1)
+    assert stats.arch_digest == live_short
+    (entry,) = tracecache.column_files()
+    assert entry["digests"] == [short, SMALL_WINDOW]
+
+    # A run asking for more than the trace holds consumes the trace.
+    trace = tracecache.get_trace(build_workload("astar"), SMALL_WINDOW)
+    core = SuperscalarCore(
+        build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW)
+    )
+    stats = PythonBackend().run(core, trace, SMALL_WINDOW + 10)
+    assert stats.instructions == SMALL_WINDOW
+    assert calls["finalize"] == 1
+    assert stats.arch_digest == live
+
+
+def test_a_source_edit_recomputes_the_digest(monkeypatch):
+    """The stored digest lives in the column file, so it is keyed on the
+    package's source fingerprint as well: after an edit it is rehashed,
+    not served."""
+    from repro.store import resultstore
+
+    live = _live_digest()[0]
+    simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
+    tracecache.reset_memory_cache()
+    monkeypatch.setattr(resultstore, "source_fingerprint", lambda: "f" * 64)
+    calls = _digest_calls(monkeypatch)
+    stats = simulate(
+        build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW)
+    )
+    assert stats.arch_digest == live
+    assert calls == Counter(observe_columns=1, finalize=1)
+    assert tracecache.STATS["column_recoveries"] == 1
+
+
 def test_a_run_checks_it_consumed_one_bit_per_branch(monkeypatch):
     """A run whose stages draw a bit the branches did not account for
     fails loudly instead of reporting shifted predictions."""
@@ -198,16 +312,21 @@ class _CountingGshare(GSharePredictor):
         return super().predict(pc)
 
 
-def test_a_predictor_swapped_in_runs_live():
+def test_a_predictor_swapped_in_runs_live(monkeypatch):
     """Swapping the predictor after construction skips the column: the
     swapped-in instance predicts every branch, with the same result as
-    a core configured with that predictor."""
+    a core configured with that predictor.  With no column the replay
+    digest is hashed from the trace rows, never observed, and stored
+    nowhere."""
     config = SimConfig(max_instructions=SMALL_WINDOW)
     core = SuperscalarCore(build_workload("astar"), config)
     swapped = _CountingGshare()
     core.predictor = core.fetch_stage.predictor = swapped
     core.retire_stage.predictor = swapped
+    calls = _digest_calls(monkeypatch)
     stats = core.run()
+    assert calls == Counter(observe_columns=1, finalize=1)
+    assert not list(tracecache.trace_dir().glob("*.pred"))
     assert swapped.predictions == stats.conditional_branches > 0
     assert stats.backend == "python"
     configured = simulate(build_workload("astar"), dataclasses.replace(
@@ -242,10 +361,12 @@ def test_swapping_only_the_core_alias_still_runs_live(monkeypatch):
 
 
 def _column_fixture():
-    """(trace, column path, file bytes, bits) after one cold run."""
+    """(trace, column path, file bytes, bits) after one cold run, which
+    stored its replay digest in the file."""
     simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
     trace = tracecache.get_trace(build_workload("astar"), SMALL_WINDOW)
     (path,) = tracecache.trace_dir().glob("*.pred")
+    assert list(_payload(path.read_bytes())["digests"]) == [SMALL_WINDOW]
     return trace, path, path.read_bytes(), trace.directions(PREDICTOR)
 
 
@@ -257,14 +378,33 @@ def _payload(raw: bytes) -> dict:
     return pickle.loads(raw[32:])
 
 
-def _resigned(raw: bytes, *, header=None, bits=None) -> bytes:
-    """A checksum-valid file with the stored header or bits replaced."""
+_DROP = object()
+
+
+def _resigned(raw: bytes, **fields) -> bytes:
+    """A checksum-valid file with the stored header, bits or digests
+    replaced (or, given ``_DROP``, removed)."""
     payload = _payload(raw)
-    if header is not None:
-        payload["header"] = header
-    if bits is not None:
-        payload["bits"] = bits
+    for name, value in fields.items():
+        if value is _DROP:
+            del payload[name]
+        else:
+            payload[name] = value
     return _signed(pickle.dumps(payload, protocol=4))
+
+
+def _bad_digests(header: dict, good: str) -> list:
+    """Malformed digest maps: non-int keys, windows outside the column,
+    non-hex or short values, and values that are not a dict."""
+    length = header["length"]
+    return [
+        {str(length): good}, {float(length): good}, {True: good},
+        {None: good}, {(length,): good}, {-1: good}, {length + 1: good},
+        {length: good.upper()}, {length: good[:-1] + "g"},
+        {length: good[:63]}, {length: ""}, {length: good + "0"},
+        {length: good.encode()}, {length: int(good, 16)}, {length: None},
+        [(length, good)], None, good, 0, _DROP,
+    ]
 
 
 def _mutations(raw: bytes):
@@ -302,8 +442,22 @@ def _mutations(raw: bytes):
     not_a_bit = st.tuples(
         st.integers(0, len(bits) - 1), st.integers(2, 255)
     ).map(lambda pv: (_resigned(raw, bits=_put(bits, *pv)), "bits"))
+    (good,) = _payload(raw)["digests"].values()
+    hex_digit = set("0123456789abcdef")
+    bad_digests = st.one_of(
+        st.sampled_from(_bad_digests(header, good)),
+        st.text(max_size=70).filter(
+            lambda t: len(t) != 64 or not set(t) <= hex_digit
+        ).map(lambda t: {header["length"]: t}),
+        st.one_of(
+            st.text(max_size=4), st.floats(), st.booleans(),
+            st.integers(max_value=-1),
+            st.integers(min_value=header["length"] + 1),
+        ).map(lambda key: {key: good}),
+    ).map(lambda d: (_resigned(raw, digests=d), "digests"))
     return st.one_of(
-        raw_writes, stale, version, garbage, malformed, count, not_a_bit
+        raw_writes, stale, version, garbage, malformed, count, not_a_bit,
+        bad_digests,
     )
 
 
@@ -327,15 +481,19 @@ def _other(value):
     return value + "x"
 
 
-def test_mutated_column_file_is_rejected_and_rebuilt():
+def test_mutated_column_file_is_rejected_and_rebuilt(monkeypatch):
     """Truncation, bit flips, a wrong bit count, bytes other than 0/1, a
-    stale fingerprint (or key, predictor) and an unreadable header are
-    each rejected with their named reason; the run rebuilds the exact
-    column and heals the file."""
+    stale fingerprint (or key, predictor), an unreadable header and a
+    malformed digest map are each rejected with their named reason; the
+    run rebuilds the exact column, rehashes the digest instead of
+    serving it, and heals the file."""
+    live, regs, memory = _live_digest()
     trace, path, raw, bits = _column_fixture()
     header = tracecache.column_header(trace, PREDICTOR)
     assert len(bits) == trace.branch_count()
     assert _payload(raw)["header"]["length"] == trace.length
+    assert _payload(raw)["digests"] == {SMALL_WINDOW: live}
+    calls = _digest_calls(monkeypatch)
 
     @settings(max_examples=200, deadline=None)
     @given(case=_mutations(raw))
@@ -343,7 +501,7 @@ def test_mutated_column_file_is_rejected_and_rebuilt():
         mutated, reason = case
         if reason is None:
             assert tracecache.decode_column(mutated, header, trace) == (
-                trace.length, bits
+                trace.length, bits, {SMALL_WINDOW: live}
             )
         else:
             with pytest.raises(tracecache.ColumnRejected) as excinfo:
@@ -353,21 +511,29 @@ def test_mutated_column_file_is_rejected_and_rebuilt():
         path.write_bytes(mutated)
         trace._directions.clear()
         recoveries = tracecache.STATS["column_recoveries"]
+        finalizes = calls["finalize"]
         assert trace.directions(PREDICTOR) == bits
         assert tracecache.STATS["column_recoveries"] == recoveries + (
             reason is not None
         )
+        assert tracecache.replay_digest(
+            trace, PREDICTOR, SMALL_WINDOW, regs, memory
+        ) == live
+        assert calls["finalize"] == finalizes + (reason is not None)
         assert path.read_bytes() == raw
 
     check()
 
 
-@pytest.mark.parametrize("reason", ["checksum", "stale", "count", "bits"])
+@pytest.mark.parametrize("damage", [
+    "checksum", "stale", "count", "bits",
+    "digests-key", "digests-hex", "digests-short", "digests-type",
+])
 def test_a_run_over_a_damaged_column_matches_the_live_predictor(
-    reason, monkeypatch
+    damage, monkeypatch
 ):
-    """A damaged column never reaches a run: the stats equal the live
-    predictor's and the column is rebuilt once."""
+    """A damaged column never reaches a run: the stats (the digest among
+    them) equal the live predictor's and the column is rebuilt once."""
     pfm = parse_config_label(PFM_CONFIG)
     config = SimConfig(max_instructions=SMALL_WINDOW, pfm=pfm)
     monkeypatch.setattr(tracecache, "ENABLED", False)
@@ -375,13 +541,25 @@ def test_a_run_over_a_damaged_column_matches_the_live_predictor(
     monkeypatch.setattr(tracecache, "ENABLED", True)
 
     trace, path, raw, _ = _column_fixture()
-    header, bits = _payload(raw)["header"], _payload(raw)["bits"]
-    path.write_bytes({
+    payload = _payload(raw)
+    header, bits = payload["header"], payload["bits"]
+    (good,) = payload["digests"].values()
+    mutated = {
         "checksum": raw[:-1],
         "stale": _resigned(raw, header={**header, "fingerprint": "0" * 64}),
         "count": _resigned(raw, bits=bits[:-1]),
         "bits": _resigned(raw, bits=_put(bits, 0, 2)),
-    }[reason])
+        "digests-key": _resigned(raw, digests={str(SMALL_WINDOW): good}),
+        "digests-hex": _resigned(raw, digests={SMALL_WINDOW: good.upper()}),
+        "digests-short": _resigned(raw, digests={SMALL_WINDOW: good[:-1]}),
+        "digests-type": _resigned(raw, digests=[(SMALL_WINDOW, good)]),
+    }[damage]
+    with pytest.raises(tracecache.ColumnRejected) as excinfo:
+        tracecache.decode_column(mutated, tracecache.column_header(
+            trace, PREDICTOR
+        ), trace)
+    assert excinfo.value.reason == damage.partition("-")[0]
+    path.write_bytes(mutated)
     tracecache.reset_memory_cache()
     assert stats_to_dict(simulate(build_workload("astar"), config)) == live
     assert tracecache.STATS["column_recoveries"] == 1
@@ -528,3 +706,17 @@ def test_cache_clear_removes_columns(capsys):
     assert main(["cache", "clear"]) == 0
     assert "1 direction column(s)" in capsys.readouterr().out
     assert tracecache.column_files() == []
+
+
+def test_cache_list_shows_the_stored_digest_windows(capsys):
+    """Each direction-column line names the windows whose replay digest
+    the file stores."""
+    from repro.experiments.__main__ import main
+
+    for window in (SMALL_WINDOW, SMALL_WINDOW // 2):
+        simulate(build_workload("astar"), SimConfig(max_instructions=window))
+    (entry,) = tracecache.column_files()
+    assert entry["digests"] == [SMALL_WINDOW // 2, SMALL_WINDOW]
+    assert main(["cache", "list"]) == 0
+    out = capsys.readouterr().out
+    assert f"digests at {SMALL_WINDOW // 2}, {SMALL_WINDOW})" in out
