@@ -126,8 +126,8 @@ def cpi_stack(
 ) -> CPIStack:
     """Compute the counterfactual CPI stack for a workload.
 
-    *build_workload* must return a fresh workload per call (state is
-    mutated by execution).  With *pfm*, the stack describes the PFM run
+    *build_workload* must return a workload of its own per call (state
+    is mutated by execution); a registry ``build_workload`` copy is one.  With *pfm*, the stack describes the PFM run
     (its idealized variants also keep the component attached).  The
     measured (non-idealized) run carries a stage+squash telemetry ring,
     feeding the stack's intra-run breakdowns.

@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         default=None,
         help="write raw per-point stats as deterministic JSON"
-             " (sweep, faults and --smoke only)",
+             " (sweep, faults and bare --smoke only)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -506,6 +506,16 @@ def main(argv: list[str] | None = None) -> int:
             "--smoke combines only with "
             + "/".join(PAYLOAD_EXPERIMENTS)
             + "/trace; alone it runs the full-matrix sweep"
+        )
+    if (
+        args.json
+        and args.experiment is not None
+        and args.experiment not in PAYLOAD_EXPERIMENTS
+    ):
+        parser.error(
+            "--json combines only with "
+            + "/".join(PAYLOAD_EXPERIMENTS)
+            + " (or bare --smoke); other experiments write no raw stats"
         )
 
     shard = None

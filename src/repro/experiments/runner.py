@@ -2,7 +2,8 @@
 
 Workloads are resolved by name through the registry layer
 (:mod:`repro.registry`); graphs and grids are deterministic (seeded), so
-each build returns a fresh workload with identical initial state.  Every
+the registry builds each recipe once per process and every
+``build_workload`` call returns a private copy of that initial state.  Every
 run goes through :func:`~repro.experiments.pool.run_point`, driven by a
 :class:`~repro.experiments.pool.SweepPool` and its result store.
 """

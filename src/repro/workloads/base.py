@@ -27,10 +27,10 @@ class Workload:
             compiled-trace cache, stamped by the registry's
             ``build_workload``; None for hand-assembled workloads
             (those always execute functionally).
-        build_ref: ``(registry name, overrides)`` recipe to rebuild a
-            fresh copy, stamped alongside ``trace_key`` — trace
-            compilation consumes a dedicated rebuild so this instance's
-            memory image stays pristine for the simulation itself.
+        build_ref: ``(registry name, overrides)`` recipe, stamped
+            alongside ``trace_key`` — trace compilation executes its own
+            copy built from it, so this instance's memory image stays
+            pristine for the simulation itself.
     """
 
     name: str
@@ -46,8 +46,9 @@ class Workload:
     def executor(self) -> FunctionalExecutor:
         """Fresh functional executor over this workload's state.
 
-        Note: the memory image is mutated by execution; build a new
-        workload (they are cheap) for every independent simulation run.
+        Note: the memory image is mutated by execution; call the
+        registry's ``build_workload`` again (it copies the process's
+        pristine base) for every independent simulation run.
         """
         return FunctionalExecutor(
             self.program, self.memory, self.initial_regs, self.entry

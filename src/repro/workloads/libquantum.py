@@ -10,6 +10,7 @@ an adaptively-distanced stride stream.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro.isa.builder import ProgramBuilder
@@ -38,11 +39,18 @@ def build_libquantum_workload(
     state_base = memory.allocate("reg_state", 2 * reg_size)
     # Initialize states so the control masks are usually set (biased,
     # predictable branches — the bottleneck is the loads, not control).
-    for i in range(reg_size):
-        state = control1 | control2 | rng.getrandbits(3)
-        if rng.random() < 0.08:
-            state &= ~control1
-        memory.store(state_base + i * NODE_STRIDE, state)
+    # Each node draws its low bits (the for clause), then its
+    # clear-control1 coin (the condition), in that order.
+    getrandbits, coin = rng.getrandbits, rng.random
+    controls = control1 | control2
+    memory.store_array(
+        "reg_state",
+        [
+            (controls | bits) & ~control1 if coin() < 0.08 else controls | bits
+            for bits in map(getrandbits, itertools.repeat(3, reg_size))
+        ],
+        stride=NODE_STRIDE,
+    )
 
     b = ProgramBuilder()
     b.label("main")

@@ -81,17 +81,28 @@ class MemoryImage:
         """Write element *index* of region *name*."""
         self.store(self.base(name) + index * WORD_BYTES, value)
 
-    def store_array(self, name: str, values) -> int:
-        """Allocate (if needed) and fill region *name* with *values*."""
+    def store_array(self, name: str, values, stride: int = WORD_BYTES) -> int:
+        """Allocate (if needed) and fill region *name* with *values*, one
+        every *stride* bytes (a multiple of the word size)."""
+        if stride <= 0 or stride % WORD_BYTES:
+            raise ValueError(f"stride {stride} is not a positive word multiple")
         values = list(values)
         if name not in self._regions:
-            self.allocate(name, max(1, len(values)))
+            self.allocate(name, max(1, len(values) * (stride // WORD_BYTES)))
         base = self.base(name)
         if values and base % WORD_BYTES:
             raise ValueError(f"misaligned store address {base:#x}")
-        end = base + len(values) * WORD_BYTES
-        self._words.update(zip(range(base, end, WORD_BYTES), values))
+        end = base + len(values) * stride
+        self._words.update(zip(range(base, end, stride), values))
         return base
+
+    def copy(self) -> "MemoryImage":
+        """Independent image with the same regions, bump pointer and
+        materialized words (a store to either never reaches the other)."""
+        clone = MemoryImage(self._bump)
+        clone._words = dict(self._words)
+        clone._regions = dict(self._regions)
+        return clone
 
     def touched_words(self) -> int:
         """Number of words actually materialized (for tests/diagnostics)."""

@@ -125,6 +125,13 @@ _MEMO: dict[str, "CompiledTrace"] = {}
 #: recipe that does not build.
 _KEY_MEMO: dict[str, str | None] = {}
 
+#: The process's pristine base workload, ``{recipe digest: base}`` with
+#: at most one entry, kept and copied by
+#: :func:`repro.registry.workloads.build_workload`.  One slot bounds the
+#: memory to one extra image; the grids run each workload's points
+#: together, so each group still builds once.
+_BASE: "dict[str, Workload]" = {}
+
 #: Subsystem accounting, exposed for tests and the ``cache`` CLI.
 STATS = {
     "compiles": 0,
@@ -216,10 +223,10 @@ def workload_content_key(workload: "Workload") -> str:
 def annotate(workload: "Workload", name: str, overrides: dict) -> None:
     """Stamp a registry-built workload with its trace-cache identity.
 
-    Called by :func:`repro.registry.workloads.build_workload`.  The
-    content key is memoized per build recipe (:data:`_KEY_MEMO`) so
-    sweep campaigns that rebuild the same point repeatedly hash the
-    workload content only once per process.
+    Called by :func:`repro.registry.workloads.build_workload` on the
+    base it keeps.  The content key is memoized per build recipe
+    (:data:`_KEY_MEMO`), so a base evicted and built again is not
+    hashed again, and a recipe-index hit spares the hash entirely.
     """
     workload.build_ref = (name, dict(overrides))
     digest = recipe_digest(name, overrides)
@@ -291,11 +298,11 @@ class CompiledTrace:
     def compile(
         cls, workload: "Workload", length: int, key: str, name: str
     ) -> "CompiledTrace":
-        """Functionally execute a *fresh* workload into the compiled form.
+        """Functionally execute a *pristine* workload into the compiled form.
 
         The workload's memory image is consumed (mutated to the
         ``length``-instruction state); callers must pass a dedicated
-        fresh build, never one that will be simulated afterwards.
+        copy, never one that will be simulated afterwards.
         """
         trace = cls(name, key)
         mn_table: dict[str, int] = {}
@@ -855,15 +862,17 @@ def _persist(path: Path, trace: CompiledTrace) -> None:
 
 
 def _rebuild(workload: "Workload") -> "Workload | None":
+    """A pristine copy of *workload* for the compile to execute, so the
+    caller's own image stays untouched for its simulation."""
     ref = workload.build_ref
     if ref is None:
         return None
     # Imported lazily: the registry autoloads workload modules, which
     # import this module's decorators' neighbors.
-    from repro.registry.workloads import WORKLOADS
+    from repro.registry import build_workload
 
     try:
-        return WORKLOADS.get(ref[0])(**ref[1])
+        return build_workload(ref[0], **ref[1])
     except Exception:
         return None
 
@@ -873,7 +882,8 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
 
     None means "functionally execute": the cache is disabled, the
     workload was not registry-built (no identity), the window is beyond
-    the compile ceiling, or a fresh rebuild failed verification.
+    the compile ceiling, or the pristine copy the compile executes failed
+    verification.
     """
     key = getattr(workload, "trace_key", None)
     if key is None or window <= 0 or not ENABLED or window > TRACE_MAX:
@@ -902,7 +912,9 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
     if fresh is None:
         return None
     if workload_content_key(fresh) != key:
-        # Nondeterministic builder: replay would diverge; refuse to cache.
+        # The key came from the on-disk recipe index (or a
+        # nondeterministic builder) and does not match this content:
+        # replay would diverge; refuse to cache.
         return None
     trace = CompiledTrace.compile(
         fresh, _compile_length(max(window, have)), key=key, name=name
@@ -917,6 +929,7 @@ def reset_memory_cache() -> None:
     """Drop all in-process state (tests and cold-path benchmarks)."""
     _MEMO.clear()
     _KEY_MEMO.clear()
+    _BASE.clear()
     for counter in STATS:
         STATS[counter] = 0
 

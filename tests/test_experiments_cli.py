@@ -49,6 +49,20 @@ def test_smoke_with_experiment_errors():
         main(["fig8", "--smoke"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig8", "--window", "300"],
+    ["all", "--window", "300"],
+    ["list"],
+    ["trace", "--smoke"],
+])
+def test_json_with_an_experiment_that_writes_none_errors(tmp_path, argv):
+    json_path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-cache", "--json", str(json_path)])
+    assert exc.value.code == 2
+    assert not json_path.exists()
+
+
 def test_smoke_runs_parallel_and_writes_json(tmp_path, capsys):
     json_path = tmp_path / "smoke.json"
     assert main([

@@ -66,6 +66,45 @@ def test_store_array_allocates_and_fills():
     assert memory.size_words("data") == 3
 
 
+def test_strided_store_array_equals_per_word_stores():
+    values = [3, 0, 9, 4]
+    stride = 2 * WORD_BYTES
+    looped, bulk = MemoryImage(), MemoryImage()
+    base = looped.allocate("nodes", 2 * len(values))
+    assert bulk.allocate("nodes", 2 * len(values)) == base
+    for i, value in enumerate(values):
+        looped.store(base + i * stride, value)
+    assert bulk.store_array("nodes", values, stride=stride) == base
+    assert list(bulk.iter_words()) == list(looped.iter_words())
+    assert bulk.load(base + WORD_BYTES) == 0  # the gaps stay untouched
+    assert bulk.touched_words() == len(values)
+    fresh = MemoryImage()
+    fresh.store_array("nodes", values, stride=stride)
+    assert fresh.size_words("nodes") == 2 * len(values)
+
+
+@pytest.mark.parametrize("stride", [0, -WORD_BYTES, WORD_BYTES // 2, 12])
+def test_store_array_rejects_a_stride_off_the_word_grid(stride):
+    with pytest.raises(ValueError, match="stride"):
+        MemoryImage().store_array("data", [1, 2], stride=stride)
+
+
+def test_copy_is_independent_of_its_source():
+    memory = MemoryImage()
+    base = memory.store_array("data", [5, 6, 7])
+    clone = memory.copy()
+    assert list(clone.iter_words()) == list(memory.iter_words())
+    assert clone.regions() == memory.regions()
+    clone.store(base, 50)
+    clone.store(base + 5 * WORD_BYTES, 0)  # materializes a word
+    assert memory.load(base) == 5
+    assert memory.touched_words() == 3 and clone.touched_words() == 4
+    # Both continue from the same bump pointer, but allocate apart.
+    assert clone.allocate("more", 2) == memory.allocate("more", 2)
+    clone.allocate("only-clone", 1)
+    assert "only-clone" not in memory.regions()
+
+
 def test_contains():
     memory = MemoryImage()
     base = memory.allocate("a", 4)

@@ -1,5 +1,9 @@
 """Prefetch workload kernels: functional semantics and delinquent loads."""
 
+import random
+
+import pytest
+
 from repro.workloads.bwaves import NJ, NK, NL, build_bwaves_workload
 from repro.workloads.lbm import CLUSTER, build_lbm_workload
 from repro.workloads.leslie import build_leslie_workload
@@ -28,6 +32,30 @@ def test_libquantum_toffoli_semantics():
             state ^= target
         state ^= target  # sigma_x flips unconditionally
         assert workload.memory.load_index("reg_state", 2 * i) == state
+
+
+@pytest.mark.parametrize("control1, control2, seed", [
+    (1 << 3, 1 << 7, 3),
+    (1 << 1, 1 << 2, 11),  # control1 inside the random low bits
+])
+def test_libquantum_register_matches_the_per_node_loop(control1, control2, seed):
+    """The bulk register fill stores exactly what one draw of low bits,
+    then one coin, per node stores."""
+    reg_size = 500
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(reg_size):
+        state = control1 | control2 | rng.getrandbits(3)
+        if rng.random() < 0.08:
+            state &= ~control1
+        expected.append(state)
+    memory = build_libquantum_workload(
+        reg_size=reg_size, control1=control1, control2=control2, seed=seed
+    ).memory
+    base = memory.base("reg_state")
+    assert list(memory.iter_words()) == [
+        (base + i * NODE_STRIDE, state) for i, state in enumerate(expected)
+    ]
 
 
 def test_libquantum_delinquent_load_stride():
