@@ -2,8 +2,8 @@
 
 A cold ``sweep --smoke`` compiles traces and simulates every point into
 the result store.  Running the same command again in a fresh process
-must serve every point from the store and key them through the store's
-recipe index, without building a workload: byte-identical ``--json``
+must serve every point from the store and key them through the trace
+cache's recipe index, without building a workload: byte-identical ``--json``
 output in at most :data:`WARM_RATIO_BAR` of the cold wall time.
 
 Run explicitly (not part of the tier-1 suite)::

@@ -162,7 +162,7 @@ class TraceProfile:
 
     __slots__ = (
         "trace", "srcs_slots", "dst_slots", "nslots", "iline_change",
-        "op_np", "dst_idx_np", "dst_write_np", "dst_fold_np",
+        "op_np", "dst_idx_np", "dst_write_np",
         "prf_reads_np", "control",
     )
 
@@ -198,7 +198,6 @@ class TraceProfile:
         self.dst_idx_np = nd["dst_idx"]
         dst_slots_np = np.asarray(self.dst_slots, dtype=np.int32)
         self.dst_write_np = dst_slots_np >= 0
-        self.dst_fold_np = self.dst_write_np
 
         # Instruction-line change column: ``last_iline`` tracks the line
         # of the previously fetched instruction, so in a fresh sequential
@@ -347,7 +346,7 @@ class NumpyBackend(ExecutionBackend):
     def _fold_regs(self, core, trace, prof, n) -> dict:
         """Architectural register file after *n* instructions (last writer)."""
         regs_out = dict(core.workload.initial_regs or {})
-        pos = np.nonzero(prof.dst_fold_np[:n])[0]
+        pos = np.nonzero(prof.dst_write_np[:n])[0]
         if pos.size:
             rev = pos[::-1]
             _, first = np.unique(prof.dst_idx_np[rev], return_index=True)

@@ -60,11 +60,17 @@ EXPERIMENTS = {
     "faults": faults_module.faults,
 }
 
-#: Experiments that produce a raw-stats payload for ``--json`` and have
-#: their own reduced window under ``--smoke``.
+#: Experiments that produce a raw-stats payload for ``--json``.
 PAYLOAD_EXPERIMENTS = {
-    "sweep": (sweep_module.run_sweep, sweep_module.SMOKE_WINDOW),
-    "faults": (faults_module.run_faults, faults_module.FAULT_SMOKE_WINDOW),
+    "sweep": sweep_module.run_sweep,
+    "faults": faults_module.run_faults,
+}
+
+#: The experiments ``--smoke`` combines with, and their reduced windows.
+SMOKE_WINDOWS = {
+    "sweep": sweep_module.SMOKE_WINDOW,
+    "faults": faults_module.FAULT_SMOKE_WINDOW,
+    "trace": trace_module.TRACE_SMOKE_WINDOW,
 }
 
 #: Experiments whose runners accept co-resident fabric tenants
@@ -108,6 +114,32 @@ def _dir_size(path: Path) -> tuple[int, int]:
     return files, total
 
 
+#: What ``cache list`` and ``cache clear`` call each kind of cache file,
+#: by suffix (one per pattern of :data:`repro.store.gc.SECTIONS`).
+_FILE_KINDS = {
+    ".pkl": "compiled trace(s)",
+    ".pred": "direction column(s)",
+    ".recipe": "recipe(s)",
+    ".json": "result-store entries",
+    ".tmp": "temp file(s)",
+}
+
+
+def _describe(section: str, entries: list) -> str:
+    """Per-kind file counts and total size of *entries* of *section*
+    (``collect()`` tuples)."""
+    from repro.store.gc import SECTIONS
+
+    suffixes = [Path(pattern).suffix for pattern in dict(SECTIONS)[section]]
+    parts = [
+        f"{sum(entry[0].suffix == suffix for entry in entries)}"
+        f" {_FILE_KINDS[suffix]}"
+        for suffix in suffixes
+    ]
+    size = sum(entry[1] for entry in entries)
+    return f"{', '.join(parts[:-1])} and {parts[-1]}, {_fmt_bytes(size)}"
+
+
 def _fmt_bytes(n: int) -> str:
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -132,19 +164,19 @@ def _cache_main(argv: list[str]) -> int:
     parser.add_argument(
         "action", nargs="?", default="list", choices=("list", "clear", "gc"),
         help="list (default): report per-section sizes; clear: delete"
-             " compiled traces and their direction columns (the result"
-             " store with --store); gc: evict"
+             " compiled traces, their direction columns and the recipe"
+             " index (the result store with --store); gc: evict"
              " least-recently-written cache files until the total fits"
              " --max-bytes",
     )
     parser.add_argument(
         "--store", action="store_true",
-        help="with 'clear': clear the content-addressed result store and"
-             " its recipe index instead of the compiled traces",
+        help="with 'clear': clear the content-addressed result store"
+             " instead of the compiled traces",
     )
     parser.add_argument(
         "--max-bytes", metavar="SIZE", default=None,
-        help="with 'gc': byte budget for traces+store+recipes combined"
+        help="with 'gc': byte budget for traces+store combined"
              " (suffixes K/M/G, e.g. 200M); oldest files evicted first",
     )
     parser.add_argument(
@@ -176,24 +208,12 @@ def _cache_main(argv: list[str]) -> int:
               f" (budget {_fmt_bytes(budget)})")
         return 0
 
-    if args.action == "clear":
-        if args.store:
-            from repro.store import ResultStore, store_dir
+    from repro.store import clear_section, collect
 
-            store = ResultStore(store_dir(base))
-            recipes = len(store.recipe_files())
-            temps = len(store.temp_files())
-            removed, freed = store.clear()
-            entries = removed - recipes - temps
-            print(f"removed {entries} result-store"
-                  f" entr{'y' if entries == 1 else 'ies'}, {recipes}"
-                  f" recipe(s) and {temps} temp file(s), freed"
-                  f" {_fmt_bytes(freed)} from {store.directory}")
-            return 0
-        removed, columns, freed = tracecache.clear_traces(base)
-        print(f"removed {removed} compiled trace(s) and {columns} direction"
-              f" column(s), freed {_fmt_bytes(freed)}"
-              f" from {tracecache.trace_dir(base)}")
+    if args.action == "clear":
+        section = "store" if args.store else "traces"
+        removed = clear_section(base, section)
+        print(f"removed {_describe(section, removed)} from {base / section}")
         return 0
 
     entries = tracecache.trace_files(base)
@@ -201,9 +221,7 @@ def _cache_main(argv: list[str]) -> int:
     print(f"compiled traces ({tracecache.trace_dir(base)}):")
     if not entries:
         print("  (none)")
-    total = 0
     for entry in entries:
-        total += entry["size_bytes"]
         if entry["valid"]:
             halted = ", halted" if entry["halted"] else ""
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
@@ -211,12 +229,8 @@ def _cache_main(argv: list[str]) -> int:
         else:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be recompiled on next use)")
-    print(f"  total: {len(entries)} file(s), {_fmt_bytes(total)}")
-    columns = tracecache.column_files(base)
-    size = 0
     print("direction columns:")
-    for entry in columns:
-        size += entry["size_bytes"]
+    for entry in tracecache.column_files(base):
         if entry["valid"]:
             windows = ", ".join(map(str, entry["digests"])) or "none"
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
@@ -226,33 +240,16 @@ def _cache_main(argv: list[str]) -> int:
         else:
             print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
                   f"  (unreadable — will be rebuilt on next use)")
-    print(f"  total: {len(columns)} file(s), {_fmt_bytes(size)}")
-    total += size
-    files, size = _dir_size(base / "checkpoints")
-    grand_total = total + size
-    print(f"checkpoints: {files} file(s), {_fmt_bytes(size)}")
-    from repro.store import RECIPES_SUBDIR, ResultStore, store_dir
-
-    store = ResultStore(store_dir(base))
-    store_count, store_bytes = len(store), store.size_bytes()
-    grand_total += store_bytes
-    print(f"result store ({store.directory}): {store_count}"
-          f" entr{'y' if store_count == 1 else 'ies'},"
-          f" {_fmt_bytes(store_bytes)}"
-          f"  (evict with 'cache gc --max-bytes SIZE')")
-    recipe_dir = store.directory / RECIPES_SUBDIR
-    recipes = store.recipe_files()
-    files, size = len(recipes), sum(path.stat().st_size for path in recipes)
-    grand_total += size
-    print(f"recipe index ({recipe_dir}): {files} recipe(s), {_fmt_bytes(size)}")
-    from repro.store import collect
-
-    temps = [entry for entry in collect(base) if entry[0].suffix == ".tmp"]
-    size = sum(entry[1] for entry in temps)
-    grand_total += size
-    print(f"interrupted writes: {len(temps)} temp file(s), {_fmt_bytes(size)}"
-          f"  (removed by 'cache gc' and 'cache clear')")
-    print(f"total cache footprint: {_fmt_bytes(grand_total)}")
+    files = collect(base)
+    for section, title in (("traces", "trace cache"), ("store", "result store")):
+        print(f"{title} ({base / section}):"
+              f" {_describe(section, [f for f in files if f[3] == section])}")
+    print("  (evict with 'cache gc --max-bytes SIZE'; 'cache clear'"
+          " empties the trace cache, 'cache clear --store' the store)")
+    count, size = _dir_size(base / "checkpoints")
+    print(f"checkpoints: {count} file(s), {_fmt_bytes(size)}")
+    total = size + sum(entry[1] for entry in files)
+    print(f"total cache footprint: {_fmt_bytes(total)}")
     return 0
 
 
@@ -359,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help=f"dynamic instructions per run (default {DEFAULT_WINDOW};"
-             f" {sweep_module.SMOKE_WINDOW} under --smoke)",
+             f" the experiment's smoke window under --smoke)",
     )
     parser.add_argument(
         "--jobs",
@@ -371,9 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run at a tiny window (CI smoke test); alone it runs the"
-             " full-matrix sweep, combined with 'sweep' or 'faults' it"
-             " shrinks that experiment's window",
+        help="run at the experiment's tiny window (CI smoke test): "
+             + "/".join(SMOKE_WINDOWS)
+             + "; alone it selects the full-matrix sweep",
     )
     parser.add_argument(
         "--out",
@@ -386,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         default=None,
         help="write raw per-point stats as deterministic JSON"
-             " (sweep, faults and bare --smoke only)",
+             " (" + "/".join(PAYLOAD_EXPERIMENTS) + " only)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -414,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="run only the deterministic 1-based shard I of N of the"
              " sweep grid, publishing results into the store"
-             " (sweep or bare --smoke only; see 'shard-merge')",
+             " (sweep only; see 'shard-merge')",
     )
     parser.add_argument(
         "--fail-fast",
@@ -430,8 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         dest="tenants",
         help="co-resident fabric tenant for every PFM point (repeatable),"
              " e.g. introspect or branch-mirror:background; combines with "
-             + "/".join(TENANT_EXPERIMENTS)
-             + " or bare --smoke",
+             + "/".join(TENANT_EXPERIMENTS),
     )
     trace_group = parser.add_argument_group("trace options")
     trace_group.add_argument(
@@ -480,15 +476,15 @@ def main(argv: list[str] | None = None) -> int:
     # processes inherit the environment, so this reaches every run.
     os.environ[CACHE_DIR_ENV] = args.cache_dir
 
-    if args.experiment is None and not args.smoke:
-        parser.error("an experiment id (or --smoke) is required")
+    if args.experiment is None:
+        if not args.smoke:
+            parser.error("an experiment id (or --smoke) is required")
+        args.experiment = "sweep"
     tenant_specs: tuple = ()
     if args.tenants:
-        if args.experiment is not None and args.experiment not in TENANT_EXPERIMENTS:
+        if args.experiment not in TENANT_EXPERIMENTS:
             parser.error(
-                "--tenant combines only with "
-                + "/".join(TENANT_EXPERIMENTS)
-                + " (or bare --smoke)"
+                "--tenant combines only with " + "/".join(TENANT_EXPERIMENTS)
             )
         from repro.pfm.tenancy import parse_tenant_spec
 
@@ -496,35 +492,26 @@ def main(argv: list[str] | None = None) -> int:
             tenant_specs = tuple(parse_tenant_spec(t) for t in args.tenants)
         except ValueError as exc:
             parser.error(str(exc))
-    if (
-        args.experiment is not None
-        and args.smoke
-        and args.experiment not in PAYLOAD_EXPERIMENTS
-        and args.experiment != "trace"
-    ):
+    if args.smoke and args.experiment not in SMOKE_WINDOWS:
         parser.error(
             "--smoke combines only with "
-            + "/".join(PAYLOAD_EXPERIMENTS)
-            + "/trace; alone it runs the full-matrix sweep"
+            + "/".join(SMOKE_WINDOWS)
+            + "; alone it runs the full-matrix sweep"
         )
-    if (
-        args.json
-        and args.experiment is not None
-        and args.experiment not in PAYLOAD_EXPERIMENTS
-    ):
+    if args.json and args.experiment not in PAYLOAD_EXPERIMENTS:
         parser.error(
             "--json combines only with "
             + "/".join(PAYLOAD_EXPERIMENTS)
-            + " (or bare --smoke); other experiments write no raw stats"
+            + "; other experiments write no raw stats"
         )
+    window = args.window or (
+        SMOKE_WINDOWS[args.experiment] if args.smoke else DEFAULT_WINDOW
+    )
 
     shard = None
     if args.shard is not None:
-        if args.experiment not in (None, "sweep"):
-            parser.error(
-                "--shard combines only with the sweep experiment"
-                " (or bare --smoke)"
-            )
+        if args.experiment != "sweep":
+            parser.error("--shard combines only with the sweep experiment")
         if tenant_specs:
             parser.error("--shard does not combine with --tenant")
         from repro.store import parse_shard
@@ -535,9 +522,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
 
     if shard is not None:
-        window = args.window or (
-            sweep_module.SMOKE_WINDOW if args.smoke else DEFAULT_WINDOW
-        )
         index, count = shard
         pool = make_pool(args, f"sweep-shard{index}of{count}", window)
         if pool.store.directory is None:
@@ -593,10 +577,6 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         target = args.target or "astar"
-        if args.smoke:
-            window = args.window or trace_module.TRACE_SMOKE_WINDOW
-        else:
-            window = args.window or DEFAULT_WINDOW
         pool = make_pool(args, f"trace-{target}", window)
         started = time.time()
         result, traced, base = trace_module.run_trace(
@@ -627,25 +607,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"metrics manifest written to {args.manifest}")
         return 0
 
-    if args.smoke and args.experiment is None:
-        window = args.window or sweep_module.SMOKE_WINDOW
-        pool = make_pool(args, "smoke", window)
-        started = time.time()
-        result, payload = sweep_module.run_sweep(window, pool,
-                                                 tenants=tenant_specs)
-        print(result.render())
-        print(f"   [{time.time() - started:.1f}s, jobs={args.jobs},"
-              f" {_run_info(pool)}]")
-        if args.json:
-            Path(args.json).write_text(sweep_module.payload_json(payload))
-            print(f"raw stats written to {args.json}")
-        return 0
-
-    if args.smoke:
-        window = args.window or PAYLOAD_EXPERIMENTS[args.experiment][1]
-    else:
-        window = args.window or DEFAULT_WINDOW
-
     if args.experiment == "shape":
         from repro.experiments.compare import shape_report
 
@@ -666,13 +627,8 @@ def main(argv: list[str] | None = None) -> int:
         pool = make_pool(args, name, window)
         started = time.time()
         if name in PAYLOAD_EXPERIMENTS:
-            run_with_payload = PAYLOAD_EXPERIMENTS[name][0]
-            kwargs = (
-                {"tenants": tenant_specs}
-                if tenant_specs and name in TENANT_EXPERIMENTS
-                else {}
-            )
-            result, payload = run_with_payload(window, pool, **kwargs)
+            kwargs = {"tenants": tenant_specs} if tenant_specs else {}
+            result, payload = PAYLOAD_EXPERIMENTS[name](window, pool, **kwargs)
             if args.json:
                 Path(args.json).write_text(sweep_module.payload_json(payload))
         else:
@@ -680,7 +636,10 @@ def main(argv: list[str] | None = None) -> int:
         text = result.render()
         rendered.append(text)
         print(text)
-        print(f"   [{time.time() - started:.1f}s, {_run_info(pool)}]\n")
+        print(f"   [{time.time() - started:.1f}s, jobs={args.jobs},"
+              f" {_run_info(pool)}]\n")
+        if args.json:
+            print(f"raw stats written to {args.json}")
 
     if args.out:
         with open(args.out, "w") as handle:

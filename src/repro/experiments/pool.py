@@ -56,6 +56,7 @@ from repro.workloads.tracecache import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
     canonical_bytes,
+    trace_key_for,
 )
 
 #: Retry rounds a failed point gets before it is logged as lost, and the
@@ -140,7 +141,7 @@ class SweepPoint:
         """Stable in-process identity: dedup, shards, memory-only stores."""
         return f"{self.workload}-w{self.window}-{self.config_key()}"
 
-    def store_key(self, store: ResultStore | None = None) -> str:
+    def store_key(self) -> str:
         """Full content address for the shared result store.
 
         Extends the :meth:`config_key` spec with the workload's
@@ -150,13 +151,11 @@ class SweepPoint:
         backend is deliberately *not* part of the key: results are
         byte-identical across backends by construction
         (``tests/test_backend_equivalence.py`` pins that contract).
-        Passing the on-disk *store* looks the ``trace_key`` up in its
-        recipe index instead of building the workload.
+        The trace cache's recipe index serves the ``trace_key`` without
+        building the workload once its traces directory is warm.
         """
-        from repro.store import trace_key_for
-
         spec = self._config_spec()
-        spec["trace_key"] = trace_key_for(self.workload, self.overrides, store)
+        spec["trace_key"] = trace_key_for(self.workload, self.overrides)
         return hashlib.sha256(canonical_bytes(spec)).hexdigest()
 
 
@@ -283,7 +282,7 @@ class SweepPool:
         """
         if self.store.directory is None:
             return point.key()
-        return point.store_key(self.store)
+        return point.store_key()
 
     def _publish(self, point: SweepPoint, stats: SimStats) -> None:
         self.store.put(

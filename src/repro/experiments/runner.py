@@ -11,12 +11,10 @@ run goes through :func:`~repro.experiments.pool.run_point`, driven by a
 from __future__ import annotations
 
 from repro.core import PFMParams
-from repro.registry import build_workload
 
 __all__ = [
     "DEFAULT_WINDOW",
     "PREFETCH_WORKLOADS",
-    "build_workload",
     "parse_config_label",
 ]
 

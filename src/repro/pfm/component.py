@@ -75,9 +75,6 @@ class RFIo:
             self._obs_budget -= 1
         return packet
 
-    def peek_obs(self) -> ObsPacket | SquashPacket | None:
-        return self._fabric.obs_peek(self.now)
-
     def pop_return(self) -> LoadReturn | None:
         """Pop the next load value from ObsQ-EX (budget W+1 per cycle)."""
         if self._ret_budget <= 0:

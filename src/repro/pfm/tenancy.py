@@ -390,11 +390,10 @@ class FabricSlot:
         self.rst = RetireSnoopTable(rst_entries)
         self.fst = FetchSnoopTable(fst_entries)
 
-        metadata = dict(bitstream.metadata)
-        metadata.update(pfm.component_overrides)
-        self.component: CustomComponent = bitstream.component_factory(
-            self.timings, memory, metadata
+        self.component: CustomComponent = rebuild_component(
+            bitstream, self.timings, memory, pfm.component_overrides
         )
+        metadata = {**bitstream.metadata, **pfm.component_overrides}
         self.call_marker_pcs: frozenset[int] = frozenset(
             int(pc) for pc in metadata.get("call_marker_pcs", ())
         )

@@ -1,11 +1,13 @@
-"""LRU-by-mtime eviction across the on-disk cache sections.
+"""The on-disk cache sections, their LRU-by-mtime eviction and clearing.
 
-``.repro-cache/`` accumulates three kinds of content-addressed files —
-compiled traces (with their direction columns), result-store entries
-and recipe-index entries — and at fleet scale the store grows without
-bound.  Each section also counts the
+``.repro-cache/`` accumulates two sections of content-addressed files —
+the trace cache (compiled traces, their direction columns and the
+recipe index) and the result store — and at fleet scale the store grows
+without bound.  Each section also counts the
 ``*.tmp`` files a writer killed between its temp write and the rename
-leaves behind.  ``cache gc --max-bytes SIZE`` walks every section, sorts
+leaves behind.  :data:`SECTIONS` is the one table of what the program
+writes there: ``cache list`` totals it, ``cache clear`` empties one
+section of it, and ``cache gc --max-bytes SIZE`` walks every section, sorts
 by mtime (every cache read touches its file via :func:`os.utime`-free
 reads, so mtime is write-recency: least-recently *published* goes
 first), and deletes oldest-first until the total fits the budget.
@@ -23,9 +25,9 @@ from pathlib import Path
 #: evictable sections, each with its orphaned temp files.  Failed-points
 #: logs are deliberately absent.
 SECTIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("traces", ("traces/*.trace.pkl", "traces/*.pred", "traces/*.tmp")),
+    ("traces", ("traces/*.trace.pkl", "traces/*.pred", "traces/*.recipe",
+                "traces/*.tmp")),
     ("store", ("store/??/*.json", "store/??/*.tmp")),
-    ("recipes", ("store/recipes/??/*.json", "store/recipes/??/*.tmp")),
 )
 
 _SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
@@ -64,6 +66,25 @@ def collect(cache_dir: str | os.PathLike) -> list[tuple[Path, int, float, str]]:
     return entries
 
 
+def clear_section(
+    cache_dir: str | os.PathLike, section: str
+) -> list[tuple[Path, int, float, str]]:
+    """Delete every file of *section*; returns the entries removed."""
+    removed = []
+    for entry in collect(cache_dir):
+        if entry[3] == section and _unlink(entry[0]):
+            removed.append(entry)
+    return removed
+
+
+def _unlink(path: Path) -> bool:
+    try:
+        path.unlink()
+    except OSError:
+        return False  # already gone or unwritable: skip, keep going
+    return True
+
+
 def gc_cache(cache_dir: str | os.PathLike, max_bytes: int) -> dict:
     """Evict LRU files until the evictable sections fit *max_bytes*.
 
@@ -92,10 +113,8 @@ def gc_cache(cache_dir: str | os.PathLike, max_bytes: int) -> dict:
     for path, size, _, section in entries:
         if excess <= 0:
             break
-        try:
-            path.unlink()
-        except OSError:
-            continue  # already gone or unwritable: skip, keep going
+        if not _unlink(path):
+            continue
         sections[section]["evicted_files"] += 1
         sections[section]["evicted_bytes"] += size
         evicted += size

@@ -28,32 +28,21 @@ every distributed sweep sits on:
 * **Union** — :meth:`ResultStore.merge_from` copies validated entries
   between stores, so N hosts each running a shard produce stores that
   merge into one result set byte-identical to a single-host run.
-* **Recipe index** — computing a store key needs the workload's
-  ``trace_key``, which costs a workload build plus a hash over its whole
-  memory image.  The store's ``recipes/`` section maps each build recipe
-  (registry name, canonical overrides, source fingerprint) to that
-  ``trace_key``, so a fresh process keys a populated sweep without
-  building anything.  Any edit under ``src/repro`` changes the
-  fingerprint and misses every recipe once.
 
 Layout: ``<directory>/<key[:2]>/<key>.json`` — two-level fanout keeps
-directory listings sane at million-entry scale — and
-``<directory>/recipes/<rk[:2]>/<rk>.json`` for the recipe index.
+directory listings sane at million-entry scale.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
-import re
 import tempfile
 from pathlib import Path
 
 from repro.core import SimStats
-from repro.workloads.tracecache import _KEY_MEMO, canonical_bytes, recipe_digest
 
 #: Bumped whenever the entry envelope or SimStats serialization changes
 #: incompatibly; old entries then read as misses, never as wrong data.
@@ -66,95 +55,6 @@ DEFAULT_STORE_SUBDIR = "store"
 def store_dir(cache_dir: str | os.PathLike) -> Path:
     """Conventional store location under a sweep cache directory."""
     return Path(cache_dir) / DEFAULT_STORE_SUBDIR
-
-
-# --------------------------------------------------------------------- #
-# workload content keys
-# --------------------------------------------------------------------- #
-
-#: Subdirectory of a store holding the recipe index.
-RECIPES_SUBDIR = "recipes"
-
-_TRACE_KEY_RE = re.compile(r"[0-9a-f]{20}")
-
-
-@functools.cache
-def source_fingerprint() -> str:
-    """sha256 over the relative path and bytes of every ``*.py`` file in
-    the ``repro`` package, computed once per process.
-
-    Hashing the whole package rather than a list of builder modules
-    means no module a builder reads can be left out.
-    """
-    root = Path(__file__).resolve().parents[1]
-    files = sorted(
-        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
-    )
-    h = hashlib.sha256()
-    for rel, path in files:
-        data = path.read_bytes()
-        h.update(f"{rel}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
-
-
-def recipe_key(workload: str, overrides: dict) -> str | None:
-    """Recipe-index address of a registry build, or ``None`` when the
-    build must stay out of the on-disk index: overrides that encode only
-    through the pickle-digest fallback (a component factory), or a builder
-    defined outside the ``repro`` package, whose source the fingerprint
-    cannot see."""
-    from repro.registry.workloads import WORKLOADS
-
-    try:
-        builder = WORKLOADS.get(workload)
-        spec = canonical_bytes(
-            {"name": workload, "overrides": overrides}, pickled=False
-        )
-    except (TypeError, ValueError):  # unknown name, or not plain JSON
-        return None
-    if not getattr(builder, "__module__", "").startswith("repro."):
-        return None
-    h = hashlib.sha256(spec)
-    h.update(b"\0" + source_fingerprint().encode())
-    return h.hexdigest()
-
-
-def trace_key_for(workload: str, overrides: dict,
-                  store: "ResultStore | None" = None) -> str | None:
-    """Content key of the built workload's instruction stream.
-
-    Served from the process memo, then from *store*'s recipe index when
-    the store is on disk; only a miss builds the workload through the
-    registry (which stamps its trace key) and republishes the recipe.
-    Returns ``None`` when the workload cannot be built or carries no
-    key; the store key then degrades to config-only addressing.
-    """
-    digest = recipe_digest(workload, overrides)
-    if digest is not None and digest in _KEY_MEMO:
-        return _KEY_MEMO[digest]
-    rk = None
-    if store is not None and store.directory is not None:
-        rk = recipe_key(workload, overrides)
-    key = store.get_recipe(rk) if rk is not None else None
-    if key is None:
-        from repro.registry import build_workload
-
-        try:
-            key = getattr(build_workload(workload, **overrides),
-                          "trace_key", None)
-        except Exception:
-            key = None
-        if rk is not None and key is not None:
-            store.put_recipe(rk, key)
-    if digest is not None:
-        _KEY_MEMO[digest] = key
-    return key
-
-
-def reset_trace_key_memo() -> None:
-    """Drop the per-process trace-key memo (tests and benchmarks)."""
-    _KEY_MEMO.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -350,66 +250,13 @@ class ResultStore:
         except OSError:
             pass
 
-    # -- recipe index -------------------------------------------------- #
-
-    def recipe_path(self, rk: str) -> Path:
-        return self.directory / RECIPES_SUBDIR / rk[:2] / f"{rk}.json"
-
-    @staticmethod
-    def encode_recipe(rk: str, trace_key: str) -> bytes:
-        payload = {"version": STORE_VERSION, "rk": rk, "trace_key": trace_key}
-        return (json.dumps(payload, sort_keys=True) + "\n").encode()
-
-    @staticmethod
-    def decode_recipe(raw: bytes, rk: str) -> str | None:
-        """Validate recipe bytes; ``None`` on any defect (never raises)."""
-        payload = _parse(raw)
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != STORE_VERSION or payload.get("rk") != rk:
-            return None
-        trace_key = payload.get("trace_key")
-        if not isinstance(trace_key, str) or not _TRACE_KEY_RE.fullmatch(trace_key):
-            return None
-        return trace_key
-
-    def get_recipe(self, rk: str) -> str | None:
-        """The indexed ``trace_key`` for *rk*; a defective entry reads
-        as a miss, counted in ``recoveries``, and is republished by the
-        caller's rebuild."""
-        try:
-            raw = self.recipe_path(rk).read_bytes()
-        except OSError:
-            return None
-        trace_key = self.decode_recipe(raw, rk)
-        if trace_key is None:
-            self.counters["recoveries"] += 1
-        return trace_key
-
-    def put_recipe(self, rk: str, trace_key: str) -> None:
-        self._write_raw(self.recipe_path(rk), self.encode_recipe(rk, trace_key))
-
     # -- introspection ------------------------------------------------- #
 
     def files(self) -> list[Path]:
-        """Result entries (the recipe index is not among them)."""
+        """Result entries."""
         if self.directory is None or not self.directory.is_dir():
             return []
         return sorted(self.directory.glob("??/*.json"))
-
-    def recipe_files(self) -> list[Path]:
-        if self.directory is None:
-            return []
-        return sorted(self.directory.glob(f"{RECIPES_SUBDIR}/??/*.json"))
-
-    def temp_files(self) -> list[Path]:
-        """Temp files of entries and recipes whose writer died before
-        the rename."""
-        if self.directory is None:
-            return []
-        return sorted(self.directory.glob("??/*.tmp")) + sorted(
-            self.directory.glob(f"{RECIPES_SUBDIR}/??/*.tmp")
-        )
 
     def __len__(self) -> int:
         return len(self.files())
@@ -427,28 +274,12 @@ class ResultStore:
         """Drop the in-process memo (fresh-process simulation in tests)."""
         self._memo.clear()
 
-    def clear(self) -> tuple[int, int]:
-        """Delete every entry, recipe and orphaned temp file; returns
-        ``(files_removed, bytes_freed)``."""
-        removed = freed = 0
-        for path in self.files() + self.recipe_files() + self.temp_files():
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += size
-        self._memo.clear()
-        return removed, freed
-
     # -- union --------------------------------------------------------- #
 
     def merge_from(self, source: ResultStore | str | os.PathLike
                    ) -> dict[str, int]:
         """Union *source*'s entries into this store.
 
-        Recipes are not copied: each host re-derives its own on a miss.
         Entries are validated before copying (a corrupt shard file never
         propagates) and copied as raw bytes, preserving byte-identity.
         On a key collision: identical bytes count as ``identical``;

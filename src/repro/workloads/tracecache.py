@@ -43,7 +43,7 @@ prefix-stable; a longer window rebuilds the file), and both engines
 read it instead of re-running the predictor.  A column file uses the
 trace file's framing (sha256, then a plain-container pickle) and is
 keyed on the trace key, the predictor name and the package's
-:func:`~repro.store.resultstore.source_fingerprint`, so an edit to
+:func:`source_fingerprint`, so an edit to
 predictor code never serves stale bits; predictors defined outside the
 package are never stored.  Any file that fails a check is rejected with
 a named reason (:class:`ColumnRejected`) and rebuilt.
@@ -55,11 +55,20 @@ memory, so the digest depends on the trace key and the window alone,
 never on timing or PFM hints (§2.1–2.3).  :func:`replay_digest` serves a
 stored one, or hashes the trace rows and the final state once and
 stores the result; only functional execution observes instructions live.
+
+Naming a workload's content needs a build plus a hash over its whole
+memory image, so this module also keeps the *recipe index*: one
+``<name>--<recipe key>.recipe`` file beside the traces per build recipe
+(registry name, plain-JSON overrides, source fingerprint), recording
+its content key in the same framing.  :func:`trace_key_for` reads it to
+key result-store entries without building anything; any edit under
+``src/repro`` changes the fingerprint and misses every recipe once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -119,10 +128,10 @@ _MEMO: dict[str, "CompiledTrace"] = {}
 
 #: The one process memo of build recipes: :func:`recipe_digest` ->
 #: content key.  :func:`annotate` fills it on every registry build and
-#: the result store's ``trace_key_for`` fills it from its on-disk recipe
-#: index, so a process hashes each workload's content at most once and a
-#: recipe-index hit spares the build entirely.  ``None`` records a
-#: recipe that does not build.
+#: :func:`trace_key_for` fills it from the on-disk recipe index, so a
+#: process hashes each workload's content at most once and a recipe-index
+#: hit spares the build entirely.  ``None`` records a recipe that does
+#: not build.
 _KEY_MEMO: dict[str, str | None] = {}
 
 #: The process's pristine base workload, ``{recipe digest: base}`` with
@@ -142,6 +151,7 @@ STATS = {
     "column_builds": 0,
     "column_disk_hits": 0,
     "column_recoveries": 0,
+    "recipe_recoveries": 0,
 }
 
 
@@ -237,6 +247,118 @@ def annotate(workload: "Workload", name: str, overrides: dict) -> None:
         if digest is not None:
             _KEY_MEMO[digest] = key
     workload.trace_key = key
+
+
+@functools.cache
+def source_fingerprint() -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` file in
+    the ``repro`` package, computed once per process.
+
+    Hashing the whole package rather than a list of builder modules
+    means no module a builder reads can be left out.
+    """
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def recipe_key(workload: str, overrides: dict) -> str | None:
+    """Recipe-index address of a registry build, or ``None`` when the
+    build must stay out of the on-disk index: overrides that encode only
+    through the pickle-digest fallback (a component factory), or a builder
+    defined outside the ``repro`` package, whose source the fingerprint
+    cannot see."""
+    from repro.registry.workloads import WORKLOADS
+
+    try:
+        builder = WORKLOADS.get(workload)
+        spec = canonical_bytes(
+            {"name": workload, "overrides": overrides}, pickled=False
+        )
+    except (TypeError, ValueError):  # unknown name, or not plain JSON
+        return None
+    if not getattr(builder, "__module__", "").startswith("repro."):
+        return None
+    h = hashlib.sha256(spec)
+    h.update(b"\0" + source_fingerprint().encode())
+    return h.hexdigest()
+
+
+def decode_recipe(raw: bytes, rk: str) -> str | None:
+    """The content key a recipe file records for *rk*; ``None`` (never a
+    raise) on any defect: checksum, format version, address or key."""
+    try:
+        payload = _loads(raw)
+        key = payload["trace_key"]
+        current = payload["version"] == KEY_VERSION and payload["rk"] == rk
+    except Exception:
+        return None
+    if (
+        not current or type(key) is not str or len(key) != 20
+        or key.strip("0123456789abcdef")
+    ):
+        return None
+    return key
+
+
+def _recipe_path(name: str, rk: str) -> Path:
+    return trace_dir() / f"{name}--{rk}.recipe"
+
+
+def _read_recipe(name: str, rk: str) -> str | None:
+    """The indexed content key of recipe *rk*; a defective file reads as
+    a miss, counted in ``recipe_recoveries``, and is republished by the
+    caller's rebuild."""
+    try:
+        raw = _recipe_path(name, rk).read_bytes()
+    except OSError:
+        return None
+    key = decode_recipe(raw, rk)
+    if key is None:
+        STATS["recipe_recoveries"] += 1
+    return key
+
+
+def trace_key_for(workload: str, overrides: dict) -> str | None:
+    """Content key of the registry build of *workload* with *overrides*.
+
+    Served from the process memo, then from the recipe index; only a
+    miss builds the workload through the registry (which stamps its
+    trace key) and republishes the recipe.  Returns ``None`` when the
+    workload cannot be built or carries no key; a result-store key then
+    degrades to config-only addressing.
+    """
+    digest = recipe_digest(workload, overrides)
+    if digest is not None and digest in _KEY_MEMO:
+        return _KEY_MEMO[digest]
+    rk = recipe_key(workload, overrides)
+    key = _read_recipe(workload, rk) if rk is not None else None
+    if key is None:
+        from repro.registry import build_workload
+
+        try:
+            key = getattr(build_workload(workload, **overrides),
+                          "trace_key", None)
+        except Exception:
+            key = None
+        if rk is not None and key is not None:
+            _write(_recipe_path(workload, rk),
+                   {"version": KEY_VERSION, "rk": rk, "trace_key": key})
+    if digest is not None:
+        _KEY_MEMO[digest] = key
+    return key
+
+
+def reset_trace_key_memo() -> None:
+    """Drop the per-process trace-key memo (tests and benchmarks)."""
+    _KEY_MEMO.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -634,8 +756,6 @@ def build_directions(
 def column_header(trace: CompiledTrace, predictor: str) -> dict:
     """Everything a stored column must agree with to be used, besides
     the number of instructions it covers."""
-    from repro.store.resultstore import source_fingerprint
-
     return {
         "version": COLUMN_VERSION,
         "key": trace.key,
@@ -735,15 +855,13 @@ def _write_column(
     """Publish a column file.  Concurrent writers race and the last one
     wins; what the loser wrote (a digest, or a column over a longer
     window) is rebuilt by a later run that needs it."""
-    from repro.store.resultstore import ResultStore
-
-    ResultStore._write_raw(
+    _write(
         _column_path(trace.name, trace.key, predictor),
-        _dumps({
+        {
             "header": {**column_header(trace, predictor), "length": length},
             "bits": bytes(bits),
             "digests": digests,
-        }),
+        },
     )
 
 
@@ -851,14 +969,14 @@ def _load_trace(path: Path, key: str) -> CompiledTrace | None:
     return trace
 
 
-def _persist(path: Path, trace: CompiledTrace) -> None:
-    """Publish through the result store's writer: a unique fsynced temp
-    file renamed into place, so concurrent workers compiling one
-    workload never share a temp file.  A read-only cache dir leaves the
-    trace in memory only."""
+def _write(path: Path, payload: dict) -> None:
+    """Publish a trace, column or recipe file through the result store's
+    writer: a unique fsynced temp file renamed into place, so concurrent
+    workers writing one file never share a temp file.  A read-only cache
+    dir leaves the content in memory only."""
     from repro.store.resultstore import ResultStore
 
-    ResultStore._write_raw(path, _dumps(trace.to_payload()))
+    ResultStore._write_raw(path, _dumps(payload))
 
 
 def _rebuild(workload: "Workload") -> "Workload | None":
@@ -921,7 +1039,7 @@ def get_trace(workload: "Workload", window: int) -> CompiledTrace | None:
     )
     STATS["compiles"] += 1
     _MEMO[key] = trace
-    _persist(path, trace)
+    _write(path, trace.to_payload())
     return trace
 
 
@@ -1004,24 +1122,3 @@ def column_files(base: str | os.PathLike | None = None) -> list[dict]:
         entries.append(info)
     return entries
 
-
-def clear_traces(
-    base: str | os.PathLike | None = None,
-) -> tuple[int, int, int]:
-    """Delete every on-disk trace and direction column; return (traces
-    and temp files removed, columns removed, bytes freed)."""
-    counts = {"*.trace.pkl": 0, "*.tmp": 0, "*.pred": 0}
-    freed = 0
-    directory = trace_dir(base)
-    if not directory.is_dir():
-        return 0, 0, freed
-    for pattern in counts:
-        for path in directory.glob(pattern):
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            counts[pattern] += 1
-            freed += size
-    return counts["*.trace.pkl"] + counts["*.tmp"], counts["*.pred"], freed

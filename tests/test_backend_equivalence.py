@@ -24,6 +24,7 @@ from repro.backends import have_numpy
 from repro.core import CoreParams, SimConfig
 from repro.experiments import pool
 from repro.experiments.pool import run_point, stats_to_dict
+from repro.store import clear_section
 from repro.workloads import tracecache
 
 from tests.test_goldens import CASES, _golden_path, _point
@@ -48,7 +49,7 @@ def _run(workload: str, variant: str, backend: str, monkeypatch):
 
 def _reset_cold() -> None:
     tracecache.reset_memory_cache()
-    tracecache.clear_traces()
+    clear_section(tracecache.trace_dir().parent, "traces")
 
 
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
@@ -195,7 +196,7 @@ def test_stale_environment_changes_nothing(monkeypatch, capsys):
     clean = capsys.readouterr().out.splitlines()[1:]
 
     tracecache.reset_memory_cache()
-    tracecache.clear_traces()
+    clear_section(tracecache.trace_dir().parent, "traces")
     for name, value in (
         ("REPRO_BACKEND", "nump"),
         ("REPRO_TRACE_MAX", "2e6"),

@@ -267,12 +267,10 @@ def test_a_source_edit_recomputes_the_digest(monkeypatch):
     """The stored digest lives in the column file, so it is keyed on the
     package's source fingerprint as well: after an edit it is rehashed,
     not served."""
-    from repro.store import resultstore
-
     live = _live_digest()[0]
     simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
     tracecache.reset_memory_cache()
-    monkeypatch.setattr(resultstore, "source_fingerprint", lambda: "f" * 64)
+    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "f" * 64)
     calls = _digest_calls(monkeypatch)
     stats = simulate(
         build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW)
@@ -570,10 +568,8 @@ def test_a_run_over_a_damaged_column_matches_the_live_predictor(
 def test_a_source_edit_rebuilds_the_column(monkeypatch):
     """The column is keyed on the package's source fingerprint: once the
     sources change, the stored column is stale and rebuilt."""
-    from repro.store import resultstore
-
     trace, path, raw, bits = _column_fixture()
-    monkeypatch.setattr(resultstore, "source_fingerprint", lambda: "f" * 64)
+    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "f" * 64)
     trace._directions.clear()
     assert trace.directions(PREDICTOR) == bits
     assert tracecache.STATS["column_recoveries"] == 1
@@ -684,8 +680,8 @@ def test_a_predictor_defined_outside_the_package_runs_live(monkeypatch):
 
 
 def test_cache_gc_to_a_zero_budget_leaves_no_file(capsys):
-    """The CI step: a sweep leaves traces, direction columns, store
-    entries and recipes; ``cache gc --max-bytes 0`` removes every file."""
+    """The CI step: a sweep leaves traces, direction columns, recipes
+    and store entries; ``cache gc --max-bytes 0`` removes every file."""
     from repro.experiments.__main__ import main
 
     cache = Path(os.environ["REPRO_CACHE_DIR"])

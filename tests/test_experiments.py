@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import PFMParams
 from repro.experiments.report import ExperimentResult, render_all
-from repro.experiments.runner import build_workload, parse_config_label
+from repro.experiments.runner import parse_config_label
+from repro.registry import build_workload
 
 
 def test_parse_config_label_full():

@@ -205,7 +205,6 @@ def _plant_temp_files(cache):
     paths = [
         cache / "traces" / "astar--kq1w2e3r.tmp",
         cache / "store" / "ab" / "abababab_r4t5y6.tmp",
-        cache / "store" / "recipes" / "cd" / "cdcdcdcdu7i8o9.tmp",
     ]
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -218,22 +217,25 @@ def test_cache_maintenance_sees_orphaned_temp_files(tmp_path, capsys):
     paths = _plant_temp_files(cache)
     assert main(["cache", "list", "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    assert "interrupted writes: 3 temp file(s), 12.0 KiB" in out
-    assert "total cache footprint: 12.0 KiB" in out
+    assert ("0 direction column(s), 0 recipe(s) and 1 temp file(s),"
+            " 4.0 KiB") in out
+    assert "0 result-store entries and 1 temp file(s), 4.0 KiB" in out
+    assert "total cache footprint: 8.0 KiB" in out
 
     assert main(["cache", "gc", "--max-bytes", "0",
                  "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    for section in ("traces", "store", "recipes"):
+    for section in ("traces", "store"):
         assert f"{section}: 1 file(s), 4.0 KiB -> evicted 1 file(s)" in out
-    assert "total 12.0 KiB -> kept 0 B" in out
+    assert "total 8.0 KiB -> kept 0 B" in out
     assert not any(path.exists() for path in paths)
 
     paths = _plant_temp_files(cache)
     assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
     assert main(["cache", "clear", "--store", "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    assert "0 recipe(s) and 2 temp file(s)" in out
+    assert "0 recipe(s) and 1 temp file(s)" in out
+    assert "0 result-store entries and 1 temp file(s)" in out
     assert not any(path.exists() for path in paths)
 
 

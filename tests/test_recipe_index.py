@@ -1,18 +1,23 @@
-"""The result store's recipe index (``<store>/recipes/``).
+"""The trace cache's recipe index (``<cache-dir>/traces/*.recipe``).
 
 A store key folds in the workload's ``trace_key``, which costs a
 workload build plus a hash over its memory image.  The recipe index maps
 (registry name, canonical overrides, source fingerprint) to that key, so
-a fresh process keys a populated sweep without building anything.  These
-tests pin the index to the content key it stands in for, show that a
-warm pool builds nothing, and check that every defective entry reads as
-a miss and is republished.
+a fresh process keys a populated sweep without building anything — into
+any result store, since the index lives beside the traces.  These tests
+pin the index to the content key it stands in for, show that a warm pool
+builds nothing, and check that every defective recipe file reads as a
+miss and is republished.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,18 +27,18 @@ from repro import registry
 from repro.core import PFMParams, SimStats
 from repro.experiments.__main__ import main
 from repro.experiments.pool import SweepPool, baseline_point, pfm_point
+from repro.isa.instructions import OpClass
 from repro.registry import WORKLOADS, workload_names
-from repro.store import (
-    STORE_VERSION,
-    ResultStore,
+from repro.store import ResultStore
+from repro.workloads import tracecache
+from repro.workloads.tracecache import (
+    KEY_VERSION,
+    decode_recipe,
     recipe_key,
     reset_trace_key_memo,
-    store_dir,
     trace_key_for,
+    workload_content_key,
 )
-from repro.store import resultstore
-from repro.workloads import tracecache
-from repro.workloads.tracecache import workload_content_key
 
 WINDOW = 800
 
@@ -48,7 +53,8 @@ def _fresh_memos():
 
 @pytest.fixture
 def builds(monkeypatch) -> list[str]:
-    """Names of every registry build, as the store and the pool call it."""
+    """Names of every registry build, as the trace cache and the pool
+    call it."""
     calls: list[str] = []
     real = registry.build_workload
 
@@ -60,21 +66,28 @@ def builds(monkeypatch) -> list[str]:
     return calls
 
 
+def _recipe_files() -> list[Path]:
+    return sorted(tracecache.trace_dir().glob("*.recipe"))
+
+
 # ---------------------------------------------------------------------- #
 # the index stands in for the content key
 # ---------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("name", workload_names())
-def test_index_key_equals_content_key(tmp_path, name):
-    store = ResultStore(tmp_path)
+def test_index_key_equals_content_key(name, builds):
     fresh = workload_content_key(WORKLOADS.get(name)())
-    assert trace_key_for(name, {}, store) == fresh
+    assert trace_key_for(name, {}) == fresh
     rk = recipe_key(name, {})
     assert rk is not None
-    assert store.get_recipe(rk) == fresh
+    path = tracecache._recipe_path(name, rk)
+    assert path.parent == tracecache.trace_dir()
+    assert decode_recipe(path.read_bytes(), rk) == fresh
     reset_trace_key_memo()
-    assert trace_key_for(name, {}, store) == fresh  # served by the index
+    builds.clear()
+    assert trace_key_for(name, {}) == fresh  # served by the index
+    assert builds == []
 
 
 def test_warm_pool_builds_nothing(tmp_path, builds):
@@ -97,6 +110,26 @@ def test_warm_pool_builds_nothing(tmp_path, builds):
             ResultStore.encode("k", cold[point.label])
 
 
+def test_a_new_store_over_warm_traces_keys_without_a_build(tmp_path, builds):
+    """Shard runs and benchmarks point fresh stores at one cache
+    directory: the index beside the traces keys their points, so only
+    computing a point builds its workload."""
+    points = [
+        baseline_point("astar", WINDOW),
+        pfm_point("pfm", "astar", WINDOW, PFMParams(delay=0)),
+        baseline_point("libquantum", WINDOW),
+    ]
+    first = SweepPool(store=tmp_path / "first")
+    first.run(points)
+
+    tracecache.reset_memory_cache()
+    builds.clear()
+    second = SweepPool(store=tmp_path / "second")
+    keys = [second._store_key(point) for point in points]
+    assert builds == []
+    assert keys == [first._store_key(point) for point in points]
+
+
 def test_memory_only_pool_keeps_config_keys(builds):
     pool = SweepPool()
     point = baseline_point("astar", WINDOW)
@@ -104,26 +137,24 @@ def test_memory_only_pool_keeps_config_keys(builds):
     assert builds == []  # no trace key needed, so no build
 
 
-def test_new_fingerprint_misses_and_rebuilds(tmp_path, monkeypatch, builds):
-    store = ResultStore(tmp_path)
-    key = trace_key_for("libquantum", {}, store)
+def test_new_fingerprint_misses_and_rebuilds(monkeypatch, builds):
+    key = trace_key_for("libquantum", {})
     reset_trace_key_memo()
     builds.clear()
 
-    monkeypatch.setattr(resultstore, "source_fingerprint", lambda: "0" * 64)
-    assert trace_key_for("libquantum", {}, store) == key
+    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "0" * 64)
+    assert trace_key_for("libquantum", {}) == key
     assert builds == ["libquantum"]
-    assert len(store.recipe_files()) == 2  # one recipe per fingerprint
+    assert len(_recipe_files()) == 2  # one recipe per fingerprint
 
 
-def test_pickled_overrides_stay_out_of_the_index(tmp_path, builds):
+def test_pickled_overrides_stay_out_of_the_index(builds):
     overrides = {"grid_width": 40, "grid_height": 40, "component_factory": len}
-    store = ResultStore(tmp_path)
     assert recipe_key("astar", overrides) is None
-    key = trace_key_for("astar", overrides, store)
+    key = trace_key_for("astar", overrides)
     assert key is not None
-    assert store.recipe_files() == []
-    assert trace_key_for("astar", overrides, store) == key  # process memo
+    assert _recipe_files() == []
+    assert trace_key_for("astar", overrides) == key  # process memo
     assert builds == ["astar"]
 
 
@@ -137,78 +168,106 @@ def test_builders_outside_the_package_stay_out_of_the_index(monkeypatch):
     assert recipe_key("local-astar", {}) is None
 
 
-def test_unknown_workload_is_not_indexed(tmp_path):
-    store = ResultStore(tmp_path)
-    assert trace_key_for("no-such-workload", {}, store) is None
-    assert store.recipe_files() == []
+def test_unknown_workload_is_not_indexed():
+    assert trace_key_for("no-such-workload", {}) is None
+    assert _recipe_files() == []
 
 
 # ---------------------------------------------------------------------- #
-# defective entries
+# defective recipe files
 # ---------------------------------------------------------------------- #
 
 
-def _recipe(**fields) -> bytes:
-    payload = {"version": STORE_VERSION, "rk": "RK", "trace_key": "0" * 20}
-    payload.update(fields)
-    return json.dumps(payload).encode()
+def _recipe(**fields):
+    """A well-framed recipe file for the test's *rk*, with *fields*
+    replaced."""
+    def raw(rk: str) -> bytes:
+        payload = {"version": KEY_VERSION, "rk": rk, "trace_key": "0" * 20}
+        payload.update(fields)
+        return tracecache._dumps(payload)
+    return raw
+
+
+def _framed(body: bytes):
+    """*body* behind a matching checksum."""
+    return lambda rk: hashlib.sha256(body).digest() + body
+
+
+def _torn(rk: str) -> bytes:
+    return _recipe()(rk)[:-7]
+
+
+def _flipped(rk: str) -> bytes:
+    raw = bytearray(_recipe()(rk))
+    raw[-3] ^= 0x01
+    return bytes(raw)
+
+
+#: A pickle of lists nested 100k deep, spelled out opcode by opcode.
+_DEEP = b"\x80\x04" + b"]" * 100_000 + b"a" * 99_999 + b"."
 
 
 @pytest.mark.parametrize("raw", [
-    b'{"version": 1, "rk": "',
-    b"\x00\xff garbage",
-    b"[" * 100_000,
-    b"1" * 5000,
-    b'["not", "a", "dict"]',
-    _recipe(version=STORE_VERSION - 1),
+    _torn,
+    _flipped,
+    lambda rk: b"\x00\xff garbage",
+    _framed(_DEEP),
+    _recipe(version=10**5000),
+    _framed(pickle.dumps(["not", "a", "dict"], protocol=4)),
+    _recipe(version=KEY_VERSION - 1),
     _recipe(rk="f" * 64),
     _recipe(trace_key=12345),
     _recipe(trace_key="z" * 20),
     _recipe(trace_key="0" * 21),
     _recipe(trace_key="ABCDEF0123456789ABCD"),
-], ids=["torn", "binary", "deep-nesting", "huge-int", "non-dict",
+    _recipe(trace_key=OpClass.BRANCH),
+], ids=["torn", "checksum", "binary", "deep-nesting", "huge-int", "non-dict",
         "stale-version", "wrong-address", "int-key", "non-hex-key",
-        "long-key", "upper-hex-key"])
-def test_defective_recipes_read_as_misses_and_are_republished(
-        tmp_path, builds, raw):
-    store = ResultStore(tmp_path)
+        "long-key", "upper-hex-key", "names-a-class"])
+def test_defective_recipes_read_as_misses_and_are_republished(builds, raw):
     rk = recipe_key("astar", {})
-    path = store.recipe_path(rk)
+    path = tracecache._recipe_path("astar", rk)
     path.parent.mkdir(parents=True)
-    path.write_bytes(raw.replace(b'"RK"', json.dumps(rk).encode()))
+    path.write_bytes(raw(rk))
 
-    key = trace_key_for("astar", {}, store)
+    key = trace_key_for("astar", {})
     assert key == workload_content_key(WORKLOADS.get("astar")())
-    assert store.counters["recoveries"] == 1
+    assert tracecache.STATS["recipe_recoveries"] == 1
     assert builds == ["astar"]
-    assert path.read_bytes() == ResultStore.encode_recipe(rk, key)
+    assert path.read_bytes() == _recipe(trace_key=key)(rk)
 
 
-def test_missing_recipe_is_a_plain_miss(tmp_path):
-    store = ResultStore(tmp_path)
-    assert store.get_recipe("ab" * 32) is None
-    assert store.counters["recoveries"] == 0
+def test_missing_recipe_is_a_plain_miss():
+    assert tracecache._read_recipe("astar", "ab" * 32) is None
+    assert tracecache.STATS["recipe_recoveries"] == 0
 
 
 def test_merge_ignores_recipes(tmp_path):
+    """The result store holds results only: recipes stay beside the
+    traces, and a merge copies entries alone."""
     source = ResultStore(tmp_path / "source")
     point = baseline_point("astar", WINDOW)
-    source.put(point.store_key(source), SimStats(instructions=1, cycles=2))
-    assert source.recipe_files()
+    source.put(point.store_key(), SimStats(instructions=1, cycles=2))
+    assert _recipe_files()
 
     merged = ResultStore(tmp_path / "merged")
     assert merged.merge_from(source)["added"] == 1
-    assert merged.recipe_files() == []
+    assert [p for p in merged.directory.rglob("*") if p.is_file()] == \
+        merged.files()
 
 
-def test_cache_cli_lists_and_clears_recipes(tmp_path, capsys):
-    base = tmp_path / "cache"
-    trace_key_for("astar", {}, ResultStore(store_dir(base)))
-    assert main(["cache", "list", "--cache-dir", str(base)]) == 0
+def test_cache_cli_lists_and_clears_recipes(capsys):
+    cache = Path(os.environ["REPRO_CACHE_DIR"])
+    trace_key_for("astar", {})
+    assert main(["cache", "list"]) == 0
     assert "1 recipe(s)" in capsys.readouterr().out
 
-    assert main(["cache", "clear", "--store", "--cache-dir", str(base)]) == 0
-    assert ResultStore(store_dir(base)).recipe_files() == []
+    assert main(["cache", "clear", "--store"]) == 0
+    assert len(_recipe_files()) == 1  # the index belongs to the traces
+    assert main(["cache", "clear"]) == 0
+    assert "1 recipe(s)" in capsys.readouterr().out
+    assert _recipe_files() == []
+    assert [p for p in cache.rglob("*") if p.is_file()] == []
 
 
 # ---------------------------------------------------------------------- #
@@ -223,7 +282,7 @@ _STATS = SimStats(
     arch_digest="ab" * 8,
 )
 _ENTRY = ResultStore.encode(_KEY, _STATS, {"workload": "astar"})
-_RECIPE = ResultStore.encode_recipe(_RK, "0123456789abcdef0123")
+_RECIPE = _recipe(trace_key="0123456789abcdef0123")(_RK)
 
 _MUTATION = st.tuples(
     st.sampled_from(("flip", "insert", "delete", "truncate")),
@@ -272,13 +331,11 @@ def test_store_entry_decode_never_raises_or_invents(ops):
 @given(st.lists(_MUTATION, max_size=6))
 @example([("truncate", 0, 0)])
 def test_recipe_decode_never_raises_or_invents(ops):
+    """A recipe file carries its checksum: any byte change reads as a
+    miss, and only the unchanged bytes decode."""
     raw = _mutate(_RECIPE, ops)
-    trace_key = ResultStore.decode_recipe(raw, _RK)
-    if not ops:
-        assert trace_key == "0123456789abcdef0123"
-    if trace_key is not None:
-        assert json.loads(raw)["trace_key"] == trace_key
-        assert len(trace_key) == 20 and int(trace_key, 16) >= 0
+    expected = "0123456789abcdef0123" if raw == _RECIPE else None
+    assert decode_recipe(raw, _RK) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,4 +344,4 @@ def test_recipe_decode_never_raises_or_invents(ops):
 @example(b"1" * 5000)
 def test_readers_never_raise_on_arbitrary_bytes(raw):
     assert ResultStore.decode(raw, _KEY) is None
-    assert ResultStore.decode_recipe(raw, _RK) is None
+    assert decode_recipe(raw, _RK) is None

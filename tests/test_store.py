@@ -29,14 +29,15 @@ from repro.experiments.sweep import (
 from repro.store import (
     ResultStore,
     STORE_VERSION,
+    clear_section,
     gc_cache,
     parse_shard,
     parse_size,
     shard_of,
     store_dir,
-    trace_key_for,
 )
 from repro.telemetry import TelemetryParams
+from repro.workloads.tracecache import trace_key_for
 
 WINDOW = 1_500
 
@@ -403,11 +404,11 @@ def _touch(path, size: int, mtime: float) -> None:
 
 
 def test_gc_evicts_lru_across_sections(tmp_path):
-    recipes = tmp_path / "store" / "recipes"
-    _touch(tmp_path / "traces" / "old.trace.pkl", 100, 1_000)
-    _touch(recipes / "11" / ("1" * 64 + ".json"), 100, 1_500)
+    traces = tmp_path / "traces"
+    _touch(traces / "old.trace.pkl", 100, 1_000)
+    _touch(traces / ("astar--" + "1" * 64 + ".recipe"), 100, 1_500)
     _touch(tmp_path / "store" / "ef" / ("e" * 64 + ".json"), 100, 2_000)
-    _touch(recipes / "22" / ("2" * 64 + ".json"), 100, 2_500)
+    _touch(traces / ("lbm--" + "2" * 64 + ".recipe"), 100, 2_500)
     _touch(tmp_path / "store" / "ab" / ("a" * 64 + ".json"), 100, 3_000)
     _touch(tmp_path / "store" / "cd" / ("c" * 64 + ".json"), 100, 4_000)
 
@@ -415,14 +416,13 @@ def test_gc_evicts_lru_across_sections(tmp_path):
     assert summary["total_bytes"] == 600
     assert summary["evicted_bytes"] == 400
     assert summary["kept_bytes"] == 200
-    assert summary["sections"]["traces"]["evicted_files"] == 1
-    assert summary["sections"]["recipes"]["files"] == 2
-    assert summary["sections"]["recipes"]["evicted_files"] == 2
+    assert set(summary["sections"]) == {"traces", "store"}
+    assert summary["sections"]["traces"]["files"] == 3
+    assert summary["sections"]["traces"]["evicted_files"] == 3
     assert summary["sections"]["store"]["evicted_files"] == 1
-    # the two newest store entries survived; recipes are not entries
-    assert not (tmp_path / "traces" / "old.trace.pkl").exists()
-    store = ResultStore(store_dir(tmp_path))
-    assert len(store) == 2 and store.recipe_files() == []
+    # the two newest store entries survived; recipes are trace-cache files
+    assert list(traces.iterdir()) == []
+    assert len(ResultStore(store_dir(tmp_path))) == 2
 
 
 def test_gc_under_budget_evicts_nothing(tmp_path):
@@ -441,9 +441,13 @@ def test_gc_ignores_checkpoints_and_journals(tmp_path):
 
 
 def test_store_clear(tmp_path):
-    store = _filled(tmp_path, {"a" * 64: 1, "b" * 64: 2})
+    store = _filled(store_dir(tmp_path), {"a" * 64: 1, "b" * 64: 2})
+    _touch(tmp_path / "traces" / "old.trace.pkl", 100, 1_000)
     size = store.size_bytes()
     assert size > 0
-    assert store.clear() == (2, size)
+    removed = clear_section(tmp_path, "store")
+    assert (len(removed), sum(entry[1] for entry in removed)) == (2, size)
     assert len(store) == 0
-    assert store.get("a" * 64) is None  # memo dropped too
+    assert (tmp_path / "traces" / "old.trace.pkl").exists()  # other section
+    store.reset_memo()
+    assert store.get("a" * 64) is None

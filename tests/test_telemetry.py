@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import PFMParams, SimConfig, simulate
 from repro.experiments.pool import SweepPool
-from repro.experiments.runner import build_workload
 from repro.experiments.trace import trace_points
+from repro.registry import build_workload
 from repro.telemetry import (
     EVENT_GROUPS,
     RingBufferSink,
