@@ -407,15 +407,15 @@ def _fused_replay(core, trace, prof, ctrl, n):
     ic_get = issue_count.get
     issue_width = lanes_sched.issue_width
 
-    rob_q = ctx.rob._releases
+    rob_q = ctx.rob.releases
     rob_cap = ctx.rob.capacity
-    ldq_q = ctx.ldq._releases
+    ldq_q = ctx.ldq.releases
     ldq_cap = ctx.ldq.capacity
-    stq_q = ctx.stq._releases
+    stq_q = ctx.stq.releases
     stq_cap = ctx.stq.capacity
-    fq_q = ctx.fetchq._releases
+    fq_q = ctx.fetchq.releases
     fq_cap = ctx.fetchq.capacity
-    iq_heap = ctx.iq._releases
+    iq_heap = ctx.iq.releases
     iq_cap = ctx.iq.capacity
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -512,8 +512,6 @@ def _fused_replay(core, trace, prof, ctrl, n):
                     if t > dt:
                         dt = t
             fq_q.append(dt)
-            if len(fq_q) > fq_cap:
-                fq_q.popleft()
 
             # ---- execute: operand readiness + lane reservation ------ #
             ready = dt + 1
@@ -644,16 +642,10 @@ def _fused_replay(core, trace, prof, ctrl, n):
             if first_retire is None:
                 first_retire = rt
             rob_q.append(rt)
-            if len(rob_q) > rob_cap:
-                rob_q.popleft()
             if kind == 1:
                 ldq_q.append(rt)
-                if len(ldq_q) > ldq_cap:
-                    ldq_q.popleft()
             elif kind == 2:
                 stq_q.append(rt)
-                if len(stq_q) > stq_cap:
-                    stq_q.popleft()
                 data_access(addr, rt, is_store=True)
                 st.retire_time = rt  # the commit scan's unique seq match
             # (branch predictor training consumed at profile time)

@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # avoid a circular import (workloads.base -> pfm -> core)
 _PRUNE_INTERVAL = 8192
 _PRUNE_MARGIN = 4096
 
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+
 
 class SuperscalarCore:
     """One-pass timing engine over a correct-path dynamic stream."""
@@ -49,6 +52,23 @@ class SuperscalarCore:
         ctx = PipelineContext(config)
         self.ctx = ctx
         predictor = make_predictor(p.predictor)
+
+        # Imported here: the fabric imports core params, so a module-level
+        # import would be circular.  Built before the stages, which bind
+        # its snoop lookups once.
+        from repro.pfm.fabric import PFMFabric
+
+        self.fabric: PFMFabric | None = None
+        if config.pfm is not None and workload.bitstream is not None:
+            self.fabric = ctx.fabric = PFMFabric(
+                workload.bitstream,
+                config.pfm,
+                p,
+                ctx.lanes,
+                ctx.hierarchy,
+                workload.memory,
+            )
+
         self.fetch_stage = FetchStage(ctx, predictor)
         self.dispatch_stage = DispatchStage(ctx)
         self.execute_stage = ExecuteStage(ctx)
@@ -73,20 +93,9 @@ class SuperscalarCore:
         self.btb = self.fetch_stage.btb
         self.ras = self.fetch_stage.ras
 
-        # Imported here: the fabric imports core params, so a module-level
-        # import would be circular.
-        from repro.pfm.fabric import PFMFabric
-
-        self.fabric: PFMFabric | None = None
-        if config.pfm is not None and workload.bitstream is not None:
-            self.fabric = ctx.fabric = PFMFabric(
-                workload.bitstream,
-                config.pfm,
-                p,
-                ctx.lanes,
-                ctx.hierarchy,
-                workload.memory,
-            )
+        # Per-run constants of the per-instruction loop.
+        self._oracle = config.oracle
+        self._fetch_width = p.fetch_width
 
         self.telemetry = None
         if config.telemetry is not None:
@@ -181,13 +190,14 @@ class SuperscalarCore:
 
         bundle_break = False
         mispredicted = False
-        if dyn.op_class is OpClass.BRANCH:
+        op = dyn.op_class
+        if op is _BRANCH:
             predicted, fetch_time = self._predict_branch(dyn, fetch_time, roi_fetch)
             bundle_break = predicted
             mispredicted = predicted != dyn.taken
             if predicted and dyn.taken:
                 self._btb_redirect(dyn, fetch_time)
-        elif dyn.op_class is OpClass.JUMP:
+        elif op is _JUMP:
             self.predictor.on_taken_control(dyn.pc, dyn.next_pc)
             bundle_break = True
             mispredicted = self._predict_jump_target(dyn, fetch_time)
@@ -200,14 +210,16 @@ class SuperscalarCore:
             ctx.squash_at(complete_time, "branch")
         if bundle_break:
             # A predicted-taken control op ends the fetch bundle.
-            ctx.fetch_used = ctx.params.fetch_width
+            ctx.fetch_used = self._fetch_width
 
-        if dyn.dst is not None and dyn.dst != "zero":
-            ctx.reg_ready[dyn.dst] = complete_time
+        dst = dyn.dst
+        if dst is not None and dst != "zero":
+            ctx.reg_ready[dst] = complete_time
             stats.prf_writes += 1
 
-        if self.config.oracle is not None:
-            extra = self.config.oracle.observe(dyn)
+        oracle = self._oracle
+        if oracle is not None:
+            extra = oracle.observe(dyn)
             if extra:
                 # e.g. a slipstream leading-thread restart: stall the
                 # front end while the leading thread rolls back.

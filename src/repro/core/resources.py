@@ -22,23 +22,25 @@ from collections import deque
 
 
 class RingOccupancy:
-    """Capacity-limited structure whose entries release in FIFO order."""
+    """Capacity-limited structure whose entries release in FIFO order.
+
+    ``releases`` holds the release times of the last ``capacity``
+    allocations (a ``deque(maxlen=capacity)``, so each append past
+    capacity drops the oldest).  The dispatch and fetch stages read it
+    directly: a new entry waits for ``releases[0]`` when the ring is full.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._releases: deque[int] = deque()
-        self.alloc_stalls = 0
+        self.releases: deque[int] = deque(maxlen=capacity)
 
     def earliest_alloc(self, now: int) -> int:
         """Earliest time >= *now* a new entry can allocate."""
-        if len(self._releases) < self.capacity:
-            return now
-        oldest = self._releases[0]
-        if oldest > now:
-            self.alloc_stalls += 1
-            return oldest
+        releases = self.releases
+        if len(releases) == self.capacity and releases[0] > now:
+            return releases[0]
         return now
 
     def allocate(self, release_time: int) -> None:
@@ -47,40 +49,32 @@ class RingOccupancy:
         Call after :meth:`earliest_alloc`; drops the oldest entry once the
         window slides past capacity.
         """
-        self._releases.append(release_time)
-        if len(self._releases) > self.capacity:
-            self._releases.popleft()
-
-    @property
-    def tracked(self) -> int:
-        return len(self._releases)
+        self.releases.append(release_time)
 
 
 class HeapOccupancy:
-    """Capacity-limited structure with out-of-order releases (issue queue)."""
+    """Capacity-limited structure with out-of-order releases (issue queue).
+
+    ``releases`` is a min-heap of outstanding release times; the dispatch
+    and execute stages pop and push it directly with :mod:`heapq`.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._releases: list[int] = []
-        self.alloc_stalls = 0
+        self.releases: list[int] = []
 
     def earliest_alloc(self, now: int) -> int:
-        heap = self._releases
+        heap = self.releases
         while heap and heap[0] <= now:
             heapq.heappop(heap)
         if len(heap) < self.capacity:
             return now
-        self.alloc_stalls += 1
         return heap[0]
 
     def allocate(self, release_time: int) -> None:
-        heapq.heappush(self._releases, release_time)
-
-    @property
-    def tracked(self) -> int:
-        return len(self._releases)
+        heapq.heappush(self.releases, release_time)
 
 
 class LaneScheduler:
@@ -115,24 +109,25 @@ class LaneScheduler:
         Returns ``(lane, cycle)``.  *block_cycles* > 0 marks the lane busy
         beyond the issue cycle (unpipelined dividers).
         """
+        reserved = self._reserved
+        busy_until = self._busy_until
+        counts = self._issue_count
+        width = self.issue_width
         cycle = earliest
         for _ in range(max_scan):
-            if self._issue_count.get(cycle, 0) < self.issue_width:
+            issued = counts.get(cycle, 0)
+            if issued < width:
                 for lane in lanes:
-                    if cycle in self._reserved[lane]:
+                    row = reserved[lane]
+                    if cycle in row or busy_until[lane] > cycle:
                         continue
-                    if self._busy_until[lane] > cycle:
-                        continue
-                    self._take(lane, cycle, block_cycles)
+                    row[cycle] = True
+                    counts[cycle] = issued + 1
+                    if block_cycles and busy_until[lane] < cycle + block_cycles:
+                        busy_until[lane] = cycle + block_cycles
                     return lane, cycle
             cycle += 1
         raise RuntimeError("lane scheduler scan exhausted (model bug)")
-
-    def _take(self, lane: int, cycle: int, block_cycles: int) -> None:
-        self._reserved[lane][cycle] = True
-        self._issue_count[cycle] = self._issue_count.get(cycle, 0) + 1
-        if block_cycles:
-            self._busy_until[lane] = max(self._busy_until[lane], cycle + block_cycles)
 
     def is_lane_free(self, lane: int, cycle: int) -> bool:
         """True if *lane* issues nothing at *cycle* (its PRF port is idle).

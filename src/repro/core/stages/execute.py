@@ -10,6 +10,7 @@ at finalize.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.stages.context import PipelineContext
@@ -18,6 +19,9 @@ from repro.memory.cache import LINE_SHIFT
 
 if TYPE_CHECKING:
     from repro.workloads.trace import DynInst
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 class InFlightStore:
@@ -46,7 +50,7 @@ class ExecuteStage:
 
     __slots__ = (
         "ctx", "lane_map",
-        "_ls_lanes", "_reserve", "_iq_allocate", "_reg_ready",
+        "_ls_lanes", "_reserve", "_iq", "_reg_ready",
     )
 
     def __init__(self, ctx: PipelineContext) -> None:
@@ -55,7 +59,7 @@ class ExecuteStage:
         # Hot-path hoists (per-run constants; see FetchStage).
         self._ls_lanes: tuple[int, ...] = p.ls_lanes()
         self._reserve: Callable[..., tuple[int, int]] = ctx.lanes.reserve
-        self._iq_allocate: Callable[[int], None] = ctx.iq.allocate
+        self._iq: list[int] = ctx.iq.releases
         self._reg_ready: dict[str, int] = ctx.reg_ready
         self.lane_map: dict[OpClass, tuple[tuple[int, ...], int, int]] = {
             OpClass.INT_ALU: (p.alu_lanes(), p.int_alu_latency, 0),
@@ -69,28 +73,24 @@ class ExecuteStage:
             OpClass.HALT: (p.alu_lanes(), 1, 0),
         }
 
-    def _src_ready(self, srcs: tuple[str, ...]) -> int:
-        ready = 0
-        reg_ready = self._reg_ready
-        for reg in srcs:
-            t = reg_ready.get(reg, 0)
-            if t > ready:
-                ready = t
-        return ready
-
     def execute(self, dyn: "DynInst", dispatch_time: int) -> tuple[int, int]:
         op = dyn.op_class
-        if op is OpClass.LOAD:
+        if op is _LOAD:
             return self._execute_load(dyn, dispatch_time)
-        if op is OpClass.STORE:
+        if op is _STORE:
             return self._execute_store(dyn, dispatch_time)
 
         stats = self.ctx.stats
         lanes, latency, block = self.lane_map[op]
         srcs = dyn.srcs
-        ready = max(dispatch_time + 1, self._src_ready(srcs))
+        ready = dispatch_time + 1
+        reg_ready = self._reg_ready
+        for reg in srcs:
+            t = reg_ready.get(reg, 0)
+            if t > ready:
+                ready = t
         _, issue = self._reserve(lanes, ready, block_cycles=block)
-        self._iq_allocate(issue)
+        heappush(self._iq, issue)
         stats.issued_ops += 1
         stats.prf_reads += len(srcs)
         return issue, issue + latency
@@ -100,9 +100,14 @@ class ExecuteStage:
         stats = ctx.stats
         stats.loads += 1
         srcs = dyn.srcs
-        ready = max(dispatch_time + 1, self._src_ready(srcs))
+        ready = dispatch_time + 1
+        reg_ready = self._reg_ready
+        for reg in srcs:
+            t = reg_ready.get(reg, 0)
+            if t > ready:
+                ready = t
         _, issue = self._reserve(self._ls_lanes, ready)
-        self._iq_allocate(issue)
+        heappush(self._iq, issue)
         stats.issued_ops += 1
         stats.prf_reads += len(srcs)
         agen_done = issue + 1
@@ -154,7 +159,7 @@ class ExecuteStage:
         data_src_ready = reg_ready.get(data_reg, 0)
         ready = max(dispatch_time + 1, addr_src_ready)
         _, issue = self._reserve(self._ls_lanes, ready)
-        self._iq_allocate(issue)
+        heappush(self._iq, issue)
         stats.issued_ops += 1
         stats.prf_reads += 2
         addr_ready = issue + 1

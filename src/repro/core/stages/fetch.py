@@ -10,6 +10,7 @@ predictor still always runs and trains.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.stages.context import PipelineContext
@@ -18,6 +19,7 @@ from repro.memory.cache import LINE_SHIFT
 
 if TYPE_CHECKING:
     from repro.frontend.predictor import BranchPredictor
+    from repro.pfm.tenancy import SlotHit
     from repro.workloads.trace import DynInst
 
 
@@ -29,7 +31,8 @@ class FetchStage:
 
     __slots__ = (
         "ctx", "predictor", "btb", "ras",
-        "_fetch_width", "_fq_earliest_alloc", "_inst_access",
+        "_fetch_width", "_fq", "_fq_cap", "_inst_access", "_fabric_pcs",
+        "_fst_lookup",
     )
 
     def __init__(self, ctx: PipelineContext, predictor: "BranchPredictor") -> None:
@@ -42,8 +45,19 @@ class FetchStage:
         # per-instruction loop pays one slot load instead of an
         # attribute chain for each.
         self._fetch_width: int = ctx.params.fetch_width
-        self._fq_earliest_alloc: Callable[[int], int] = ctx.fetchq.earliest_alloc
+        self._fq: deque[int] = ctx.fetchq.releases
+        self._fq_cap: int = ctx.fetchq.capacity
         self._inst_access: Callable[[int, int], int] = ctx.hierarchy.inst_access
+        # The fabric is built before the stages: bind the fetch PCs it
+        # acts on (none on baseline runs) and its FST lookup (unset on
+        # baseline runs, which never read it).
+        fabric = ctx.fabric
+        self._fabric_pcs: frozenset[int] = frozenset()
+        if fabric is not None:
+            self._fabric_pcs = fabric.fetch_pcs
+            self._fst_lookup: Callable[[int], "SlotHit | None"] = (
+                fabric.fst.lookup
+            )
 
     def fetch(self, dyn: "DynInst") -> int:
         ctx = self.ctx
@@ -57,9 +71,10 @@ class FetchStage:
             cycle += 1
             used = 0
 
-        fq_ready = self._fq_earliest_alloc(cycle)
-        if fq_ready > cycle:
-            cycle = fq_ready
+        fq = self._fq
+        if len(fq) == self._fq_cap and fq[0] > cycle:
+            # Fetch queue full: wait for its oldest entry to dispatch.
+            cycle = fq[0]
             used = 0
 
         pc = dyn.pc
@@ -75,8 +90,9 @@ class FetchStage:
         ctx.fetch_cycle = cycle
         ctx.fetch_used = used + 1
 
-        fabric = ctx.fabric
-        if fabric is not None:
+        if pc in self._fabric_pcs:
+            fabric = ctx.fabric
+            assert fabric is not None
             fabric.on_fetch(pc)
         return cycle
 
@@ -103,7 +119,7 @@ class FetchStage:
 
         fabric = ctx.fabric
         if fabric is not None and roi_fetch:
-            hit = fabric.fst.lookup(dyn.pc)
+            hit = self._fst_lookup(dyn.pc)
             if hit is not None:
                 stats.fetched_fst_hits += 1
                 if ctx.telemetry is not None:

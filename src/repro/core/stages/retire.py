@@ -16,11 +16,21 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.stages.context import PipelineContext
 from repro.isa.instructions import OpClass
 from repro.memory.cache import LINE_SHIFT
+from repro.pfm.snoop import SnoopKind
 
 if TYPE_CHECKING:
     from repro.frontend.predictor import BranchPredictor
     from repro.pfm.tenancy import SlotHit
     from repro.workloads.trace import DynInst
+
+# Enum members bound once: a class attribute lookup on an Enum costs a
+# descriptor call on every access.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_DEST_VALUE = SnoopKind.DEST_VALUE
+_STORE_VALUE = SnoopKind.STORE_VALUE
+_BRANCH_OUTCOME = SnoopKind.BRANCH_OUTCOME
 
 
 class RetireStage:
@@ -28,7 +38,8 @@ class RetireStage:
 
     __slots__ = (
         "ctx", "predictor", "retire_counts",
-        "_retire_width", "_rob_allocate", "_ldq_allocate", "_stq_allocate",
+        "_retire_width", "_rob_append", "_ldq_append", "_stq_append",
+        "_rst_lookup",
     )
 
     def __init__(self, ctx: PipelineContext, predictor: "BranchPredictor") -> None:
@@ -39,9 +50,15 @@ class RetireStage:
         self.retire_counts: dict[int, int] = {}
         # Hot-path hoists (per-run constants; see FetchStage).
         self._retire_width: int = ctx.params.retire_width
-        self._rob_allocate: Callable[[int], None] = ctx.rob.allocate
-        self._ldq_allocate: Callable[[int], None] = ctx.ldq.allocate
-        self._stq_allocate: Callable[[int], None] = ctx.stq.allocate
+        self._rob_append: Callable[[int], None] = ctx.rob.releases.append
+        self._ldq_append: Callable[[int], None] = ctx.ldq.releases.append
+        self._stq_append: Callable[[int], None] = ctx.stq.releases.append
+        if ctx.fabric is not None:
+            # The fabric is built before the stages, so its RST lookup
+            # binds once (unset on baseline runs, which never read it).
+            self._rst_lookup: Callable[[int], "SlotHit | None"] = (
+                ctx.fabric.rst.lookup
+            )
 
     def retire(self, dyn: "DynInst", complete_time: int) -> None:
         ctx = self.ctx
@@ -57,14 +74,14 @@ class RetireStage:
         if ctx.first_retire is None:
             ctx.first_retire = rt
 
-        self._rob_allocate(rt)
+        self._rob_append(rt)
         op = dyn.op_class
-        if op is OpClass.LOAD:
-            self._ldq_allocate(rt)
-        elif op is OpClass.STORE:
-            self._stq_allocate(rt)
+        if op is _LOAD:
+            self._ldq_append(rt)
+        elif op is _STORE:
+            self._stq_append(rt)
             self._commit_store(dyn, rt)
-        elif op is OpClass.BRANCH:
+        elif op is _BRANCH:
             self.predictor.update(dyn.pc, bool(dyn.taken))
 
         fabric = ctx.fabric
@@ -72,7 +89,7 @@ class RetireStage:
             was_active = fabric.roi_active
             if was_active:
                 stats.retired_in_roi += 1
-            hit = fabric.rst.lookup(dyn.pc)
+            hit = self._rst_lookup(dyn.pc)
             if hit is not None:
                 if was_active:
                     stats.retired_rst_hits += 1
@@ -87,16 +104,14 @@ class RetireStage:
                     ctx.squash_at(rt, "roi_begin")
 
     def _count_obs(self, hit: "SlotHit") -> None:
-        from repro.pfm.snoop import SnoopKind
-
         stats = self.ctx.stats
         stats.obs_packets += 1
-        kind = hit.kind
-        if kind is SnoopKind.DEST_VALUE:
+        kind = hit.entry.kind
+        if kind is _DEST_VALUE:
             stats.obs_dest_value += 1
-        elif kind is SnoopKind.STORE_VALUE:
+        elif kind is _STORE_VALUE:
             stats.obs_store_value += 1
-        elif kind is SnoopKind.BRANCH_OUTCOME:
+        elif kind is _BRANCH_OUTCOME:
             stats.obs_branch_outcome += 1
 
     def _commit_store(self, dyn: "DynInst", retire_time: int) -> None:

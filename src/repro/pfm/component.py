@@ -48,15 +48,18 @@ class RFIo:
         self._fabric = fabric
         self.rf_cycle = 0
         self.now = 0
+        self._ready = 0  # core time this cycle's outputs exit the pipeline
         self._obs_budget = 0
         self._ret_budget = 0
         self._pred_budget = 0
         self._load_budget = 0
 
     def begin_cycle(self, rf_cycle: int) -> None:
-        w = self._timings.width
+        timings = self._timings
+        w = timings.width
         self.rf_cycle = rf_cycle
-        self.now = self._timings.core_time(rf_cycle)
+        self.now = timings.core_time(rf_cycle)
+        self._ready = timings.output_ready(rf_cycle)
         self._obs_budget = w
         self._ret_budget = w + 1
         self._pred_budget = w
@@ -101,10 +104,9 @@ class RFIo:
 
     def push_pred(self, taken: bool, tag: str = "") -> bool:
         """Push one branch prediction toward IntQ-F (through the delay pipe)."""
-        if not self.can_push_pred():
+        if self._pred_budget <= 0 or not self._fabric.pred_can_push():
             return False
-        ready = self._timings.output_ready(self.rf_cycle)
-        if not self._fabric.pred_push(taken, ready, tag):
+        if not self._fabric.pred_push(taken, self._ready, tag):
             return False
         self._pred_budget -= 1
         return True
@@ -114,11 +116,10 @@ class RFIo:
 
     def push_load(self, ident: int, address: int, is_prefetch: bool = False) -> bool:
         """Push one load/prefetch packet toward IntQ-IS."""
-        if not self.can_push_load():
+        if self._load_budget <= 0 or not self._fabric.load_can_push():
             return False
-        ready = self._timings.output_ready(self.rf_cycle)
-        packet = LoadPacket(ident=ident, address=address, is_prefetch=is_prefetch)
-        if not self._fabric.load_push(packet, ready):
+        packet = LoadPacket(ident, address, is_prefetch)
+        if not self._fabric.load_push(packet, self._ready):
             return False
         self._load_budget -= 1
         return True

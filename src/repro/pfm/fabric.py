@@ -90,6 +90,11 @@ class PFMFabric:
                 (spec, build_tenant_bitstream(spec, bitstream), slot_params(pfm))
             )
 
+        #: True while any slot's component is enabled (inside its ROI) /
+        #: any slot's fetch-side ROI is active.  Plain attributes read on
+        #: every instruction; a slot refreshes them when it flips its own.
+        self.roi_active = False
+        self.roi_fetch_active = False
         self.slots: list[FabricSlot] = []
         for index, (spec, slot_bitstream, slot_pfm) in enumerate(builds):
             slot = FabricSlot(
@@ -103,9 +108,15 @@ class PFMFabric:
                 memory,
                 self.scheduler,
             )
+            slot.on_roi_change = self._refresh_roi
             self.scheduler.register(slot)
             self.slots.append(slot)
 
+        #: Fetch PCs some slot's ``on_fetch`` acts on; the fetch stage
+        #: calls :meth:`on_fetch` for these only.
+        self.fetch_pcs: frozenset[int] = frozenset().union(
+            *(slot.fetch_pcs for slot in self.slots)
+        )
         self.fst = PartitionedFST(self.slots)
         self.rst = PartitionedRST(self.slots)
         #: Fetch-override conflicts: a lower-priority tenant's FST entry
@@ -116,24 +127,14 @@ class PFMFabric:
     # pipeline interface: what the fetch, retire and squash paths call
     # ------------------------------------------------------------------ #
 
-    @property
-    def roi_fetch_active(self) -> bool:
-        """True while any slot's fetch-side ROI is active."""
-        for slot in self.slots:
-            if slot.roi_fetch_active:
-                return True
-        return False
-
-    @property
-    def roi_active(self) -> bool:
-        """True while any slot's component is enabled (inside its ROI)."""
-        for slot in self.slots:
-            if slot.roi_active:
-                return True
-        return False
+    def _refresh_roi(self) -> None:
+        slots = self.slots
+        self.roi_active = any(slot.roi_active for slot in slots)
+        self.roi_fetch_active = any(slot.roi_fetch_active for slot in slots)
 
     def on_fetch(self, pc: int) -> None:
-        """Per-fetch bookkeeping (ROI entry, per-call markers) per slot."""
+        """Fetch bookkeeping (ROI entry, per-call markers) per slot; a PC
+        outside :attr:`fetch_pcs` is a no-op."""
         for slot in self.slots:
             slot.on_fetch(pc)
 

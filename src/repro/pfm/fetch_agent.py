@@ -55,6 +55,13 @@ class FetchAgent:
         #: agent stops dropping and lets the caller fall back instead.
         self.strict = strict
         self._pending: deque[_PendEntry] = deque()
+        #: How many leading ``_pending`` entries may have a later ready
+        #: time than some entry behind them.  Pushes arrive in ready order
+        #: except after a squash re-floored the stream (:meth:`apply_squash`
+        #: keeps an ordered stream ordered, but the next push can land
+        #: below its tail); while this is zero the stream is sorted and
+        #: :meth:`occupancy_at` counts from the right.
+        self._unsorted = 0
         self.producer_call = 0
         self.producer_seq = 0
         self.consumer_call = 0
@@ -73,7 +80,14 @@ class FetchAgent:
 
     def occupancy_at(self, now: int) -> int:
         """IntQ-F entries resident at *now* (exited the delay pipeline)."""
-        return sum(1 for e in self._pending if e.ready <= now)
+        pending = self._pending
+        if self._unsorted:
+            return sum(1 for e in pending if e.ready <= now)
+        # Sorted by ready time: the resident entries are a prefix.
+        count = len(pending)
+        while count and pending[count - 1].ready > now:
+            count -= 1
+        return count
 
     def can_push(self, now: int) -> bool:
         return self.occupancy_at(now) < self.queue_size
@@ -86,7 +100,10 @@ class FetchAgent:
         """
         if not self.can_push(ready):
             return False
-        self._pending.append(
+        pending = self._pending
+        if pending and ready < pending[-1].ready:
+            self._unsorted = len(pending)
+        pending.append(
             _PendEntry(
                 call=self.producer_call,
                 seq=self.producer_seq,
@@ -97,16 +114,22 @@ class FetchAgent:
         )
         self.producer_seq += 1
         self.pushes += 1
-        if len(self._pending) > self.max_pending:
-            self.max_pending = len(self._pending)
+        if len(pending) > self.max_pending:
+            self.max_pending = len(pending)
         if self.probe is not None:
-            self.probe.queue(ready, "IntQ-F", "push", len(self._pending))
+            self.probe.queue(ready, "IntQ-F", "push", len(pending))
         return True
+
+    def _popleft(self) -> _PendEntry:
+        if self._unsorted:
+            self._unsorted -= 1
+        return self._pending.popleft()
 
     def new_call(self) -> None:
         """Component signalled a new ROI call: flush the previous stream."""
         self.packets_dropped += len(self._pending)
         self._pending.clear()
+        self._unsorted = 0
         if self._resync_call:
             # First call of a freshly loaded component: adopt the fetch
             # unit's current call position instead of incrementing.  The
@@ -136,6 +159,7 @@ class FetchAgent:
         dropped = len(self._pending)
         self.packets_dropped += dropped
         self._pending.clear()
+        self._unsorted = 0
         self._fallback_debt.clear()
         self.producer_call = self.consumer_call
         self.producer_seq = 0
@@ -165,17 +189,17 @@ class FetchAgent:
         while self._pending:
             head = self._pending[0]
             if head.call < self.consumer_call:
-                self._pending.popleft()
+                self._popleft()
                 self.packets_dropped += 1
                 continue
             debt = self._fallback_debt.get(head.tag, 0)
             if debt and head.call == self.consumer_call:
                 self._fallback_debt[head.tag] = debt - 1
-                self._pending.popleft()
+                self._popleft()
                 self.packets_dropped += 1
                 continue
             if head.call == self.consumer_call and head.tag != fst_tag:
-                self._pending.popleft()
+                self._popleft()
                 self.packets_dropped += 1
                 dropped_run += 1
                 if dropped_run > self.MAX_DROP_RUN:
@@ -233,7 +257,7 @@ class FetchAgent:
             return None
         if deadline is not None and head.ready > deadline:
             return None
-        self._pending.popleft()
+        self._popleft()
         effective = max(fetch_time, head.ready)
         self.stall_cycles += effective - fetch_time
         self.predictions_supplied += 1
@@ -257,7 +281,7 @@ class FetchAgent:
             return False
         head = self._pending[0]
         if head.call == self.consumer_call and head.tag == fst_tag:
-            self._pending.popleft()
+            self._popleft()
             self.packets_dropped += 1
             return True
         return False

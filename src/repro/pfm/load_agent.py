@@ -16,6 +16,7 @@ the component's unique identifier.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pfm.packets import LoadPacket, LoadReturn
@@ -27,6 +28,8 @@ from repro.workloads.mem import WORD_BYTES, MemoryImage
 MLB_ENTRIES = 64
 #: Core cycles between MLB replay attempts.
 MLB_REPLAY_PERIOD = 8
+
+_READY = itemgetter(0)  # sort key of a (ready, LoadReturn) pending return
 
 
 class LoadAgent:
@@ -73,19 +76,20 @@ class LoadAgent:
 
     def tick(self, now: int) -> None:
         """Process IntQ-IS packets and return completions visible by *now*."""
+        pop_visible = self._intq.pop_visible
         while True:
-            packet = self._intq.peek_visible(now)
-            if packet is None:
+            head = pop_visible(now)
+            if head is None:
                 break
-            visible = self._intq.head_visible_time()
-            self._intq.pop(now)
+            visible, packet = head
             if self._watchdog is not None and self._watchdog.load_throttled():
                 # MLB-thrash throttle open: shed injection packets rather
                 # than let replays keep hammering the cache ports.
                 self._watchdog.note_load_dropped()
                 continue
             self._issue(packet, max(visible, 0))
-        self._flush_returns(now)
+        if self._pending_returns:
+            self._flush_returns(now)
 
     def _issue(self, packet: LoadPacket, earliest: int) -> None:
         address = packet.address
@@ -152,13 +156,14 @@ class LoadAgent:
 
     def _flush_returns(self, now: int) -> None:
         """Push completed load values into ObsQ-EX, oldest-completion first."""
-        if not self._pending_returns:
-            return
-        self._pending_returns.sort(key=lambda item: item[0])
+        pending = self._pending_returns
+        if len(pending) > 1:
+            pending.sort(key=_READY)
         remaining: list[tuple[int, LoadReturn]] = []
-        for ready, ret in self._pending_returns:
-            if ready <= now and self._retq.can_push():
-                self._retq.push(ready, ret)
+        retq = self._retq
+        for ready, ret in pending:
+            if ready <= now and retq.can_push():
+                retq.push(ready, ret)
             else:
                 remaining.append((ready, ret))
         self._pending_returns = remaining

@@ -161,6 +161,21 @@ class TimedQueue:
             self.probe.queue(now, self.name, "pop", len(self._entries))
         return item
 
+    def pop_visible(self, now: int) -> tuple[int, object] | None:
+        """Pop the head entry if it is visible at *now*.
+
+        Returns ``(visible_time, item)``, or None when the queue is empty
+        or its head has not crossed yet.  The pop itself goes through
+        :meth:`pop`.
+        """
+        entries = self._entries
+        if not entries:
+            return None
+        visible_time = entries[0][0]
+        if visible_time > now:
+            return None
+        return visible_time, self.pop(now)
+
     def clear(self) -> int:
         """Drop all entries (squash recovery); returns how many were dropped."""
         dropped = len(self._entries)

@@ -38,7 +38,7 @@ its own queueQ-entry queues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.params import CoreParams, PFMParams
 from repro.core.watchdog import Watchdog
@@ -397,6 +397,12 @@ class FabricSlot:
         self.call_marker_pcs: frozenset[int] = frozenset(
             int(pc) for pc in metadata.get("call_marker_pcs", ())
         )
+        #: Every PC :meth:`on_fetch` acts on: ROI-begin snoops and the
+        #: per-call markers.
+        self.fetch_pcs: frozenset[int] = self.call_marker_pcs | {
+            entry.pc for entry in rst_entries
+            if entry.kind is SnoopKind.ROI_BEGIN
+        }
 
         self.watchdog = Watchdog(pfm.watchdog)
         self.injector: Any | None = None
@@ -444,6 +450,9 @@ class FabricSlot:
         self.rf_cycle = 0
         self.roi_active = False  # retire-side (component enabled)
         self.roi_fetch_active = False  # fetch-side (stats / markers)
+        #: Called after either ROI flag flips (the fabric refreshes its
+        #: any-slot flags); None on a slot outside a fabric.
+        self.on_roi_change: Callable[[], None] | None = None
         self.enabled = True  # chicken switch
         self._pending_squashes: list[int] = []  # visible times
         self._watchdog_budget = WATCHDOG_RF_CYCLES
@@ -466,6 +475,10 @@ class FabricSlot:
     # ------------------------------------------------------------------ #
     # RF clock
     # ------------------------------------------------------------------ #
+
+    def _roi_changed(self) -> None:
+        if self.on_roi_change is not None:
+            self.on_roi_change()
 
     def _now(self) -> int:
         return self.timings.core_time(self.rf_cycle)
@@ -530,6 +543,7 @@ class FabricSlot:
             entry = self.rst.lookup(pc)
             if entry is not None and entry.kind is SnoopKind.ROI_BEGIN:
                 self.roi_fetch_active = True
+                self._roi_changed()
             return
         if pc in self.call_marker_pcs:
             self.fetch_agent.on_call_marker()
@@ -656,6 +670,7 @@ class FabricSlot:
     ) -> int:
         """Beginning of ROI (Section 2.1): squash, enable, begin packet."""
         self.roi_active = True
+        self._roi_changed()
         packet, send_time = self.retire_agent.build_packet(dyn, entry, retire_time)
         self.last_roi_value = packet.value
         self._obs_push(packet, send_time, droppable=False)
@@ -741,14 +756,12 @@ class FabricSlot:
             packet = SquashPacket(core_time=t, reason="squash")
             self.component.on_squash(packet)
             return packet
-        if self.obs_q.peek_visible(now) is None:
-            return None
-        return self.obs_q.pop(now)  # type: ignore[no-any-return]
+        head = self.obs_q.pop_visible(now)
+        return None if head is None else head[1]  # type: ignore[return-value]
 
     def return_pop(self, now: int) -> Any | None:
-        if self.retq.peek_visible(now) is None:
-            return None
-        return self.retq.pop(now)
+        head = self.retq.pop_visible(now)
+        return None if head is None else head[1]
 
     def pred_can_push(self) -> bool:
         # Occupancy is evaluated at the packet's pipe-exit time by push();
@@ -819,6 +832,7 @@ class FabricSlot:
         self.enabled = False
         self.roi_active = False
         self.roi_fetch_active = False
+        self._roi_changed()
         self.last_roi_value = None
         self._flush_inflight()
 
@@ -861,6 +875,7 @@ class FabricSlot:
         """
         self.roi_active = True
         self.roi_fetch_active = True
+        self._roi_changed()
         packet = ObsPacket(
             kind=SnoopKind.ROI_BEGIN, tag="roi", pc=0, value=roi_value
         )

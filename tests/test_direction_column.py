@@ -40,7 +40,7 @@ from repro.core import CoreParams, PFMParams, SimConfig, SuperscalarCore, simula
 from repro.core.archstate import ArchDigest
 from repro.core.stages.fetch import FetchStage
 from repro.experiments import pool
-from repro.experiments.pool import SweepPoint, run_point, stats_to_dict
+from repro.experiments.pool import run_point, stats_to_dict
 from repro.experiments.runner import parse_config_label
 from repro.frontend.simple import GSharePredictor
 from repro.frontend.tagescl import TageSCL
@@ -50,7 +50,7 @@ from repro.slipstream import make_astar_slipstream
 from repro.telemetry import TelemetryParams
 from repro.workloads import tracecache
 
-from tests.test_goldens import CASES, GOLDEN_WINDOW, VARIANTS, _golden_path, _point
+from tests.test_goldens import golden_points
 
 SMALL_WINDOW = 1_500
 PREDICTOR = CoreParams().predictor
@@ -97,23 +97,7 @@ def _live_digest(window: int = SMALL_WINDOW) -> tuple[str, dict, object]:
     return digest.finalize(regs, memory), regs, memory
 
 
-def _golden_points() -> list[tuple[str, SweepPoint, Path]]:
-    points = [
-        (f"{w}-{v}", _point(w, v), _golden_path(w, v)) for w, v in CASES
-    ]
-    for variant, (workload, config, overrides) in VARIANTS.items():
-        pfm = dataclasses.replace(parse_config_label(config), **overrides)
-        point = SweepPoint(
-            label=f"pfm:{workload}:{variant}", workload=workload,
-            window=GOLDEN_WINDOW, pfm=pfm,
-        )
-        points.append(
-            (variant, point, _golden_path(workload, f"pfm-{variant}"))
-        )
-    return points
-
-
-GOLDEN_POINTS = _golden_points()
+GOLDEN_POINTS = golden_points()
 
 
 @pytest.mark.parametrize(

@@ -83,3 +83,64 @@ def test_squash_refloor_is_monotone_per_group(readies):
         assert effective >= previous
         assert effective >= 1000 + clk  # nothing replays before the sync
         previous = effective
+
+
+def _push(sign: int) -> st.SearchStrategy:
+    """A push whose ready time lies below (-1), at (0) or above (+1) the
+    stream's tail."""
+    return st.tuples(
+        st.just("push"), st.just(sign), st.integers(1, 40), st.sampled_from(TAGS)
+    )
+
+
+_STEPS = st.one_of(
+    _push(-1), _push(0), _push(1),
+    # pop with the head's own tag (one entry) or any tag (may drop a run)
+    st.tuples(st.just("pop"), st.just(None), st.integers(0, 300), st.booleans()),
+    st.tuples(
+        st.just("pop"), st.sampled_from(TAGS), st.integers(0, 300), st.booleans()
+    ),
+    st.tuples(st.just("squash"), st.integers(0, 300)),
+    st.tuples(st.just("drop_match"), st.sampled_from(TAGS)),
+    st.tuples(st.just("new_call")),
+    st.tuples(st.just("call_marker")),
+    st.tuples(st.just("reset")),
+)
+
+
+@given(st.lists(_STEPS, min_size=8, max_size=80), st.integers(1, 12))
+@settings(max_examples=500, deadline=None)
+def test_occupancy_matches_brute_force_count(steps, queue_size):
+    """IntQ-F admission counts resident entries from the right while the
+    stream is sorted by ready time and scans it whole otherwise; after
+    every push, squash re-floor, pop, drop, new call and reset it must
+    equal the plain count of entries with ``ready <= t``."""
+    agent = FetchAgent(queue_size=queue_size, clk_ratio=4, width=2, strict=False)
+    for step in steps:
+        op = step[0]
+        pending = agent._pending
+        if op == "push":
+            tail = pending[-1].ready if pending else 50
+            ready = max(0, tail + step[1] * step[2])
+            agent.push(True, ready=ready, tag=step[3])
+        elif op == "squash":
+            agent.apply_squash(step[1])
+        elif op == "pop":
+            tag = step[1] or (pending[0].tag if pending else TAGS[0])
+            agent.try_pop(tag, fetch_time=step[2], only_ready=step[3])
+        elif op == "drop_match":
+            agent.drop_match(step[1])
+        elif op == "new_call":
+            agent.new_call()
+        elif op == "call_marker":
+            agent.on_call_marker()
+        else:
+            agent.reset()
+        readies = [entry.ready for entry in agent._pending]
+        probes = {0, 10**9}
+        for ready in readies:
+            probes.update((ready - 1, ready, ready + 1))
+        for t in probes:
+            assert agent.occupancy_at(t) == sum(r <= t for r in readies), (
+                step, t, readies
+            )

@@ -81,8 +81,31 @@ def _point(workload: str, variant: str) -> SweepPoint:
     )
 
 
+def _variant_point(variant: str) -> SweepPoint:
+    workload, config, overrides = VARIANTS[variant]
+    return SweepPoint(
+        label=f"pfm:{workload}:{variant}",
+        workload=workload,
+        window=GOLDEN_WINDOW,
+        pfm=dataclasses.replace(parse_config_label(config), **overrides),
+    )
+
+
 def _golden_path(workload: str, variant: str) -> Path:
     return GOLDEN_DIR / f"{workload}--{variant}.json"
+
+
+def golden_points() -> list[tuple[str, SweepPoint, Path]]:
+    """``(id, point, golden file)`` for the 18 goldens and the variants."""
+    points = [
+        (f"{w}-{v}", _point(w, v), _golden_path(w, v)) for w, v in CASES
+    ]
+    for variant, (workload, _, _) in VARIANTS.items():
+        points.append((
+            variant, _variant_point(variant),
+            _golden_path(workload, f"pfm-{variant}"),
+        ))
+    return points
 
 
 def _payload(point: SweepPoint, variant: str, config: str | None) -> dict:
@@ -109,15 +132,8 @@ def test_golden(workload: str, variant: str, update_goldens: bool):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_golden_variant(variant: str, update_goldens: bool):
-    workload, config, overrides = VARIANTS[variant]
-    pfm = dataclasses.replace(parse_config_label(config), **overrides)
-    point = SweepPoint(
-        label=f"pfm:{workload}:{variant}",
-        workload=workload,
-        window=GOLDEN_WINDOW,
-        pfm=pfm,
-    )
-    payload = _payload(point, f"pfm-{variant}", config)
+    workload, config, _ = VARIANTS[variant]
+    payload = _payload(_variant_point(variant), f"pfm-{variant}", config)
     _check(payload, _golden_path(workload, f"pfm-{variant}"), update_goldens)
 
 
