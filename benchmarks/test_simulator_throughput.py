@@ -10,6 +10,7 @@ import shutil
 
 import pytest
 
+from repro.cachefile import CACHE_DIR_ENV
 from repro.core import CoreParams, PFMParams, SimConfig, simulate
 from repro.registry import build_workload
 from repro.telemetry import TelemetryParams
@@ -189,7 +190,7 @@ def _registry_astar_run(backend: str = "python"):
 def _isolated_trace_cache(tmp_path, monkeypatch):
     """Point the trace cache at a private tmp dir for cold/warm control."""
     cache = tmp_path / "trace-bench-cache"
-    monkeypatch.setenv(tracecache.CACHE_DIR_ENV, str(cache))
+    monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
     tracecache.reset_memory_cache()
     yield cache
     tracecache.reset_memory_cache()

@@ -11,7 +11,7 @@ counter are byte-identical to the reference (the safety bar set by the
 paper's hints-only argument, enforced by the differential test harness).
 Both engines take the core predictor's directions from the trace's one
 stored direction column
-(:meth:`~repro.workloads.tracecache.CompiledTrace.directions`).
+(:func:`~repro.workloads.columns.directions`).
 
 Selection: ``CoreParams.backend`` is the one selector.  ``"auto"`` (the
 default) picks numpy when it imports, else python; ``"python"`` and

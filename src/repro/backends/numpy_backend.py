@@ -8,7 +8,7 @@ on every run of the same workload:
   train at retire of the same instruction, strictly in program order),
 * the ``arch_digest``, which depends on the trace and the window alone
   (served from the trace's stored direction column or computed once from
-  the trace rows, :func:`~repro.workloads.tracecache.replay_digest`, the
+  the trace rows, :func:`~repro.workloads.columns.replay_digest`, the
   same path the python engine takes; nothing is observed live), and
 * the per-instruction decode (op class, lane/latency parameters,
   register names, source tuples).
@@ -16,7 +16,7 @@ on every run of the same workload:
 This backend hoists all of that into a cached per-trace
 :class:`TraceProfile`: control-flow outcome columns are computed once
 from the trace's stored direction column
-(:meth:`~repro.workloads.tracecache.CompiledTrace.directions`, which the
+(:func:`~repro.workloads.columns.directions`, which the
 python engine reads too) plus one BTB/RAS pass (mispredicts =
 ``predicted != taken`` over the whole trace), registers
 become integer slots, and bulk counters (branches, loads, stores, PRF
@@ -47,7 +47,7 @@ from repro.core.stages.execute import InFlightStore
 from repro.frontend.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.isa.instructions import OpClass
 from repro.memory.cache import LINE_SHIFT
-from repro.workloads import tracecache
+from repro.workloads import columns, tracecache
 
 if TYPE_CHECKING:
     from repro.core.stats import SimStats
@@ -228,7 +228,7 @@ class TraceProfile:
         ctrl = self.control.get(key)
         if ctrl is None:
             ctrl = ControlProfile(
-                self.trace, self.trace.directions(predictor_name), perfect_bp
+                self.trace, columns.directions(self.trace, predictor_name), perfect_bp
             )
             self.control[key] = ctrl
         return ctrl
@@ -312,7 +312,7 @@ class NumpyBackend(ExecutionBackend):
 
         regs_out = self._fold_regs(core, trace, prof, n)
         self._fold_memory(core, trace, prof, n)
-        core.stats.arch_digest = tracecache.replay_digest(
+        core.stats.arch_digest = columns.replay_digest(
             trace, core.params.predictor, n, regs_out, core.workload.memory
         )
         return core.stats

@@ -11,7 +11,7 @@ Only functional execution observes each retired instruction into the
 ``arch_digest``.  A replay's digest depends on the trace and the number
 of instructions replayed alone, so after the run it is served from the
 trace's stored direction column or computed once from the trace rows
-and stored there (:func:`~repro.workloads.tracecache.replay_digest`).
+and stored there (:func:`~repro.workloads.columns.replay_digest`).
 
 A run that replays a compiled trace reads the core predictor's
 directions from the trace's stored column (the same column the numpy
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.backends.base import ExecutionBackend
 from repro.core.archstate import ArchDigest
 from repro.frontend.predictor import ReplayPredictor
-from repro.workloads import tracecache
+from repro.workloads.columns import directions, replay_digest, stores_directions
 
 if TYPE_CHECKING:
     from repro.core.core import SuperscalarCore
@@ -70,10 +70,8 @@ class PythonBackend(ExecutionBackend):
         if trace is not None:
             source = trace.cursor(workload.memory, workload.initial_regs)
             predictor = core.params.predictor
-            if core.predictor_is_built() and tracecache.stores_directions(
-                predictor
-            ):
-                replay = ReplayPredictor(trace.directions(predictor, limit))
+            if core.predictor_is_built() and stores_directions(predictor):
+                replay = ReplayPredictor(directions(trace, predictor, limit))
                 core.predictor = replay
                 core.fetch_stage.predictor = replay
                 core.retire_stage.predictor = replay
@@ -99,7 +97,7 @@ class PythonBackend(ExecutionBackend):
         if digest is not None:
             stats.arch_digest = digest.finalize(source.regs, source.memory)
         else:
-            stats.arch_digest = tracecache.replay_digest(
+            stats.arch_digest = replay_digest(
                 trace, core.params.predictor if replay is not None else None,
                 stats.instructions, source.regs, source.memory,
             )

@@ -20,7 +20,7 @@ stream is the compiled trace's first rows, written by the replay cursor
 alone, so its digest is a function of the trace and the window: it is
 served from the trace's direction-column file, or computed from the
 trace columns (:meth:`ArchDigest.observe_columns`) and stored there (see
-:func:`repro.workloads.tracecache.replay_digest`).
+:func:`repro.workloads.columns.replay_digest`).
 
 Only architectural quantities enter the hash: sequence numbers, PCs,
 control-flow targets, destination/store values, effective addresses, and

@@ -33,7 +33,8 @@ from repro.experiments import faults as faults_module
 from repro.experiments import fpga_table4, prefetch_sweeps, robustness
 from repro.experiments import slipstream_fig2, sweep as sweep_module
 from repro.experiments import trace as trace_module
-from repro.experiments.pool import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SweepPool
+from repro.cachefile import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cache_dir
+from repro.experiments.pool import SweepPool
 from repro.experiments.runner import DEFAULT_WINDOW
 
 EXPERIMENTS = {
@@ -114,29 +115,16 @@ def _dir_size(path: Path) -> tuple[int, int]:
     return files, total
 
 
-#: What ``cache list`` and ``cache clear`` call each kind of cache file,
-#: by suffix (one per pattern of :data:`repro.store.gc.SECTIONS`).
-_FILE_KINDS = {
-    ".pkl": "compiled trace(s)",
-    ".pred": "direction column(s)",
-    ".recipe": "recipe(s)",
-    ".json": "result-store entries",
-    ".tmp": "temp file(s)",
-}
-
-
 def _describe(section: str, entries: list) -> str:
     """Per-kind file counts and total size of *entries* of *section*
-    (``collect()`` tuples)."""
+    (``collect()`` records)."""
     from repro.store.gc import SECTIONS
 
-    suffixes = [Path(pattern).suffix for pattern in dict(SECTIONS)[section]]
     parts = [
-        f"{sum(entry[0].suffix == suffix for entry in entries)}"
-        f" {_FILE_KINDS[suffix]}"
-        for suffix in suffixes
+        f"{sum(entry.kind == kind for entry in entries)} {kind}"
+        for _, kind, _ in dict(SECTIONS)[section]
     ]
-    size = sum(entry[1] for entry in entries)
+    size = sum(entry.size for entry in entries)
     return f"{', '.join(parts[:-1])} and {parts[-1]}, {_fmt_bytes(size)}"
 
 
@@ -155,8 +143,6 @@ def _cache_main(argv: list[str]) -> int:
     Parsed by its own parser (not the experiments one): its maintenance
     flags share no meaning with the experiment options.
     """
-    from repro.workloads import tracecache
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments cache",
         description="Inspect, clear, or garbage-collect .repro-cache/.",
@@ -181,7 +167,7 @@ def _cache_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--cache-dir",
-        default=os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
+        default=cache_dir(),
         help=f"cache directory (default ${CACHE_DIR_ENV} or"
              f" {DEFAULT_CACHE_DIR})",
     )
@@ -208,7 +194,8 @@ def _cache_main(argv: list[str]) -> int:
               f" (budget {_fmt_bytes(budget)})")
         return 0
 
-    from repro.store import clear_section, collect
+    from repro.store import clear_section
+    from repro.store.gc import listing
 
     if args.action == "clear":
         section = "store" if args.store else "traces"
@@ -216,39 +203,31 @@ def _cache_main(argv: list[str]) -> int:
         print(f"removed {_describe(section, removed)} from {base / section}")
         return 0
 
-    entries = tracecache.trace_files(base)
+    rows = listing(base)
     print(f"cache directory: {base}")
-    print(f"compiled traces ({tracecache.trace_dir(base)}):")
-    if not entries:
-        print("  (none)")
-    for entry in entries:
-        if entry["valid"]:
-            halted = ", halted" if entry["halted"] else ""
-            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
-                  f"  ({entry['workload']}, {entry['length']} insts{halted})")
-        else:
-            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
-                  f"  (unreadable — will be recompiled on next use)")
-    print("direction columns:")
-    for entry in tracecache.column_files(base):
-        if entry["valid"]:
-            windows = ", ".join(map(str, entry["digests"])) or "none"
-            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
-                  f"  ({entry['predictor']}, {entry['length']} insts,"
-                  f" {entry['branches']} branches,"
-                  f" digests at {windows})")
-        else:
-            print(f"  {entry['path'].name}  {_fmt_bytes(entry['size_bytes'])}"
-                  f"  (unreadable — will be rebuilt on next use)")
-    files = collect(base)
+    for kind, title, redo in (
+        ("compiled trace(s)", f"compiled traces ({base / 'traces'})",
+         "recompiled"),
+        ("direction column(s)", "direction columns", "rebuilt"),
+    ):
+        print(f"{title}:")
+        listed = [
+            f"{entry.path.name}  {_fmt_bytes(entry.size)}  ("
+            + (summary or f"unreadable: {reason} — will be {redo} on next use")
+            + ")"
+            for entry, summary, reason in rows if entry.kind == kind
+        ]
+        for line in listed or ["(none)"]:
+            print(f"  {line}")
+    files = [entry for entry, _, _ in rows]
     for section, title in (("traces", "trace cache"), ("store", "result store")):
-        print(f"{title} ({base / section}):"
-              f" {_describe(section, [f for f in files if f[3] == section])}")
+        counted = [entry for entry in files if entry.section == section]
+        print(f"{title} ({base / section}): {_describe(section, counted)}")
     print("  (evict with 'cache gc --max-bytes SIZE'; 'cache clear'"
           " empties the trace cache, 'cache clear --store' the store)")
     count, size = _dir_size(base / "checkpoints")
     print(f"checkpoints: {count} file(s), {_fmt_bytes(size)}")
-    total = size + sum(entry[1] for entry in files)
+    total = size + sum(entry.size for entry in files)
     print(f"total cache footprint: {_fmt_bytes(total)}")
     return 0
 
@@ -387,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-dir",
-        default=os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
+        default=cache_dir(),
         help=f"result store, compiled traces and failed-points log"
              f" (default ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})",
     )

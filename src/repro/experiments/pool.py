@@ -49,15 +49,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.cachefile import CACHE_DIR_ENV
 from repro.core import PFMParams, SimConfig, SimStats, simulate
 from repro.store import ResultStore, store_dir
 from repro.telemetry import TelemetryParams
-from repro.workloads.tracecache import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    canonical_bytes,
-    trace_key_for,
-)
+from repro.workloads.identity import canonical_bytes, trace_key_for
 
 #: Retry rounds a failed point gets before it is logged as lost, and the
 #: base of the exponential backoff between rounds, in seconds.
@@ -277,7 +273,7 @@ class SweepPool:
         A memory-only store uses ``point.key()``: its entries die with
         the process, so the workload ``trace_key`` that ``store_key``
         folds in buys nothing.  The trace key itself is memoized per
-        process (``tracecache._KEY_MEMO``), so recomputing the address
+        process (``identity._KEY_MEMO``), so recomputing the address
         costs one spec hash.
         """
         if self.store.directory is None:

@@ -60,7 +60,7 @@ class ReplayPredictor(BranchPredictor):
     ``predict`` returns the column's next bit; ``update`` and
     ``on_taken_control`` do nothing, because the column already holds
     the trained predictor's output (see
-    :meth:`repro.workloads.tracecache.CompiledTrace.directions`).
+    :func:`repro.workloads.columns.directions`).
     ``consumed`` counts the bits served.
     """
 

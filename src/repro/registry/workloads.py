@@ -46,25 +46,25 @@ def build_workload(name: str, **overrides: object) -> "Workload":
     to the caller.
 
     The builder runs only for a recipe other than the one in the
-    process's base slot (:data:`repro.workloads.tracecache._BASE`).  Its
+    process's base slot (:data:`repro.workloads.identity._BASE`).  Its
     result, stamped with its compiled-trace identity
-    (:func:`repro.workloads.tracecache.annotate`) so ``simulate()`` can
+    (:func:`repro.workloads.identity.annotate`) so ``simulate()`` can
     replay a cached correct-path stream, becomes the new base, and every
     call returns a copy of the base.  Overrides that
-    :func:`~repro.workloads.tracecache.recipe_digest` cannot encode build
+    :func:`~repro.workloads.identity.recipe_digest` cannot encode build
     afresh and are never kept.
     """
-    from repro.workloads import tracecache
+    from repro.workloads import identity
 
-    digest = tracecache.recipe_digest(name, overrides)
-    base = tracecache._BASE.get(digest) if digest is not None else None
+    digest = identity.recipe_digest(name, overrides)
+    base = identity._BASE.get(digest) if digest is not None else None
     if base is None:
         base = WORKLOADS.get(name)(**overrides)
-        tracecache.annotate(base, name, dict(overrides))
+        identity.annotate(base, name, dict(overrides))
         if digest is None:
             return base
-        tracecache._BASE.clear()
-        tracecache._BASE[digest] = base
+        identity._BASE.clear()
+        identity._BASE[digest] = base
     return _copy(base)
 
 

@@ -10,7 +10,7 @@ byte-identical to a single-host run.  See EXPERIMENTS.md "Distributed
 sweeps".
 """
 
-from repro.store.gc import clear_section, collect, gc_cache, parse_size
+from repro.store.gc import clear_section, gc_cache, parse_size
 from repro.store.resultstore import (
     DEFAULT_STORE_SUBDIR,
     STORE_VERSION,
@@ -19,14 +19,13 @@ from repro.store.resultstore import (
     shard_of,
     store_dir,
 )
-from repro.workloads.tracecache import reset_trace_key_memo
+from repro.workloads.identity import reset_trace_key_memo
 
 __all__ = [
     "DEFAULT_STORE_SUBDIR",
     "STORE_VERSION",
     "ResultStore",
     "clear_section",
-    "collect",
     "gc_cache",
     "parse_shard",
     "parse_size",

@@ -39,9 +39,9 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
+from repro.cachefile import CacheFileRejected, publish
 from repro.core import SimStats
 
 #: Bumped whenever the entry envelope or SimStats serialization changes
@@ -112,16 +112,6 @@ def _stats_field_types() -> dict[str, tuple[type, ...]]:
 _STATS_FIELD_TYPES = _stats_field_types()
 
 
-def _parse(raw: bytes) -> object:
-    """``json.loads`` that never raises: ``None`` on any defect,
-    including nesting past the recursion limit and integers past the
-    int-digit limit."""
-    try:
-        return json.loads(raw)
-    except (ValueError, RecursionError):
-        return None
-
-
 def _stats_types_match(payload: dict) -> bool:
     for name, value in payload.items():
         expected = _STATS_FIELD_TYPES.get(name)
@@ -178,24 +168,27 @@ class ResultStore:
         return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
     @staticmethod
-    def decode(raw: bytes, key: str) -> SimStats | None:
-        """Validate entry bytes; ``None`` on any defect (never raises)."""
-        payload = _parse(raw)
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != STORE_VERSION:
-            return None
-        if payload.get("key") != key:
-            return None  # entry copied/renamed to the wrong address
-        stats_payload = payload.get("stats")
-        if not isinstance(stats_payload, dict):
-            return None
-        if not _stats_types_match(stats_payload):
-            return None  # e.g. "cycles": "garbage"; recompute instead
+    def decode(raw: bytes, key: str) -> SimStats:
+        """The stats of entry bytes for *key*.  Raises
+        :class:`~repro.cachefile.CacheFileRejected`: ``header`` (not a
+        JSON object, or another :data:`STORE_VERSION`), ``stale`` (an
+        entry of another key) or ``shape`` (stats that fail the
+        :class:`SimStats` fields and their types)."""
         try:
-            return SimStats(**stats_payload)
+            payload = json.loads(raw)
+        except (ValueError, RecursionError):  # deep nesting, huge ints too
+            raise CacheFileRejected("header") from None
+        if not isinstance(payload, dict) or payload.get("version") != STORE_VERSION:
+            raise CacheFileRejected("header")
+        if payload.get("key") != key:
+            raise CacheFileRejected("stale")  # copied to the wrong address
+        stats = payload.get("stats")
+        if not isinstance(stats, dict) or not _stats_types_match(stats):
+            raise CacheFileRejected("shape")  # e.g. "cycles": "garbage"
+        try:
+            return SimStats(**stats)
         except TypeError:
-            return None  # stats schema drifted; recompute instead
+            raise CacheFileRejected("shape") from None
 
     # -- read / write -------------------------------------------------- #
 
@@ -208,12 +201,11 @@ class ResultStore:
             self.counters["misses"] += 1
             return None
         try:
-            raw = self.path_for(key).read_bytes()
+            stats = self.decode(self.path_for(key).read_bytes(), key)
         except OSError:
             self.counters["misses"] += 1
             return None
-        stats = self.decode(raw, key)
-        if stats is None:
+        except CacheFileRejected:
             self.counters["recoveries"] += 1
             self.counters["misses"] += 1
             return None
@@ -225,30 +217,8 @@ class ResultStore:
             meta: dict | None = None) -> None:
         self._memo[key] = stats
         if self.directory is not None:
-            self._write_raw(self.path_for(key), self.encode(key, stats, meta))
+            publish(self.path_for(key), self.encode(key, stats, meta))
         self.counters["publishes"] += 1
-
-    @staticmethod
-    def _write_raw(path: Path, raw: bytes) -> None:
-        """Atomic, durable publish: the temp file is fsynced before the
-        rename, so the entry is whole on disk once it is visible.  A
-        failed write degrades to memory-only."""
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem[:8], suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(raw)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
-        except OSError:
-            pass
 
     # -- introspection ------------------------------------------------- #
 
@@ -295,10 +265,8 @@ class ResultStore:
             key = path.stem
             try:
                 raw = path.read_bytes()
-            except OSError:
-                summary["invalid"] += 1
-                continue
-            if self.decode(raw, key) is None:
+                self.decode(raw, key)
+            except (OSError, CacheFileRejected):
                 summary["invalid"] += 1
                 continue
             dest = self.path_for(key)
@@ -309,6 +277,6 @@ class ResultStore:
             if existing is not None:
                 summary["identical" if existing == raw else "conflicts"] += 1
                 continue
-            self._write_raw(dest, raw)
+            publish(dest, raw)
             summary["added"] += 1
         return summary

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.backends import have_numpy
+from repro.cachefile import trace_dir
 from repro.core import CoreParams, SimConfig
 from repro.experiments import pool
 from repro.experiments.pool import run_point, stats_to_dict
@@ -49,7 +50,7 @@ def _run(workload: str, variant: str, backend: str, monkeypatch):
 
 def _reset_cold() -> None:
     tracecache.reset_memory_cache()
-    clear_section(tracecache.trace_dir().parent, "traces")
+    clear_section(trace_dir().parent, "traces")
 
 
 @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
@@ -196,7 +197,7 @@ def test_stale_environment_changes_nothing(monkeypatch, capsys):
     clean = capsys.readouterr().out.splitlines()[1:]
 
     tracecache.reset_memory_cache()
-    clear_section(tracecache.trace_dir().parent, "traces")
+    clear_section(trace_dir().parent, "traces")
     for name, value in (
         ("REPRO_BACKEND", "nump"),
         ("REPRO_TRACE_MAX", "2e6"),

@@ -1,7 +1,7 @@
 """One builder run per recipe and process: the registry's base slot.
 
 ``build_workload`` keeps the last encodable recipe's build as a pristine
-base (``tracecache._BASE``) and returns a copy per call.  These tests pin
+base (``identity._BASE``) and returns a copy per call.  These tests pin
 that a copy is private to its caller (no run, mutation or fault reaches
 the next build), that the slot holds one recipe, that unencodable
 overrides bypass it, and that a Figure 8 grid runs the astar builder
@@ -19,8 +19,8 @@ from repro.experiments.faults import fault_points
 from repro.experiments.pool import SweepPool, run_point
 from repro.experiments.runner import parse_config_label
 from repro.registry import WORKLOADS, build_workload, workload_names
-from repro.workloads import tracecache
-from repro.workloads.tracecache import recipe_digest, workload_content_key
+from repro.workloads import identity, tracecache
+from repro.workloads.identity import recipe_digest, workload_content_key
 
 WINDOW = 1_500
 PFM_CONFIG = "clk4_w4, delay4, queue32, portLS1"
@@ -147,7 +147,7 @@ def test_a_fig8_grid_runs_the_builder_once(tmp_path, monkeypatch):
 def test_unencodable_overrides_are_never_kept(monkeypatch):
     calls = _count_builds(monkeypatch, "astar")
     build_workload("astar")
-    slot = dict(tracecache._BASE)
+    slot = dict(identity._BASE)
 
     def factory(*args):  # a local function: no pickle, no recipe digest
         raise AssertionError("never programmed")
@@ -159,16 +159,16 @@ def test_unencodable_overrides_are_never_kept(monkeypatch):
     assert a is not b and a.memory is not b.memory
     assert a.trace_key == b.trace_key is not None
     assert len(calls) == 3
-    assert tracecache._BASE == slot
+    assert identity._BASE == slot
 
 
 def test_another_recipe_evicts_the_slot(monkeypatch):
     calls = _count_builds(monkeypatch, "astar")
     build_workload("astar")
     build_workload("libquantum")
-    assert list(tracecache._BASE) == [recipe_digest("libquantum", {})]
+    assert list(identity._BASE) == [recipe_digest("libquantum", {})]
     build_workload("astar", seed=2)
-    assert list(tracecache._BASE) == [recipe_digest("astar", {"seed": 2})]
+    assert list(identity._BASE) == [recipe_digest("astar", {"seed": 2})]
     build_workload("astar")
     assert calls == [{}, {"seed": 2}, {}]
 
@@ -177,6 +177,6 @@ def test_reset_memory_cache_clears_the_slot(monkeypatch):
     calls = _count_builds(monkeypatch, "astar")
     build_workload("astar")
     tracecache.reset_memory_cache()
-    assert tracecache._BASE == {}
+    assert identity._BASE == {}
     build_workload("astar")
     assert len(calls) == 2

@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import PythonBackend, have_numpy
+from repro.cachefile import CacheFileRejected, trace_dir
 from repro.core import CoreParams, PFMParams, SimConfig, SuperscalarCore, simulate
 from repro.core.archstate import ArchDigest
 from repro.core.stages.fetch import FetchStage
@@ -48,7 +49,7 @@ from repro.registry import build_workload
 from repro.registry.predictors import PREDICTORS
 from repro.slipstream import make_astar_slipstream
 from repro.telemetry import TelemetryParams
-from repro.workloads import tracecache
+from repro.workloads import columns, tracecache
 
 from tests.test_goldens import golden_points
 
@@ -233,8 +234,7 @@ def test_a_run_of_another_window_recomputes(monkeypatch):
     stats = simulate(build_workload("astar"), SimConfig(max_instructions=short))
     assert calls == Counter(observe_columns=1, finalize=1)
     assert stats.arch_digest == live_short
-    (entry,) = tracecache.column_files()
-    assert entry["digests"] == [short, SMALL_WINDOW]
+    assert sorted(_stored_payload()["digests"]) == [short, SMALL_WINDOW]
 
     # A run asking for more than the trace holds consumes the trace.
     trace = tracecache.get_trace(build_workload("astar"), SMALL_WINDOW)
@@ -254,7 +254,7 @@ def test_a_source_edit_recomputes_the_digest(monkeypatch):
     live = _live_digest()[0]
     simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
     tracecache.reset_memory_cache()
-    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "f" * 64)
+    monkeypatch.setattr(columns, "source_fingerprint", lambda: "f" * 64)
     calls = _digest_calls(monkeypatch)
     stats = simulate(
         build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW)
@@ -308,7 +308,7 @@ def test_a_predictor_swapped_in_runs_live(monkeypatch):
     calls = _digest_calls(monkeypatch)
     stats = core.run()
     assert calls == Counter(observe_columns=1, finalize=1)
-    assert not list(tracecache.trace_dir().glob("*.pred"))
+    assert not list(trace_dir().glob("*.pred"))
     assert swapped.predictions == stats.conditional_branches > 0
     assert stats.backend == "python"
     configured = simulate(build_workload("astar"), dataclasses.replace(
@@ -347,9 +347,9 @@ def _column_fixture():
     stored its replay digest in the file."""
     simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
     trace = tracecache.get_trace(build_workload("astar"), SMALL_WINDOW)
-    (path,) = tracecache.trace_dir().glob("*.pred")
+    (path,) = trace_dir().glob("*.pred")
     assert list(_payload(path.read_bytes())["digests"]) == [SMALL_WINDOW]
-    return trace, path, path.read_bytes(), trace.directions(PREDICTOR)
+    return trace, path, path.read_bytes(), columns.directions(trace, PREDICTOR)
 
 
 def _signed(body: bytes) -> bytes:
@@ -471,7 +471,7 @@ def test_mutated_column_file_is_rejected_and_rebuilt(monkeypatch):
     serving it, and heals the file."""
     live, regs, memory = _live_digest()
     trace, path, raw, bits = _column_fixture()
-    header = tracecache.column_header(trace, PREDICTOR)
+    header = columns.column_header(trace.key, PREDICTOR)
     assert len(bits) == trace.branch_count()
     assert _payload(raw)["header"]["length"] == trace.length
     assert _payload(raw)["digests"] == {SMALL_WINDOW: live}
@@ -482,23 +482,23 @@ def test_mutated_column_file_is_rejected_and_rebuilt(monkeypatch):
     def check(case):
         mutated, reason = case
         if reason is None:
-            assert tracecache.decode_column(mutated, header, trace) == (
+            assert columns.decode_column(mutated, header, trace) == (
                 trace.length, bits, {SMALL_WINDOW: live}
             )
         else:
-            with pytest.raises(tracecache.ColumnRejected) as excinfo:
-                tracecache.decode_column(mutated, header, trace)
+            with pytest.raises(CacheFileRejected) as excinfo:
+                columns.decode_column(mutated, header, trace)
             assert excinfo.value.reason == reason
 
         path.write_bytes(mutated)
         trace._directions.clear()
         recoveries = tracecache.STATS["column_recoveries"]
         finalizes = calls["finalize"]
-        assert trace.directions(PREDICTOR) == bits
+        assert columns.directions(trace, PREDICTOR) == bits
         assert tracecache.STATS["column_recoveries"] == recoveries + (
             reason is not None
         )
-        assert tracecache.replay_digest(
+        assert columns.replay_digest(
             trace, PREDICTOR, SMALL_WINDOW, regs, memory
         ) == live
         assert calls["finalize"] == finalizes + (reason is not None)
@@ -536,9 +536,9 @@ def test_a_run_over_a_damaged_column_matches_the_live_predictor(
         "digests-short": _resigned(raw, digests={SMALL_WINDOW: good[:-1]}),
         "digests-type": _resigned(raw, digests=[(SMALL_WINDOW, good)]),
     }[damage]
-    with pytest.raises(tracecache.ColumnRejected) as excinfo:
-        tracecache.decode_column(mutated, tracecache.column_header(
-            trace, PREDICTOR
+    with pytest.raises(CacheFileRejected) as excinfo:
+        columns.decode_column(mutated, columns.column_header(
+            trace.key, PREDICTOR
         ), trace)
     assert excinfo.value.reason == damage.partition("-")[0]
     path.write_bytes(mutated)
@@ -553,9 +553,9 @@ def test_a_source_edit_rebuilds_the_column(monkeypatch):
     """The column is keyed on the package's source fingerprint: once the
     sources change, the stored column is stale and rebuilt."""
     trace, path, raw, bits = _column_fixture()
-    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "f" * 64)
+    monkeypatch.setattr(columns, "source_fingerprint", lambda: "f" * 64)
     trace._directions.clear()
-    assert trace.directions(PREDICTOR) == bits
+    assert columns.directions(trace, PREDICTOR) == bits
     assert tracecache.STATS["column_recoveries"] == 1
     assert tracecache.STATS["column_builds"] == 2
     assert path.read_bytes() != raw
@@ -566,9 +566,13 @@ def test_a_source_edit_rebuilds_the_column(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
+def _stored_payload() -> dict:
+    (path,) = trace_dir().glob("*.pred")
+    return _payload(path.read_bytes())
+
+
 def _stored_length() -> int:
-    (entry,) = tracecache.column_files()
-    return entry["length"]
+    return _stored_payload()["header"]["length"]
 
 
 def test_a_run_builds_the_column_over_its_own_window(monkeypatch):
@@ -608,9 +612,9 @@ def test_a_column_over_a_longer_trace_serves_its_prefix():
         key=trace.key, name=trace.name,
     )
     tracecache.reset_memory_cache()
-    prefix = shorter.directions(PREDICTOR)
+    prefix = columns.directions(shorter, PREDICTOR)
     assert prefix == bits[:shorter.branch_count()]
-    assert prefix == tracecache.build_directions(
+    assert prefix == columns.build_directions(
         shorter, PREDICTOR, shorter.length
     )
     assert tracecache.STATS["column_disk_hits"] == 1
@@ -634,8 +638,8 @@ def test_a_predictor_defined_outside_the_package_runs_live(monkeypatch):
     for every branch, on both engines, and leaves no column file."""
     PREDICTORS.names()  # autoload the package's predictors first
     monkeypatch.setitem(PREDICTORS._entries, "outside", _OutsidePredictor)
-    assert not tracecache.stores_directions("outside")
-    assert tracecache.stores_directions(PREDICTOR)
+    assert not columns.stores_directions("outside")
+    assert columns.stores_directions(PREDICTOR)
 
     def run(predictor: str, backend: str = "python"):
         _OutsidePredictor.predictions = 0
@@ -655,7 +659,7 @@ def test_a_predictor_defined_outside_the_package_runs_live(monkeypatch):
         assert stats.backend == "numpy"
         assert _OutsidePredictor.predictions > 0
         assert stats_to_dict(stats) == expected
-    assert not list(tracecache.trace_dir().glob("*.outside.pred"))
+    assert not list(trace_dir().glob("*.outside.pred"))
 
 
 # --------------------------------------------------------------------- #
@@ -670,7 +674,7 @@ def test_cache_gc_to_a_zero_budget_leaves_no_file(capsys):
 
     cache = Path(os.environ["REPRO_CACHE_DIR"])
     assert main(["fig8", "--window", "1500", "--jobs", "1"]) == 0
-    assert tracecache.column_files(cache)
+    assert list((cache / "traces").glob("*.pred"))
     assert main(["cache", "list"]) == 0
     assert "direction columns:" in capsys.readouterr().out
 
@@ -682,10 +686,10 @@ def test_cache_clear_removes_columns(capsys):
     from repro.experiments.__main__ import main
 
     simulate(build_workload("astar"), SimConfig(max_instructions=SMALL_WINDOW))
-    assert len(tracecache.column_files()) == 1
+    assert len(list(trace_dir().glob("*.pred"))) == 1
     assert main(["cache", "clear"]) == 0
     assert "1 direction column(s)" in capsys.readouterr().out
-    assert tracecache.column_files() == []
+    assert list(trace_dir().glob("*.pred")) == []
 
 
 def test_cache_list_shows_the_stored_digest_windows(capsys):
@@ -695,8 +699,9 @@ def test_cache_list_shows_the_stored_digest_windows(capsys):
 
     for window in (SMALL_WINDOW, SMALL_WINDOW // 2):
         simulate(build_workload("astar"), SimConfig(max_instructions=window))
-    (entry,) = tracecache.column_files()
-    assert entry["digests"] == [SMALL_WINDOW // 2, SMALL_WINDOW]
+    assert sorted(_stored_payload()["digests"]) == [
+        SMALL_WINDOW // 2, SMALL_WINDOW
+    ]
     assert main(["cache", "list"]) == 0
     out = capsys.readouterr().out
     assert f"digests at {SMALL_WINDOW // 2}, {SMALL_WINDOW})" in out

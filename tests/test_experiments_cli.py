@@ -201,7 +201,7 @@ def test_cache_list_and_clear_cover_the_store(tmp_path, capsys):
 
 def _plant_temp_files(cache):
     """Leftovers of writers killed between their temp write and the
-    rename, one per cache section (``ResultStore._write_raw`` names)."""
+    rename, one per cache section (``repro.cachefile.publish`` names)."""
     paths = [
         cache / "traces" / "astar--kq1w2e3r.tmp",
         cache / "store" / "ab" / "abababab_r4t5y6.tmp",

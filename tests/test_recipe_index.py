@@ -6,8 +6,8 @@ workload build plus a hash over its memory image.  The recipe index maps
 a fresh process keys a populated sweep without building anything — into
 any result store, since the index lives beside the traces.  These tests
 pin the index to the content key it stands in for, show that a warm pool
-builds nothing, and check that every defective recipe file reads as a
-miss and is republished.
+builds nothing, and check that every defective recipe file is rejected
+with a named reason, reads as a miss and is republished.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import registry
+from repro.cachefile import REASONS, CacheFileRejected, frame, trace_dir
 from repro.core import PFMParams, SimStats
 from repro.experiments.__main__ import main
 from repro.experiments.pool import SweepPool, baseline_point, pfm_point
 from repro.isa.instructions import OpClass
 from repro.registry import WORKLOADS, workload_names
 from repro.store import ResultStore
-from repro.workloads import tracecache
-from repro.workloads.tracecache import (
+from repro.workloads import identity, tracecache
+from repro.workloads.identity import (
     KEY_VERSION,
     decode_recipe,
     recipe_key,
@@ -67,7 +68,7 @@ def builds(monkeypatch) -> list[str]:
 
 
 def _recipe_files() -> list[Path]:
-    return sorted(tracecache.trace_dir().glob("*.recipe"))
+    return sorted(trace_dir().glob("*.recipe"))
 
 
 # ---------------------------------------------------------------------- #
@@ -81,8 +82,8 @@ def test_index_key_equals_content_key(name, builds):
     assert trace_key_for(name, {}) == fresh
     rk = recipe_key(name, {})
     assert rk is not None
-    path = tracecache._recipe_path(name, rk)
-    assert path.parent == tracecache.trace_dir()
+    path = identity._recipe_path(name, rk)
+    assert path.parent == trace_dir()
     assert decode_recipe(path.read_bytes(), rk) == fresh
     reset_trace_key_memo()
     builds.clear()
@@ -142,7 +143,7 @@ def test_new_fingerprint_misses_and_rebuilds(monkeypatch, builds):
     reset_trace_key_memo()
     builds.clear()
 
-    monkeypatch.setattr(tracecache, "source_fingerprint", lambda: "0" * 64)
+    monkeypatch.setattr(identity, "source_fingerprint", lambda: "0" * 64)
     assert trace_key_for("libquantum", {}) == key
     assert builds == ["libquantum"]
     assert len(_recipe_files()) == 2  # one recipe per fingerprint
@@ -184,7 +185,7 @@ def _recipe(**fields):
     def raw(rk: str) -> bytes:
         payload = {"version": KEY_VERSION, "rk": rk, "trace_key": "0" * 20}
         payload.update(fields)
-        return tracecache._dumps(payload)
+        return frame(payload)
     return raw
 
 
@@ -207,28 +208,33 @@ def _flipped(rk: str) -> bytes:
 _DEEP = b"\x80\x04" + b"]" * 100_000 + b"a" * 99_999 + b"."
 
 
-@pytest.mark.parametrize("raw", [
-    _torn,
-    _flipped,
-    lambda rk: b"\x00\xff garbage",
-    _framed(_DEEP),
-    _recipe(version=10**5000),
-    _framed(pickle.dumps(["not", "a", "dict"], protocol=4)),
-    _recipe(version=KEY_VERSION - 1),
-    _recipe(rk="f" * 64),
-    _recipe(trace_key=12345),
-    _recipe(trace_key="z" * 20),
-    _recipe(trace_key="0" * 21),
-    _recipe(trace_key="ABCDEF0123456789ABCD"),
-    _recipe(trace_key=OpClass.BRANCH),
+@pytest.mark.parametrize("raw,reason", [
+    (_torn, "checksum"),
+    (_flipped, "checksum"),
+    (lambda rk: b"\x00\xff garbage", "checksum"),
+    (_framed(_DEEP), "header"),
+    (_recipe(version=10**5000), "header"),
+    (_framed(pickle.dumps(["not", "a", "dict"], protocol=4)), "header"),
+    (_recipe(version=KEY_VERSION - 1), "header"),
+    (_recipe(rk="f" * 64), "stale"),
+    (_recipe(trace_key=12345), "shape"),
+    (_recipe(trace_key="z" * 20), "shape"),
+    (_recipe(trace_key="0" * 21), "shape"),
+    (_recipe(trace_key="ABCDEF0123456789ABCD"), "shape"),
+    (_recipe(trace_key=OpClass.BRANCH), "header"),
 ], ids=["torn", "checksum", "binary", "deep-nesting", "huge-int", "non-dict",
         "stale-version", "wrong-address", "int-key", "non-hex-key",
         "long-key", "upper-hex-key", "names-a-class"])
-def test_defective_recipes_read_as_misses_and_are_republished(builds, raw):
+def test_defective_recipes_read_as_misses_and_are_republished(
+    builds, raw, reason
+):
     rk = recipe_key("astar", {})
-    path = tracecache._recipe_path("astar", rk)
+    path = identity._recipe_path("astar", rk)
     path.parent.mkdir(parents=True)
     path.write_bytes(raw(rk))
+    with pytest.raises(CacheFileRejected) as excinfo:
+        decode_recipe(raw(rk), rk)
+    assert excinfo.value.reason == reason
 
     key = trace_key_for("astar", {})
     assert key == workload_content_key(WORKLOADS.get("astar")())
@@ -238,7 +244,7 @@ def test_defective_recipes_read_as_misses_and_are_republished(builds, raw):
 
 
 def test_missing_recipe_is_a_plain_miss():
-    assert tracecache._read_recipe("astar", "ab" * 32) is None
+    assert identity._read_recipe("astar", "ab" * 32) is None
     assert tracecache.STATS["recipe_recoveries"] == 0
 
 
@@ -271,7 +277,9 @@ def test_cache_cli_lists_and_clears_recipes(capsys):
 
 
 # ---------------------------------------------------------------------- #
-# byte-mutation property: readers never raise, never invent values
+# byte-mutation property: decoders return exactly what the bytes say or
+# raise the one rejection type with a reason from its closed set; any
+# other exception fails
 # ---------------------------------------------------------------------- #
 
 _KEY = "cd" + "1" * 62
@@ -310,15 +318,25 @@ def _canon(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def _decoded(decode, raw: bytes, key: str):
+    """``decode(raw, key)``, or None when it raises the rejection type
+    with a reason from the closed set."""
+    try:
+        return decode(raw, key)
+    except CacheFileRejected as exc:
+        assert exc.reason in REASONS
+        return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MUTATION, max_size=6))
 @example([("truncate", 0, 0)])
 def test_store_entry_decode_never_raises_or_invents(ops):
-    """A mutated entry decodes to None or to exactly what its bytes say
-    (a flipped digit is a different well-formed entry: there is no
+    """A mutated entry is rejected or decodes to exactly what its bytes
+    say (a flipped digit is a different well-formed entry: there is no
     checksum); unmutated bytes decode to the original."""
     raw = _mutate(_ENTRY, ops)
-    stats = ResultStore.decode(raw, _KEY)
+    stats = _decoded(ResultStore.decode, raw, _KEY)
     if not ops:
         assert stats == _STATS
     if stats is not None:
@@ -331,11 +349,11 @@ def test_store_entry_decode_never_raises_or_invents(ops):
 @given(st.lists(_MUTATION, max_size=6))
 @example([("truncate", 0, 0)])
 def test_recipe_decode_never_raises_or_invents(ops):
-    """A recipe file carries its checksum: any byte change reads as a
-    miss, and only the unchanged bytes decode."""
+    """A recipe file carries its checksum: any byte change is rejected,
+    and only the unchanged bytes decode."""
     raw = _mutate(_RECIPE, ops)
     expected = "0123456789abcdef0123" if raw == _RECIPE else None
-    assert decode_recipe(raw, _RK) == expected
+    assert _decoded(decode_recipe, raw, _RK) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,5 +361,6 @@ def test_recipe_decode_never_raises_or_invents(ops):
 @example(b"[" * 100_000)
 @example(b"1" * 5000)
 def test_readers_never_raise_on_arbitrary_bytes(raw):
-    assert ResultStore.decode(raw, _KEY) is None
-    assert decode_recipe(raw, _RK) is None
+    """Arbitrary bytes raise nothing but the rejection type."""
+    assert _decoded(ResultStore.decode, raw, _KEY) is None
+    assert _decoded(decode_recipe, raw, _RK) is None

@@ -37,7 +37,7 @@ from repro.store import (
     store_dir,
 )
 from repro.telemetry import TelemetryParams
-from repro.workloads.tracecache import trace_key_for
+from repro.workloads.identity import trace_key_for
 
 WINDOW = 1_500
 

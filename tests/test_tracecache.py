@@ -6,7 +6,7 @@ hash over the retired stream plus final register/memory state — across
 the executed, cold-compiled, in-process-memoized, and warm-on-disk
 paths, plus the failure modes (corrupted file, changed build params,
 registry-bypassing workloads) where the cache must step aside rather
-than lie.
+than lie, and the reason each damaged file is rejected for.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cachefile import REASONS, CacheFileRejected, frame, trace_dir, unframe
 from repro.core import SimConfig, simulate
 from repro.experiments.runner import parse_config_label
 from repro.registry import build_workload, workload_names
 from repro.workloads import tracecache
 from repro.workloads.astar import build_astar_workload
+from repro.workloads.tracecache import decode_trace
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_WINDOW = 5_000
@@ -175,7 +177,7 @@ def test_escape_hatch_disables_everything(monkeypatch):
     _simulate(build_workload("astar"), SMALL_WINDOW)
     assert tracecache.STATS["compiles"] == 0
     assert tracecache.STATS["replays"] == 0
-    assert not tracecache.trace_files()
+    assert not _trace_files()
 
 
 # --------------------------------------------------------------------- #
@@ -183,10 +185,32 @@ def test_escape_hatch_disables_everything(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
+def _trace_files() -> list[Path]:
+    return sorted(trace_dir().glob("*.trace.pkl"))
+
+
 def _single_trace_file() -> Path:
-    entries = tracecache.trace_files()
-    assert len(entries) == 1
-    return entries[0]["path"]
+    (path,) = _trace_files()
+    return path
+
+
+def _rejection(path: Path) -> str:
+    """The reason the trace file *path* of astar's key is rejected for."""
+    with pytest.raises(CacheFileRejected) as excinfo:
+        decode_trace(path.read_bytes(), build_workload("astar").trace_key)
+    return excinfo.value.reason
+
+
+def _recovers(path: Path, executed: str) -> None:
+    """A run over the damaged *path* recompiles, counts one recovery,
+    matches functional execution and heals the file."""
+    tracecache.reset_memory_cache()
+    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
+    assert digest == executed
+    assert tracecache.STATS["recoveries"] == 1
+    assert tracecache.STATS["compiles"] == 1
+    key = build_workload("astar").trace_key
+    assert decode_trace(path.read_bytes(), key).key == key
 
 
 def test_corrupted_file_recovers_by_recompiling(monkeypatch):
@@ -195,13 +219,8 @@ def test_corrupted_file_recovers_by_recompiling(monkeypatch):
     path = _single_trace_file()
 
     path.write_bytes(b"\x00not a pickle")
-    tracecache.reset_memory_cache()
-    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
-    assert digest == executed
-    assert tracecache.STATS["recoveries"] == 1
-    assert tracecache.STATS["compiles"] == 1
-    # The recompile healed the file in place.
-    assert tracecache.trace_files()[0]["valid"]
+    assert _rejection(path) == "checksum"
+    _recovers(path, executed)
 
 
 def test_truncated_payload_recovers(monkeypatch):
@@ -210,13 +229,25 @@ def test_truncated_payload_recovers(monkeypatch):
     _simulate(build_workload("astar"), SMALL_WINDOW)
     path = _single_trace_file()
 
-    payload = tracecache._loads(path.read_bytes())
+    payload = unframe(path.read_bytes())
     payload["pcs"] = payload["pcs"][: len(payload["pcs"]) // 2]
-    path.write_bytes(tracecache._dumps(payload))
-    tracecache.reset_memory_cache()
-    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
-    assert digest == executed
-    assert tracecache.STATS["recoveries"] == 1
+    path.write_bytes(frame(payload))
+    assert _rejection(path) == "shape"
+    _recovers(path, executed)
+
+
+def test_trace_of_another_key_is_rejected_as_stale(monkeypatch):
+    """A checksum-valid file whose embedded key is not the one its name
+    carries is rejected as ``stale``, counted, recompiled and healed."""
+    executed = _executed_digest("astar", SMALL_WINDOW, monkeypatch)
+    _simulate(build_workload("astar"), SMALL_WINDOW)
+    path = _single_trace_file()
+
+    payload = unframe(path.read_bytes())
+    payload["key"] = "0" * 20
+    path.write_bytes(frame(payload))
+    assert _rejection(path) == "stale"
+    _recovers(path, executed)
 
 
 def test_trace_persists_past_a_squatted_temp_path():
@@ -225,12 +256,11 @@ def test_trace_persists_past_a_squatted_temp_path():
     (or a sibling worker mid-write there) cannot stop the trace from
     persisting."""
     workload = build_workload("astar")
-    squat = tracecache.trace_dir() / f"astar--{workload.trace_key}.trace.tmp"
+    squat = trace_dir() / f"astar--{workload.trace_key}.trace.tmp"
     squat.mkdir(parents=True)
     _simulate(workload, SMALL_WINDOW)
-    entries = tracecache.trace_files()
-    assert len(entries) == 1 and entries[0]["valid"]
-    assert entries[0]["key"] == workload.trace_key
+    raw = _single_trace_file().read_bytes()
+    assert decode_trace(raw, workload.trace_key).key == workload.trace_key
 
 
 def test_cursor_rejects_short_column_after_decode():
@@ -259,25 +289,23 @@ def test_stale_version_recompiles(monkeypatch):
     _simulate(build_workload("astar"), SMALL_WINDOW)
     path = _single_trace_file()
 
-    payload = tracecache._loads(path.read_bytes())
+    payload = unframe(path.read_bytes())
     payload["version"] = tracecache.TRACE_VERSION + 1
-    path.write_bytes(tracecache._dumps(payload))
-    tracecache.reset_memory_cache()
-    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
-    assert digest == executed
-    assert tracecache.STATS["compiles"] == 1
+    path.write_bytes(frame(payload))
+    assert _rejection(path) == "header"
+    _recovers(path, executed)
 
 
-def test_mutated_trace_file_is_rejected_or_exact(tmp_path):
-    """Any byte mutation of a trace file is caught: the loader never
-    raises, and it returns either nothing or the original trace, never
-    a different one that would replay silently wrong."""
+def test_mutated_trace_file_is_rejected_or_exact():
+    """Any byte mutation of a trace file is caught: the decoder returns
+    exactly the original trace, or raises the one rejection type with a
+    reason from the closed set (any other exception fails), never a
+    different trace that would replay silently wrong."""
     workload = build_workload("astar")
     _simulate(workload, SMALL_WINDOW)
     raw = _single_trace_file().read_bytes()
     key = workload.trace_key
     original = tracecache.get_trace(workload, SMALL_WINDOW).to_payload()
-    path = tmp_path / "mutated.trace.pkl"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,9 +321,12 @@ def test_mutated_trace_file_is_rejected_or_exact(tmp_path):
             mutated[pos] = byte
         if cut is not None:
             del mutated[cut:]
-        path.write_bytes(bytes(mutated))
-        loaded = tracecache._load_trace(path, key)
-        assert loaded is None or loaded.to_payload() == original
+        try:
+            loaded = decode_trace(bytes(mutated), key)
+        except CacheFileRejected as exc:
+            assert exc.reason in REASONS
+        else:
+            assert loaded.to_payload() == original
 
     check()
 
@@ -319,17 +350,14 @@ def test_trace_file_naming_a_function_is_refused(monkeypatch):
     executed = _executed_digest("astar", SMALL_WINDOW, monkeypatch)
     _simulate(build_workload("astar"), SMALL_WINDOW)
     path = _single_trace_file()
-    payload = tracecache._loads(path.read_bytes())
+    payload = unframe(path.read_bytes())
     payload["comments"] = [_Tampered()]
-    path.write_bytes(tracecache._dumps(payload))
+    path.write_bytes(frame(payload))
 
-    tracecache.reset_memory_cache()
     _CALLS.clear()
-    digest = _simulate(build_workload("astar"), SMALL_WINDOW).arch_digest
+    assert _rejection(path) == "header"
+    _recovers(path, executed)
     assert _CALLS == []
-    assert digest == executed
-    assert tracecache.STATS["recoveries"] == 1
-    assert tracecache.STATS["compiles"] == 1
 
 
 def test_window_growth_extends_the_trace(monkeypatch):
@@ -354,8 +382,8 @@ def test_compile_floor_covers_campaign_windows(monkeypatch):
     window at the floor threshold compiles out to the configured floor."""
     monkeypatch.setattr(tracecache, "TRACE_FLOOR", 12_000)
     _simulate(build_workload("astar"), tracecache.FLOOR_THRESHOLD)
-    entries = tracecache.trace_files()
-    assert entries[0]["length"] == 12_000
+    raw = _single_trace_file().read_bytes()
+    assert decode_trace(raw, build_workload("astar").trace_key).length == 12_000
 
     # Any window under the compiled length is a memo hit, no recompile.
     _simulate(build_workload("astar"), 11_000)
@@ -376,18 +404,33 @@ def test_trace_max_gates_giant_windows(monkeypatch):
 
 
 def test_cache_cli_list_and_clear(capsys):
-    from repro.experiments.__main__ import main
+    from repro.experiments.__main__ import _fmt_bytes, main
 
     _simulate(build_workload("astar"), SMALL_WINDOW)
     assert main(["cache", "list"]) == 0
     out = capsys.readouterr().out
     assert "astar" in out
     assert "compiled traces" in out
+    assert "unreadable" not in out
+
+    # A torn trace and a column of another format version each say why.
+    trace = _single_trace_file()
+    trace.write_bytes(trace.read_bytes()[:-9])
+    (column,) = trace_dir().glob("*.pred")
+    payload = unframe(column.read_bytes())
+    payload["header"]["version"] += 1
+    column.write_bytes(frame(payload))
+    assert main(["cache", "list"]) == 0
+    out = capsys.readouterr().out
+    assert (f"{trace.name}  {_fmt_bytes(trace.stat().st_size)}  (unreadable:"
+            " checksum — will be recompiled on next use)") in out
+    assert (f"{column.name}  {_fmt_bytes(column.stat().st_size)}  (unreadable:"
+            " header — will be rebuilt on next use)") in out
 
     assert main(["cache", "clear"]) == 0
     out = capsys.readouterr().out
     assert "removed 1 compiled trace(s)" in out
-    assert not tracecache.trace_files()
+    assert not _trace_files()
 
     assert main(["cache"]) == 0
     assert "(none)" in capsys.readouterr().out
