@@ -7,6 +7,10 @@ results — intentionally or not — fails these tests loudly.  After an
 intentional model change, regenerate with::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
+
+One more golden pins the rendered text of every figure and table
+experiment at a small window, so a change to the experiments layer that
+moves a row, a label or a paper value fails here too.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import pytest
 from repro.experiments.faults import campaign_recovery, campaign_watchdog
 from repro.experiments.pool import (
     SweepPoint,
+    SweepPool,
     baseline_point,
     run_point,
     stats_to_dict,
@@ -31,6 +36,7 @@ from repro.pfm.tenancy import parse_tenant_spec
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_WINDOW = 5_000
+RENDER_WINDOW = 1_500
 PFM_CONFIG = "clk4_w4, delay4, queue32, portLS1"
 
 CASES = [
@@ -137,18 +143,45 @@ def test_golden_variant(variant: str, update_goldens: bool):
     _check(payload, _golden_path(workload, f"pfm-{variant}"), update_goldens)
 
 
-def _check(payload: dict, path: Path, update_goldens: bool) -> None:
-    workload, variant = payload["workload"], payload["variant"]
+def test_experiments_render(update_goldens: bool):
+    """Every figure and table experiment, rendered through one
+    memory-only pool.  ``sweep`` and ``faults`` are left out: their
+    ``--json`` payloads are pinned byte for byte elsewhere."""
+    from repro.experiments.__main__ import EXPERIMENTS
+
+    pool = SweepPool()
+    text = "\n\n".join(
+        run(window=RENDER_WINDOW, pool=pool).render()
+        for name, run in EXPERIMENTS.items()
+        if name not in ("sweep", "faults")
+    ) + "\n"
+    _check(text, GOLDEN_DIR / f"experiments-w{RENDER_WINDOW}.md", update_goldens)
+
+
+def _check(payload: dict | str, path: Path, update_goldens: bool) -> None:
+    """Compare *payload* with the golden *path*, or rewrite the golden
+    under ``--update-goldens``; a ``str`` payload is a rendered text
+    golden, compared as is."""
     if update_goldens:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        if isinstance(payload, str):
+            path.write_text(payload)
+        else:
+            path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
 
     assert path.exists(), (
         f"golden {path.name} missing — generate it with"
         " pytest tests/test_goldens.py --update-goldens"
     )
+    if isinstance(payload, str):
+        assert path.read_text() == payload, (
+            f"rendered experiments diverged from golden {path.name}."
+            " If the change is intentional, rerun with --update-goldens."
+        )
+        return
     golden = json.loads(path.read_text())
+    workload, variant = payload["workload"], payload["variant"]
 
     mismatched = {
         field: (golden["stats"].get(field), value)
