@@ -1,6 +1,9 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-Each experiment module exposes a ``run(window=...)`` function returning an
+Each figure or table is a :class:`~repro.experiments.figure.Figure`
+declaration in the module of its section (``astar_sweeps.fig8``, ...):
+a grid of sweep points, a row rule and the paper's values.  Calling it
+(``fig8(window=..., pool=...)``) returns an
 :class:`~repro.experiments.report.ExperimentResult` whose rows mirror the
 paper's series, alongside the paper's reported values for comparison.
 

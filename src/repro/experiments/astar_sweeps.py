@@ -1,182 +1,85 @@
 """astar experiments: Figure 8, Table 2, Figure 9, Figure 10 (Section 4.1.3).
 
-Each figure declares its grid as a :class:`~repro.experiments.pool.SweepPoint`
-list (``*_points``) and assembles the rendered result from the stats the
-pool returns, so the same sweep runs serially or across worker processes.
+Each figure is a :class:`~repro.experiments.figure.Figure` declaration:
+its grid, its row rule (by default the speedup over the grid's
+baseline) and the paper's values.
 """
 
 from __future__ import annotations
 
-from repro.core import PFMParams
-from repro.experiments.pool import (
-    SweepPoint,
-    SweepPool,
-    add_speedup_rows,
-    baseline_point,
-    default_pool,
-    pfm_point,
+from repro.experiments.figure import (
+    Figure,
+    clkw_points,
+    dqp_grid,
+    mpki_pair,
+    mpki_rows,
+    scope_grid,
+    snoop_grid,
+    snoop_rows,
 )
-from repro.experiments.report import ExperimentResult, add_stat_rows
-from repro.experiments.runner import DEFAULT_WINDOW
+from repro.experiments.pool import SweepPoint, baseline_point
 
 WORKLOAD = "astar"
 BASE = f"baseline:{WORKLOAD}"
 
 
 def fig8_points(window: int) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    for clk, width in [(1, 1), (2, 1), (4, 1), (8, 1), (4, 2), (4, 3), (4, 4)]:
-        pfm = PFMParams(clk_ratio=clk, width=width, delay=0)
-        points.append(pfm_point(f"clk{clk}_w{width}", WORKLOAD, window, pfm))
-    points.append(
-        SweepPoint(
-            label="perfBP",
-            workload=WORKLOAD,
-            window=window,
-            perfect_branch_prediction=True,
-        )
-    )
-    return points
-
-
-def fig8(window: int = DEFAULT_WINDOW,
-         pool: SweepPool | None = None) -> ExperimentResult:
-    """Speedup vs C and W (delay0, queue32, portALL; 8-entry index_queue)."""
-    result = ExperimentResult(
-        experiment="Figure 8",
-        title="astar custom branch predictor vs clkC_wW",
-        paper={
-            "clk4_w2": 99.0,
-            "clk4_w3": 155.0,
-            "clk4_w4": 163.0,
-            "perfBP": 162.0,
-        },
-        notes=(
-            "paper: low-bandwidth configs (clk4_w1, clk8_w1) reduce the"
-            " speedup or cause slowdowns; clk4_w4 slightly exceeds perfect"
-            " BP via the prefetching effect of the predictor's loads"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig8_points(window)
-    stats = pool.run(points)
-    add_speedup_rows(result, pool, points, stats, BASE)
-    return result
-
-
-def table2_points(window: int) -> list[SweepPoint]:
-    return [pfm_point("default", WORKLOAD, window, PFMParams())]
-
-
-def table2(window: int = DEFAULT_WINDOW,
-           pool: SweepPool | None = None) -> ExperimentResult:
-    """FST and RST snoop percentages inside the ROI."""
-    result = ExperimentResult(
-        experiment="Table 2",
-        title="astar: FST and RST snoop percentages",
-        unit="% of instructions in ROI",
-        paper={"retired hit RST": 20.3, "fetched hit FST": 15.5},
-    )
-    pool = pool or default_pool()
-    stats = pool.run(table2_points(window))["default"]
-    add_stat_rows(result, stats, [
-        ("retired hit RST", "rst_hit_pct"),
-        ("fetched hit FST", "fst_hit_pct"),
-    ])
-    return result
-
-
-def fig9_points(window: int) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    # (a) delay sweep at clk4_w4, queue32, portALL
-    for delay in (0, 2, 4, 8):
-        points.append(
-            pfm_point(f"delay{delay}", WORKLOAD, window, PFMParams(delay=delay))
-        )
-    # (b) queue sweep at clk4_w4, delay4, portALL
-    for queue in (8, 16, 32, 64):
-        points.append(
-            pfm_point(
-                f"queue{queue}", WORKLOAD, window,
-                PFMParams(delay=4, queue_size=queue),
-            )
-        )
-    # (c) port sweep at clk4_w4, delay4, queue32
-    for port in ("ALL", "LS", "LS1"):
-        label = f"delay4, queue32, port{port}" if port == "LS1" else f"port{port}"
-        points.append(
-            pfm_point(label, WORKLOAD, window, PFMParams(delay=4, port=port))
-        )
-    return points
-
-
-def fig9(window: int = DEFAULT_WINDOW,
-         pool: SweepPool | None = None) -> ExperimentResult:
-    """Sensitivity to delayD (a), queueQ (b), and portP (c)."""
-    result = ExperimentResult(
-        experiment="Figure 9",
-        title="astar sensitivity to D, Q, P",
-        paper={"delay8": 138.0, "delay4, queue32, portLS1": 154.0},
-        notes=(
-            "paper: speedup decreases slowly with delay; resistant to"
-            " queue size; PRF ports not an issue"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig9_points(window)
-    stats = pool.run(points)
-    add_speedup_rows(result, pool, points, stats, BASE)
-    return result
-
-
-def fig10_points(window: int) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    for entries in (1, 2, 4, 8, 16):
-        pfm = PFMParams(
-            delay=4,
-            port="LS1",
-            component_overrides={"index_queue_entries": entries},
-        )
-        points.append(pfm_point(f"{entries} entries", WORKLOAD, window, pfm))
-    return points
-
-
-def fig10(window: int = DEFAULT_WINDOW,
-          pool: SweepPool | None = None) -> ExperimentResult:
-    """Sensitivity to the index_queue size (speculative scope)."""
-    result = ExperimentResult(
-        experiment="Figure 10",
-        title="astar speedup vs index_queue entries",
-        notes=(
-            "paper: an 8-entry index_queue achieves most of the speedup"
-            " potential (all configs clk4_w4, delay4, queue32, portLS1)"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig10_points(window)
-    stats = pool.run(points)
-    add_speedup_rows(result, pool, points, stats, BASE)
-    return result
-
-
-def astar_mpki_points(window: int) -> list[SweepPoint]:
+    """delay0, queue32, portALL; 8-entry index_queue."""
+    pairs = [(1, 1), (2, 1), (4, 1), (8, 1), (4, 2), (4, 3), (4, 4)]
     return [
         baseline_point(WORKLOAD, window),
-        pfm_point("custom", WORKLOAD, window, PFMParams(delay=0)),
+        *clkw_points(WORKLOAD, window, pairs),
+        SweepPoint("perfBP", WORKLOAD, window, perfect_branch_prediction=True),
     ]
 
 
-def astar_mpki(window: int = DEFAULT_WINDOW,
-               pool: SweepPool | None = None) -> ExperimentResult:
-    """Headline MPKI collapse (Section 4.1.3 text: 31.9 -> 1.04)."""
-    result = ExperimentResult(
-        experiment="Section 4.1.3",
-        title="astar branch MPKI, baseline vs custom predictor",
-        unit="mispredictions per kilo-instruction",
-        paper={"baseline": 31.9, "custom": 1.04},
-    )
-    pool = pool or default_pool()
-    stats = pool.run(astar_mpki_points(window))
-    result.add("baseline", stats[BASE].mpki)
-    result.add("custom", stats["custom"].mpki)
-    return result
+fig8 = Figure(
+    experiment="Figure 8",
+    title="astar custom branch predictor vs clkC_wW",
+    points=fig8_points,
+    paper={"clk4_w2": 99.0, "clk4_w3": 155.0, "clk4_w4": 163.0, "perfBP": 162.0},
+    notes=(
+        "paper: low-bandwidth configs (clk4_w1, clk8_w1) reduce the"
+        " speedup or cause slowdowns; clk4_w4 slightly exceeds perfect"
+        " BP via the prefetching effect of the predictor's loads"
+    ),
+)
+
+table2 = Figure(
+    experiment="Table 2",
+    title="astar: FST and RST snoop percentages",
+    points=snoop_grid(WORKLOAD),
+    rows=snoop_rows,
+    unit="% of instructions in ROI",
+    paper={"retired hit RST": 20.3, "fetched hit FST": 15.5},
+)
+
+fig9 = Figure(
+    experiment="Figure 9",
+    title="astar sensitivity to D, Q, P",
+    points=dqp_grid(WORKLOAD, ls1_label="delay4, queue32, portLS1"),
+    paper={"delay8": 138.0, "delay4, queue32, portLS1": 154.0},
+    notes=(
+        "paper: speedup decreases slowly with delay; resistant to"
+        " queue size; PRF ports not an issue"
+    ),
+)
+
+fig10 = Figure(
+    experiment="Figure 10",
+    title="astar speedup vs index_queue entries",
+    points=scope_grid(WORKLOAD, "index_queue_entries", (1, 2, 4, 8, 16)),
+    notes=(
+        "paper: an 8-entry index_queue achieves most of the speedup"
+        " potential (all configs clk4_w4, delay4, queue32, portLS1)"
+    ),
+)
+
+astar_mpki = Figure(
+    experiment="Section 4.1.3",
+    title="astar branch MPKI, baseline vs custom predictor",
+    points=mpki_pair(WORKLOAD),
+    rows=mpki_rows,
+    unit="mispredictions per kilo-instruction",
+    paper={"baseline": 31.9, "custom": 1.04},
+)

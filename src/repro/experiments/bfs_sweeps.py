@@ -1,189 +1,87 @@
 """bfs experiments: Figure 12, Table 3, Figure 13, Figure 14 (Section 4.2).
 
-Grids are declared as :class:`~repro.experiments.pool.SweepPoint` lists
-(``*_points``) and evaluated by a :class:`~repro.experiments.pool.SweepPool`.
+Each figure is a :class:`~repro.experiments.figure.Figure` declaration
+over the Roads graph; Figure 12 adds a Youtube pair.
 """
 
 from __future__ import annotations
 
 from repro.core import PFMParams
-from repro.experiments.pool import (
-    SweepPoint,
-    SweepPool,
-    add_speedup_rows,
-    baseline_point,
-    default_pool,
-    pfm_point,
+from repro.experiments.figure import (
+    Figure,
+    clkw_points,
+    dqp_grid,
+    mpki_pair,
+    mpki_rows,
+    scope_grid,
+    snoop_grid,
+    snoop_rows,
 )
-from repro.experiments.report import ExperimentResult, add_stat_rows
-from repro.experiments.runner import DEFAULT_WINDOW
+from repro.experiments.pool import SweepPoint, baseline_point, pfm_point
 
 WORKLOAD = "bfs-roads"
-BASE = f"baseline:{WORKLOAD}"
-YT_BASE = "baseline:bfs-youtube"
 
 
-def fig12_points(window: int, include_youtube: bool = True) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    for label, kwargs in (
-        ("perfBP", dict(perfect_branch_prediction=True)),
-        ("perfD$", dict(perfect_dcache=True)),
-        ("perfBP+D$", dict(perfect_branch_prediction=True, perfect_dcache=True)),
-    ):
-        points.append(
-            SweepPoint(label=label, workload=WORKLOAD, window=window, **kwargs)
-        )
-    for clk, width in [(4, 1), (8, 1), (4, 2), (4, 4)]:
-        pfm = PFMParams(clk_ratio=clk, width=width, delay=0)
-        points.append(pfm_point(f"clk{clk}_w{width}", WORKLOAD, window, pfm))
-    if include_youtube:
-        points.append(baseline_point("bfs-youtube", window))
-        points.append(
-            pfm_point(
-                "clk4_w4 (Youtube)", "bfs-youtube", window, PFMParams(delay=0)
-            )
-        )
-    return points
-
-
-def fig12(window: int = DEFAULT_WINDOW, include_youtube: bool = True,
-          pool: SweepPool | None = None) -> ExperimentResult:
-    """Idealizations + custom component vs C and W (Roads; Youtube extra)."""
-    result = ExperimentResult(
-        experiment="Figure 12",
-        title="bfs speedups: idealizations and clkC_wW (Roads graph)",
-        paper={
-            "perfBP": 11.0,
-            "perfD$": 152.0,
-            "perfBP+D$": 426.0,
-            "clk4_w4": 125.0,
-        },
-        notes=(
-            "paper: both bottlenecks must be attacked together — perfect"
-            " BP alone is small, perfect D$ alone a fraction of both;"
-            " measured magnitudes run larger than the paper's because the"
-            " synthetic graph windows are colder (see EXPERIMENTS.md)"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig12_points(window, include_youtube)
-    stats = pool.run(points)
-    for point in points:
-        if point.label in (BASE, YT_BASE):
-            continue
-        base = YT_BASE if point.workload == "bfs-youtube" else BASE
-        result.add(point.label, pool.speedup_pct(stats, point.label, base))
-    return result
-
-
-def table3_points(window: int) -> list[SweepPoint]:
-    return [pfm_point("default", WORKLOAD, window, PFMParams())]
-
-
-def table3(window: int = DEFAULT_WINDOW,
-           pool: SweepPool | None = None) -> ExperimentResult:
-    """FST and RST snoop percentages inside the ROI."""
-    result = ExperimentResult(
-        experiment="Table 3",
-        title="bfs: FST and RST snoop percentages",
-        unit="% of instructions in ROI",
-        paper={"retired hit RST": 31.0, "fetched hit FST": 13.0},
-        notes="paper: bfs observes a higher fraction of retired instructions than astar",
-    )
-    pool = pool or default_pool()
-    stats = pool.run(table3_points(window))["default"]
-    add_stat_rows(result, stats, [
-        ("retired hit RST", "rst_hit_pct"),
-        ("fetched hit FST", "fst_hit_pct"),
-    ])
-    return result
-
-
-def fig13_points(window: int) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    for delay in (0, 2, 4, 8):
-        points.append(
-            pfm_point(f"delay{delay}", WORKLOAD, window, PFMParams(delay=delay))
-        )
-    for queue in (8, 16, 32, 64):
-        points.append(
-            pfm_point(
-                f"queue{queue}", WORKLOAD, window,
-                PFMParams(delay=4, queue_size=queue),
-            )
-        )
-    for port in ("ALL", "LS", "LS1"):
-        points.append(
-            pfm_point(
-                f"port{port}", WORKLOAD, window, PFMParams(delay=4, port=port)
-            )
-        )
-    return points
-
-
-def fig13(window: int = DEFAULT_WINDOW,
-          pool: SweepPool | None = None) -> ExperimentResult:
-    """Sensitivity to delayD (a), queueQ (b), portP (c)."""
-    result = ExperimentResult(
-        experiment="Figure 13",
-        title="bfs sensitivity to D, Q, P",
-        notes="paper: low sensitivity to all three",
-    )
-    pool = pool or default_pool()
-    points = fig13_points(window)
-    stats = pool.run(points)
-    add_speedup_rows(result, pool, points, stats, BASE)
-    return result
-
-
-def fig14_points(window: int) -> list[SweepPoint]:
-    points = [baseline_point(WORKLOAD, window)]
-    for entries in (8, 16, 32, 64, 128):
-        pfm = PFMParams(
-            delay=4,
-            port="LS1",
-            component_overrides={"queue_entries": entries},
-        )
-        points.append(pfm_point(f"{entries} entries", WORKLOAD, window, pfm))
-    return points
-
-
-def fig14(window: int = DEFAULT_WINDOW,
-          pool: SweepPool | None = None) -> ExperimentResult:
-    """Sensitivity to the frontier/begin-address/trip-count/neighbor queues."""
-    result = ExperimentResult(
-        experiment="Figure 14",
-        title="bfs speedup vs queue entries (speculative scope)",
-        notes=(
-            "paper: performance scales with the number of entries"
-            " (all configs clk4_w4, delay4, queue32, portLS1)"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig14_points(window)
-    stats = pool.run(points)
-    add_speedup_rows(result, pool, points, stats, BASE)
-    return result
-
-
-def bfs_mpki_points(window: int) -> list[SweepPoint]:
+def fig12_points(window: int) -> list[SweepPoint]:
+    """Idealizations, then the component vs C and W; the Youtube pair
+    last (its rows are over its own baseline)."""
     return [
         baseline_point(WORKLOAD, window),
-        pfm_point("custom", WORKLOAD, window, PFMParams(delay=0)),
+        SweepPoint("perfBP", WORKLOAD, window, perfect_branch_prediction=True),
+        SweepPoint("perfD$", WORKLOAD, window, perfect_dcache=True),
+        SweepPoint("perfBP+D$", WORKLOAD, window,
+                   perfect_branch_prediction=True, perfect_dcache=True),
+        *clkw_points(WORKLOAD, window, [(4, 1), (8, 1), (4, 2), (4, 4)]),
+        baseline_point("bfs-youtube", window),
+        pfm_point("clk4_w4 (Youtube)", "bfs-youtube", window, PFMParams(delay=0)),
     ]
 
 
-def bfs_mpki(window: int = DEFAULT_WINDOW,
-             pool: SweepPool | None = None) -> ExperimentResult:
-    """Headline MPKI collapse (Section 4.2 text: 19.1 -> 0.5)."""
-    result = ExperimentResult(
-        experiment="Section 4.2",
-        title="bfs branch MPKI, baseline vs custom component",
-        unit="mispredictions per kilo-instruction",
-        paper={"baseline": 19.1, "custom": 0.5},
-    )
-    pool = pool or default_pool()
-    stats = pool.run(bfs_mpki_points(window))
-    result.add("baseline", stats[BASE].mpki)
-    result.add("custom", stats["custom"].mpki)
-    return result
+fig12 = Figure(
+    experiment="Figure 12",
+    title="bfs speedups: idealizations and clkC_wW (Roads graph)",
+    points=fig12_points,
+    paper={"perfBP": 11.0, "perfD$": 152.0, "perfBP+D$": 426.0, "clk4_w4": 125.0},
+    notes=(
+        "paper: both bottlenecks must be attacked together — perfect"
+        " BP alone is small, perfect D$ alone a fraction of both;"
+        " measured magnitudes run larger than the paper's because the"
+        " synthetic graph windows are colder (see EXPERIMENTS.md)"
+    ),
+)
+
+table3 = Figure(
+    experiment="Table 3",
+    title="bfs: FST and RST snoop percentages",
+    points=snoop_grid(WORKLOAD),
+    rows=snoop_rows,
+    unit="% of instructions in ROI",
+    paper={"retired hit RST": 31.0, "fetched hit FST": 13.0},
+    notes="paper: bfs observes a higher fraction of retired instructions than astar",
+)
+
+fig13 = Figure(
+    experiment="Figure 13",
+    title="bfs sensitivity to D, Q, P",
+    points=dqp_grid(WORKLOAD),
+    notes="paper: low sensitivity to all three",
+)
+
+fig14 = Figure(
+    experiment="Figure 14",
+    title="bfs speedup vs queue entries (speculative scope)",
+    points=scope_grid(WORKLOAD, "queue_entries", (8, 16, 32, 64, 128)),
+    notes=(
+        "paper: performance scales with the number of entries"
+        " (all configs clk4_w4, delay4, queue32, portLS1)"
+    ),
+)
+
+bfs_mpki = Figure(
+    experiment="Section 4.2",
+    title="bfs branch MPKI, baseline vs custom component",
+    points=mpki_pair(WORKLOAD),
+    rows=mpki_rows,
+    unit="mispredictions per kilo-instruction",
+    paper={"baseline": 19.1, "custom": 0.5},
+)

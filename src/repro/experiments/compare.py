@@ -15,9 +15,8 @@ This module turns that into numbers:
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-
-from scipy import stats as scipy_stats
 
 from repro.experiments.report import ExperimentResult
 
@@ -48,13 +47,36 @@ def _paired(result: ExperimentResult) -> tuple[list[float], list[float]]:
     return measured, paper
 
 
+def average_ranks(values: list[float]) -> list[float]:
+    """1-based rank of each value; tied values share their average rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for index in order[start:end + 1]:
+            ranks[index] = (start + end) / 2 + 1
+        start = end + 1
+    return ranks
+
+
+def spearman(x: list[float], y: list[float]) -> float:
+    """Spearman's rho: Pearson's r over the average ranks of *x* and *y*
+    (NaN when either series is constant, as ``scipy.stats.spearmanr``)."""
+    try:
+        return statistics.correlation(average_ranks(x), average_ranks(y))
+    except statistics.StatisticsError:
+        return math.nan
+
+
 def rank_agreement(result: ExperimentResult) -> float | None:
     """Spearman rank correlation of measured vs paper (None if < 3 points)."""
     measured, paper = _paired(result)
     if len(measured) < 3:
         return None
-    rho, _ = scipy_stats.spearmanr(measured, paper)
-    return float(rho)
+    return spearman(measured, paper)
 
 
 def log_ratio_spread(result: ExperimentResult) -> float | None:

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from repro.core import PFMParams
-from repro.experiments.pool import (
-    SweepPoint,
-    SweepPool,
-    baseline_point,
-    default_pool,
-    pfm_point,
-)
-from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW, PREFETCH_WORKLOADS
+from repro.core import PFMParams, SimStats
+from repro.experiments.figure import Figure
 from repro.experiments.fpga_table4 import estimates
+from repro.experiments.pool import SweepPoint, baseline_point, pfm_point
+from repro.experiments.report import ExperimentResult
+from repro.experiments.runner import PREFETCH_WORKLOADS
 from repro.power.core_energy import CoreEnergyModel
 
 #: Which Table 4 design's RF power applies to each use-case.
@@ -39,28 +34,16 @@ def fig18_points(window: int) -> list[SweepPoint]:
     return points
 
 
-def fig18(window: int = DEFAULT_WINDOW,
-          pool: SweepPool | None = None) -> ExperimentResult:
+def energy_rows(result: ExperimentResult, points: list[SweepPoint],
+                stats: dict[str, SimStats]) -> None:
     """Energy (core + RF) normalized to baseline (core alone) = 1.0.
 
     The reduction comes from (1) less misspeculation activity and
     (2) less static energy from shorter runtime (Section 5), partially
     offset by the FPGA's own dynamic + static power.
     """
-    result = ExperimentResult(
-        experiment="Figure 18",
-        title="Energy of PFM designs (core+RF) normalized to baseline",
-        unit="normalized energy (baseline = 1.0)",
-        notes=(
-            "paper: all use-cases reduce energy, attributed to reduced"
-            " misspeculation and reduced static energy from shorter runtime"
-        ),
-    )
     model = CoreEnergyModel()
     fpga = {estimate.design: estimate for estimate in estimates()}
-
-    pool = pool or default_pool()
-    stats = pool.run(fig18_points(window))
     for name in WORKLOADS:
         design = fpga[_DESIGN_FOR_WORKLOAD[name]]
         baseline_energy = model.energy(stats[f"baseline:{name}"])
@@ -70,4 +53,16 @@ def fig18(window: int = DEFAULT_WINDOW,
             rf_static_w=design.static_mw / 1000.0,
         )
         result.add(name, pfm_energy.normalized_to(baseline_energy))
-    return result
+
+
+fig18 = Figure(
+    experiment="Figure 18",
+    title="Energy of PFM designs (core+RF) normalized to baseline",
+    points=fig18_points,
+    rows=energy_rows,
+    unit="normalized energy (baseline = 1.0)",
+    notes=(
+        "paper: all use-cases reduce energy, attributed to reduced"
+        " misspeculation and reduced static energy from shorter runtime"
+    ),
+)

@@ -38,12 +38,10 @@ from repro.experiments.pool import (
     SweepPoint,
     SweepPool,
     baseline_point,
-    default_pool,
     pfm_point,
     stats_to_dict,
 )
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW
 from repro.faults import BUILTIN_PLANS, check_equivalence
 
 #: Campaign workloads: astar and bfs-roads exercise the branch-prediction
@@ -140,13 +138,12 @@ def fault_points(
 
 
 def run_faults(
-    window: int = DEFAULT_WINDOW,
-    pool: SweepPool | None = None,
+    window: int,
+    pool: SweepPool,
     workloads: tuple[str, ...] = FAULT_WORKLOADS,
     tenants: tuple = (),
 ) -> tuple[ExperimentResult, dict]:
     """Run the campaign; return the rendered result and a JSON payload."""
-    pool = pool or default_pool()
     points = fault_points(window, workloads, tenants)
     stats = pool.run(points)
 
@@ -237,8 +234,7 @@ def run_faults(
     return result, payload
 
 
-def faults(window: int = DEFAULT_WINDOW,
-           pool: SweepPool | None = None) -> ExperimentResult:
+def faults(window: int, pool: SweepPool) -> ExperimentResult:
     """Registry entry point (rendered result only)."""
     result, _ = run_faults(window, pool)
     return result

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from repro.core import SimStats
+from repro.experiments.figure import Figure
+from repro.experiments.pool import SweepPoint
 from repro.experiments.report import ExperimentResult
 from repro.registry import build_workload
 from repro.pfm.component import RFTimings
@@ -57,18 +60,9 @@ def estimates() -> list[FPGAEstimate]:
     return FPGAModel().table4(component_structures())
 
 
-def table4(window: int = 0, pool=None) -> ExperimentResult:
-    """LUT counts paper-vs-measured (full rows printed in the notes).
-
-    Analytic (no simulation); *window* and *pool* exist for registry
-    signature uniformity and are ignored.
-    """
-    result = ExperimentResult(
-        experiment="Table 4",
-        title="FPGA hardware overhead (xcvu3p estimates)",
-        unit="LUTs (see notes for the full rows)",
-        paper={name: row[0] for name, row in PAPER_TABLE4.items()},
-    )
+def table4_rows(result: ExperimentResult, points: list[SweepPoint],
+                stats: dict[str, SimStats]) -> None:
+    """LUT counts paper-vs-measured; the full rows go in the notes."""
     lines = []
     for estimate in estimates():
         paper_row = PAPER_TABLE4[estimate.design]
@@ -81,4 +75,14 @@ def table4(window: int = 0, pool=None) -> ExperimentResult:
             f"/{paper_row[3]}/{paper_row[4]}/{paper_row[5]}mW)"
         )
     result.notes = "; ".join(lines)
-    return result
+
+
+#: Analytic: the grid is empty, so the window and pool change nothing.
+table4 = Figure(
+    experiment="Table 4",
+    title="FPGA hardware overhead (xcvu3p estimates)",
+    points=lambda window: [],
+    rows=table4_rows,
+    unit="LUTs (see notes for the full rows)",
+    paper={name: row[0] for name, row in PAPER_TABLE4.items()},
+)

@@ -48,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.cachefile import CACHE_DIR_ENV
 from repro.core import PFMParams, SimConfig, SimStats, simulate
@@ -434,21 +435,34 @@ class SweepPool:
             round_index += 1
         return failures
 
-    def speedup_pct(self, results: dict[str, SimStats], label: str,
-                    baseline_label: str) -> float:
-        """Convenience: % IPC improvement of one row over another."""
-        return 100.0 * results[label].speedup_over(results[baseline_label])
+
+def speedups(points: list[SweepPoint], stats: dict[str, SimStats]
+             ) -> Iterator[tuple[str, str, float]]:
+    """The one speedup rule: ``(label, baseline label, % IPC
+    improvement)`` for every non-baseline point of *points*, in order,
+    over the nearest ``baseline:`` point before it."""
+    base = ""
+    for point in points:
+        if point.label.startswith("baseline:"):
+            base = point.label
+        else:
+            yield (point.label, base,
+                   100.0 * stats[point.label].speedup_over(stats[base]))
+
+
+def speedup_rows(result, points: list[SweepPoint],
+                 stats: dict[str, SimStats]) -> None:
+    """Append one :func:`speedups` row per non-baseline point."""
+    for label, _, value in speedups(points, stats):
+        result.add(label, value)
 
 
 def add_speedup_rows(result, pool: SweepPool, points: list[SweepPoint],
                      stats: dict[str, SimStats], baseline_label: str) -> None:
-    """Append a speedup row per non-baseline point, in point order."""
-    for point in points:
-        if point.label == baseline_label:
-            continue
-        result.add(
-            point.label, pool.speedup_pct(stats, point.label, baseline_label)
-        )
+    """:func:`speedup_rows` in its positional call form: the pool and
+    the baseline label add nothing, since every point's baseline is the
+    nearest one before it in *points*."""
+    speedup_rows(result, points, stats)
 
 
 def default_pool() -> SweepPool:

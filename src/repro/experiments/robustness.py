@@ -5,28 +5,22 @@ astar-alt because it is "more robust to different input dataset sizes".
 These sweeps quantify that and the components' sensitivity to input
 *structure*:
 
-* :func:`astar_input_robustness` — main design vs astar-alt across grid
+* ``astar_input_robustness`` — main design vs astar-alt across grid
   sizes (astar-alt's fixed tables alias as the grid outgrows them).
-* :func:`astar_pattern_robustness` — speckle vs maze obstacle maps.
-* :func:`bfs_graph_robustness` — road-like vs power-law graphs.
+* ``astar_pattern_robustness`` — speckle vs maze obstacle maps.
+* ``bfs_graph_robustness`` — road-like vs power-law graphs.
 
 Each variant is a (baseline, treated) pair of sweep points sharing the
 same workload-builder overrides, so the sweeps parallelize like every
-other grid.
+other grid and each treated row is a speedup over its own pair.
 """
 
 from __future__ import annotations
 
-from repro.core import PFMParams
-from repro.experiments.pool import (
-    SweepPoint,
-    SweepPool,
-    baseline_point,
-    default_pool,
-    pfm_point,
-)
+from repro.core import PFMParams, SimStats
+from repro.experiments.figure import Figure
+from repro.experiments.pool import SweepPoint, baseline_point, pfm_point, speedups
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW
 from repro.workloads.graphs import powerlaw_graph, road_graph
 
 _PFM = PFMParams(delay=0)
@@ -41,19 +35,23 @@ def _pair(label: str, workload: str, window: int,
     ]
 
 
-def _add_speedups(result: ExperimentResult, pool: SweepPool,
-                  points: list[SweepPoint],
-                  stats: dict) -> None:
-    for point in points:
-        if point.label.startswith("baseline:"):
-            continue
-        result.add(
-            point.label,
-            pool.speedup_pct(stats, point.label, f"baseline:{point.label}"),
-        )
+def _speedup_mpki_rows(result: ExperimentResult, points: list[SweepPoint],
+                       stats: dict[str, SimStats]) -> None:
+    """Robustness B and C: the speedup rows, each row over its own pair
+    followed by that pair's baseline MPKI."""
+    for label, base, value in speedups(points, stats):
+        result.add(label, value)
+        if base == f"baseline:{label}":
+            name = label.removesuffix(" speedup")
+            result.add(f"{name} baseline MPKI", stats[base].mpki)
 
 
 def astar_input_robustness_points(window: int) -> list[SweepPoint]:
+    """The dataset:table ratio is the operative quantity (the paper's
+    robustness footnote); within short windows it is swept by shrinking
+    the tables against a fixed 192x192 grid — the active wavefront set
+    must overflow the direct-mapped tables for aliasing to bite.
+    """
     side = 192
     points = _pair(
         "main (no tables)", "astar", window,
@@ -67,30 +65,6 @@ def astar_input_robustness_points(window: int) -> list[SweepPoint]:
     return points
 
 
-def astar_input_robustness(window: int = DEFAULT_WINDOW,
-                           pool: SweepPool | None = None) -> ExperimentResult:
-    """Main design vs astar-alt as the input outgrows astar-alt's tables.
-
-    The dataset:table ratio is the operative quantity (the paper's
-    robustness footnote); within short windows it is swept by shrinking
-    the tables against a fixed 192x192 grid — the active wavefront set
-    must overflow the direct-mapped tables for aliasing to bite.
-    """
-    result = ExperimentResult(
-        experiment="Robustness A",
-        title="astar: load-based vs table-mimicking vs table capacity",
-        notes=(
-            "the load-based main design reads the program's real arrays"
-            " and is capacity-free; astar-alt degrades once its tables"
-            " alias (the paper's reason for switching strategies)"
-        ),
-    )
-    pool = pool or default_pool()
-    points = astar_input_robustness_points(window)
-    _add_speedups(result, pool, points, pool.run(points))
-    return result
-
-
 def astar_pattern_robustness_points(window: int) -> list[SweepPoint]:
     points = []
     for pattern in ("random", "maze"):
@@ -98,29 +72,12 @@ def astar_pattern_robustness_points(window: int) -> list[SweepPoint]:
     return points
 
 
-def astar_pattern_robustness(window: int = DEFAULT_WINDOW,
-                             pool: SweepPool | None = None) -> ExperimentResult:
-    """Obstacle structure: speckle maps vs corridor mazes."""
-    result = ExperimentResult(
-        experiment="Robustness B",
-        title="astar custom predictor across obstacle patterns",
-        notes=(
-            "maze maps make the baseline predictor stronger (correlated"
-            " outcomes), shrinking — but not erasing — the custom"
-            " component's advantage"
-        ),
-    )
-    pool = pool or default_pool()
-    points = astar_pattern_robustness_points(window)
-    stats = pool.run(points)
-    for pattern in ("random", "maze"):
-        label = f"{pattern} speedup"
-        result.add(label, pool.speedup_pct(stats, label, f"baseline:{label}"))
-        result.add(f"{pattern} baseline MPKI", stats[f"baseline:{label}"].mpki)
-    return result
-
-
 def bfs_graph_robustness_points(window: int) -> list[SweepPoint]:
+    """Roads and Youtube pairs, then the Youtube component with the
+    non-stalling Fetch Agent (§2.4) over the Youtube baseline: when the
+    baseline barely mispredicts (hub-heavy graphs), the stalling agent
+    can turn the component into a net loss, and the non-stalling design
+    recovers it."""
     graphs = {
         "roads": ("bfs-roads", road_graph(side=128)),
         "youtube": ("bfs-youtube", powerlaw_graph(num_nodes=12_000)),
@@ -141,34 +98,38 @@ def bfs_graph_robustness_points(window: int) -> list[SweepPoint]:
     return points
 
 
-def bfs_graph_robustness(window: int = DEFAULT_WINDOW,
-                         pool: SweepPool | None = None) -> ExperimentResult:
-    """Graph structure: road lattice vs heavy-tailed power law."""
-    result = ExperimentResult(
-        experiment="Robustness C",
-        title="bfs custom component across graph families",
-        notes=(
-            "power-law graphs have small diameters and huge frontier"
-            " reuse: the baseline suffers less, so the component's"
-            " headroom shrinks (the paper's Youtube bars are likewise"
-            " lower than its Roads bars)"
-        ),
-    )
-    pool = pool or default_pool()
-    points = bfs_graph_robustness_points(window)
-    stats = pool.run(points)
-    for name in ("roads", "youtube"):
-        label = f"{name} speedup"
-        result.add(label, pool.speedup_pct(stats, label, f"baseline:{label}"))
-        result.add(f"{name} baseline MPKI", stats[f"baseline:{label}"].mpki)
-    # When the baseline barely mispredicts (hub-heavy graphs), the
-    # stalling Fetch Agent can turn the component into a net loss; the
-    # §2.4 non-stalling design recovers it — a case for that alternative.
-    result.add(
-        "youtube speedup (non-stalling §2.4)",
-        pool.speedup_pct(
-            stats, "youtube speedup (non-stalling §2.4)",
-            "baseline:youtube speedup",
-        ),
-    )
-    return result
+astar_input_robustness = Figure(
+    experiment="Robustness A",
+    title="astar: load-based vs table-mimicking vs table capacity",
+    points=astar_input_robustness_points,
+    notes=(
+        "the load-based main design reads the program's real arrays"
+        " and is capacity-free; astar-alt degrades once its tables"
+        " alias (the paper's reason for switching strategies)"
+    ),
+)
+
+astar_pattern_robustness = Figure(
+    experiment="Robustness B",
+    title="astar custom predictor across obstacle patterns",
+    points=astar_pattern_robustness_points,
+    rows=_speedup_mpki_rows,
+    notes=(
+        "maze maps make the baseline predictor stronger (correlated"
+        " outcomes), shrinking — but not erasing — the custom"
+        " component's advantage"
+    ),
+)
+
+bfs_graph_robustness = Figure(
+    experiment="Robustness C",
+    title="bfs custom component across graph families",
+    points=bfs_graph_robustness_points,
+    rows=_speedup_mpki_rows,
+    notes=(
+        "power-law graphs have small diameters and huge frontier"
+        " reuse: the baseline suffers less, so the component's"
+        " headroom shrinks (the paper's Youtube bars are likewise"
+        " lower than its Roads bars)"
+    ),
+)

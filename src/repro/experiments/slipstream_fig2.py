@@ -8,15 +8,8 @@ the worker next to the workload it shadows.
 from __future__ import annotations
 
 from repro.core import PFMParams
-from repro.experiments.pool import (
-    SweepPoint,
-    SweepPool,
-    baseline_point,
-    default_pool,
-    pfm_point,
-)
-from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW
+from repro.experiments.figure import Figure
+from repro.experiments.pool import SweepPoint, baseline_point, pfm_point
 
 
 def fig2_points(window: int) -> list[SweepPoint]:
@@ -51,28 +44,15 @@ def fig2_points(window: int) -> list[SweepPoint]:
     ]
 
 
-def fig2(window: int = DEFAULT_WINDOW,
-         pool: SweepPool | None = None) -> ExperimentResult:
-    """PFM and Slipstream 2.0 speedups on astar and bfs."""
-    result = ExperimentResult(
-        experiment="Figure 2",
-        title="Speedups of PFM and Slipstream 2.0",
-        paper={"astar slipstream": 18.0, "astar PFM": 154.0, "bfs PFM": 125.0},
-        notes=(
-            "slipstream is modelled with the paper's two tailored"
-            " optimizations (hardwired pruning, local-squash recovery);"
-            " the restart-mode row shows the substantially lower speedup"
-            " the paper notes for leading-thread restarts"
-        ),
-    )
-    pool = pool or default_pool()
-    points = fig2_points(window)
-    stats = pool.run(points)
-    for point in points:
-        if point.label.startswith("baseline:"):
-            continue
-        result.add(
-            point.label,
-            pool.speedup_pct(stats, point.label, f"baseline:{point.workload}"),
-        )
-    return result
+fig2 = Figure(
+    experiment="Figure 2",
+    title="Speedups of PFM and Slipstream 2.0",
+    points=fig2_points,
+    paper={"astar slipstream": 18.0, "astar PFM": 154.0, "bfs PFM": 125.0},
+    notes=(
+        "slipstream is modelled with the paper's two tailored"
+        " optimizations (hardwired pruning, local-squash recovery);"
+        " the restart-mode row shows the substantially lower speedup"
+        " the paper notes for leading-thread restarts"
+    ),
+)

@@ -19,12 +19,12 @@ from repro.experiments.pool import (
     SweepPoint,
     SweepPool,
     baseline_point,
-    default_pool,
     pfm_point,
+    speedups,
     stats_to_dict,
 )
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW, parse_config_label
+from repro.experiments.runner import parse_config_label
 from repro.registry import workload_names
 
 if TYPE_CHECKING:
@@ -68,8 +68,8 @@ def sweep_points(
 
 
 def run_sweep(
-    window: int = DEFAULT_WINDOW,
-    pool: SweepPool | None = None,
+    window: int,
+    pool: SweepPool,
     workloads: tuple[str, ...] = SWEEP_WORKLOADS,
     configs: tuple[str, ...] = SWEEP_CONFIGS,
     tenants: tuple["TenantSpec", ...] = (),
@@ -83,9 +83,9 @@ def run_sweep(
     An :class:`~repro.experiments.faults.OracleViolation` aborts the
     sweep; ``oracle_ok`` is recorded per tenanted point in the payload.
     """
-    pool = pool or default_pool()
     points = sweep_points(window, workloads, configs, tenants)
     stats = pool.run(points)
+    speedup = {label: value for label, _, value in speedups(points, stats)}
 
     result = ExperimentResult(
         experiment="Sweep",
@@ -107,12 +107,9 @@ def run_sweep(
             "ipc": stats[point.label].ipc,
             "stats": stats_to_dict(stats[point.label]),
         }
-        if not point.label.startswith("baseline:"):
-            speedup = pool.speedup_pct(
-                stats, point.label, f"baseline:{point.workload}"
-            )
-            entry["speedup_pct"] = speedup
-            result.add(point.label, speedup)
+        if point.label in speedup:
+            entry["speedup_pct"] = speedup[point.label]
+            result.add(point.label, speedup[point.label])
         if (
             tenants
             and point.pfm is not None
@@ -204,8 +201,7 @@ def run_sweep_shard(
     }
 
 
-def sweep(window: int = DEFAULT_WINDOW,
-          pool: SweepPool | None = None) -> ExperimentResult:
+def sweep(window: int, pool: SweepPool) -> ExperimentResult:
     """Registry entry point (rendered result only)."""
     result, _ = run_sweep(window, pool)
     return result

@@ -13,9 +13,9 @@ the written artifacts are byte-identical across ``--jobs`` values.
 
 from __future__ import annotations
 
-from repro.experiments.pool import SweepPoint, SweepPool, baseline_point, default_pool
+from repro.experiments.pool import SweepPoint, SweepPool, baseline_point
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import DEFAULT_WINDOW, parse_config_label
+from repro.experiments.runner import parse_config_label
 from repro.telemetry import TelemetryParams
 
 #: Window used by ``trace --smoke`` (the CI artifact job).
@@ -52,14 +52,13 @@ def trace_points(
 
 def run_trace(
     target: str,
-    window: int = DEFAULT_WINDOW,
-    pool: SweepPool | None = None,
+    window: int,
+    pool: SweepPool,
     config: str = DEFAULT_TRACE_CONFIG,
     ring: int = DEFAULT_RING,
     sample_period: int = DEFAULT_SAMPLE_PERIOD,
 ):
     """Run the traced pair; return ``(result, traced_stats, baseline_stats)``."""
-    pool = pool or default_pool()
     points = trace_points(target, window, config, ring, sample_period)
     stats = pool.run(points)
     base = stats[points[0].label]

@@ -309,6 +309,34 @@ _PAYLOAD_FIELDS = (
     "mnemonics", "registers", "src_tuples", "comments",
 )
 
+#: Each interned index column, the table it indexes, and its least legal
+#: index (``dst_idx`` holds -1 for "no destination").  ``op_codes``
+#: indexes :class:`OpClass`.
+_INDEX_COLUMNS = (
+    ("mnemonic_idx", "mnemonics", 0),
+    ("dst_idx", "registers", -1),
+    ("srcs_idx", "src_tuples", 0),
+    ("comment_idx", "comments", 0),
+)
+
+
+def _indices_in_range(trace: CompiledTrace) -> bool:
+    """Every interned index of *trace* names an entry of its table: a
+    past-the-end index would raise at replay, and a negative one would
+    wrap to another entry."""
+    bounds = [
+        (getattr(trace, column), least, len(getattr(trace, table)))
+        for column, table, least in _INDEX_COLUMNS
+    ]
+    bounds.append((trace.op_codes, 0, len(_OPCLASSES)))
+    try:
+        return all(
+            not values or (min(values) >= least and max(values) < size)
+            for values, least, size in bounds
+        )
+    except TypeError:  # an entry that does not compare with an int
+        return False
+
 
 class TraceCursor:
     """Replays a :class:`CompiledTrace` as a functional-executor stand-in.
@@ -383,7 +411,8 @@ def decode_trace(raw: bytes, key: str) -> CompiledTrace:
     :class:`~repro.cachefile.CacheFileRejected`: ``checksum`` or
     ``header`` (framing, another :data:`TRACE_VERSION`, not a trace),
     ``stale`` (a trace of another key) or ``shape`` (columns that
-    disagree with the header)."""
+    disagree with the header, or an interned index outside its
+    table)."""
     payload = unframe(raw)
     try:
         if payload["version"] != TRACE_VERSION:
@@ -402,6 +431,8 @@ def decode_trace(raw: bytes, key: str) -> CompiledTrace:
     ):
         raise CacheFileRejected("shape")
     trace.check_columns()
+    if not _indices_in_range(trace):
+        raise CacheFileRejected("shape", "interned index outside its table")
     return trace
 
 

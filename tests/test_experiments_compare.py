@@ -1,14 +1,17 @@
 """Shape-agreement metrics for paper-vs-measured series."""
 
 import math
+import sys
 
 import pytest
 
 from repro.experiments.compare import (
+    average_ranks,
     log_ratio_spread,
     rank_agreement,
     score,
     shape_report,
+    spearman,
 )
 from repro.experiments.report import ExperimentResult
 
@@ -34,6 +37,27 @@ def test_inverted_ordering_gives_rho_minus_one():
         {"a": 1.0, "b": 2.0, "c": 3.0},
     )
     assert rank_agreement(result) == pytest.approx(-1.0)
+
+
+def test_tied_values_share_their_average_rank():
+    assert average_ranks([3.0, 1.0, 2.0, 1.0]) == [4.0, 1.5, 3.0, 1.5]
+    # x ranks (1, 2.5, 2.5, 4) against y ranks (1, 3, 2, 4):
+    # rho = 4.5 / sqrt(4.5 * 5) = 3 / sqrt(10).
+    assert spearman([1.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0]) == pytest.approx(
+        3 / math.sqrt(10)
+    )
+    # A constant series has no rank correlation.
+    assert math.isnan(spearman([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]))
+
+
+def test_shape_cli_runs_without_scipy(monkeypatch, capsys):
+    """The shape report needs no third-party package beyond numpy."""
+    from repro.experiments.__main__ import main
+
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.delitem(sys.modules, "repro.experiments.compare")
+    assert main(["shape", "--window", "1500", "--no-cache"]) == 0
+    assert "spearman" in capsys.readouterr().out
 
 
 def test_too_few_points_returns_none():

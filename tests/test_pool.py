@@ -17,8 +17,10 @@ from repro.experiments.pool import (
     SweepPool,
     baseline_point,
     pfm_point,
+    speedups,
     stats_to_dict,
 )
+from repro.experiments.report import ExperimentResult
 
 WINDOW = 1_500
 
@@ -119,12 +121,32 @@ def test_results_keyed_by_label_in_any_order(counted_run_point):
     assert set(results) == {"a", "b"}
 
 
-def test_speedup_pct():
-    results = {
-        "base": _fake_stats(instructions=100, cycles=200),
+def test_speedup_rule_uses_nearest_baseline():
+    """Each non-baseline point is a speedup over the nearest
+    ``baseline:`` point before it, in point order."""
+    points = [
+        baseline_point("libquantum", WINDOW),
+        pfm_point("fast", "libquantum", WINDOW, PFMParams(delay=0)),
+        baseline_point("bwaves", WINDOW),
+        pfm_point("slow", "bwaves", WINDOW, PFMParams(delay=0)),
+        pfm_point("even", "bwaves", WINDOW, PFMParams(delay=2)),
+    ]
+    stats = {
+        "baseline:libquantum": _fake_stats(instructions=100, cycles=200),
         "fast": _fake_stats(instructions=100, cycles=100),
+        "baseline:bwaves": _fake_stats(instructions=100, cycles=100),
+        "slow": _fake_stats(instructions=100, cycles=200),
+        "even": _fake_stats(instructions=100, cycles=100),
     }
-    assert SweepPool().speedup_pct(results, "fast", "base") == pytest.approx(100.0)
+    assert list(speedups(points, stats)) == [
+        ("fast", "baseline:libquantum", pytest.approx(100.0)),
+        ("slow", "baseline:bwaves", pytest.approx(-50.0)),
+        ("even", "baseline:bwaves", pytest.approx(0.0)),
+    ]
+    result = ExperimentResult(experiment="T", title="t")
+    pool_module.add_speedup_rows(result, SweepPool(), points, stats,
+                                 "baseline:libquantum")
+    assert [label for label, _ in result.rows] == ["fast", "slow", "even"]
 
 
 # ---------------------------------------------------------------------- #

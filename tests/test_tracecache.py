@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cachefile import REASONS, CacheFileRejected, frame, trace_dir, unframe
 from repro.core import SimConfig, simulate
+from repro.isa.instructions import OpClass
 from repro.experiments.runner import parse_config_label
 from repro.registry import build_workload, workload_names
 from repro.workloads import tracecache
@@ -231,6 +232,39 @@ def test_truncated_payload_recovers(monkeypatch):
 
     payload = unframe(path.read_bytes())
     payload["pcs"] = payload["pcs"][: len(payload["pcs"]) // 2]
+    path.write_bytes(frame(payload))
+    assert _rejection(path) == "shape"
+    _recovers(path, executed)
+
+
+#: ``(index column, table it indexes or None for OpClass, least legal
+#: index)`` for every interned index column of a trace file.
+INDEX_COLUMNS = [
+    ("mnemonic_idx", "mnemonics", 0),
+    ("dst_idx", "registers", -1),
+    ("srcs_idx", "src_tuples", 0),
+    ("comment_idx", "comments", 0),
+    ("op_codes", None, 0),
+]
+
+
+@pytest.mark.parametrize("past_the_end", [True, False], ids=["past-end", "negative"])
+@pytest.mark.parametrize(
+    "column,table,least", INDEX_COLUMNS, ids=[c for c, _, _ in INDEX_COLUMNS]
+)
+def test_index_outside_its_table_is_rejected_as_shape(
+    column, table, least, past_the_end, monkeypatch
+):
+    """A checksum-valid file whose interned index points past its table,
+    or below its least legal index (which list indexing would wrap to
+    another entry), is rejected as ``shape``, counted and recompiled."""
+    executed = _executed_digest("astar", SMALL_WINDOW, monkeypatch)
+    _simulate(build_workload("astar"), SMALL_WINDOW)
+    path = _single_trace_file()
+
+    payload = unframe(path.read_bytes())
+    size = len(payload[table]) if table else len(OpClass)
+    payload[column][0] = size if past_the_end else least - 1
     path.write_bytes(frame(payload))
     assert _rejection(path) == "shape"
     _recovers(path, executed)
