@@ -323,19 +323,16 @@ _INDEX_COLUMNS = (
 def _indices_in_range(trace: CompiledTrace) -> bool:
     """Every interned index of *trace* names an entry of its table: a
     past-the-end index would raise at replay, and a negative one would
-    wrap to another entry."""
+    wrap to another entry.  One C-level set probe per column."""
     bounds = [
         (getattr(trace, column), least, len(getattr(trace, table)))
         for column, table, least in _INDEX_COLUMNS
     ]
     bounds.append((trace.op_codes, 0, len(_OPCLASSES)))
-    try:
-        return all(
-            not values or (min(values) >= least and max(values) < size)
-            for values, least, size in bounds
-        )
-    except TypeError:  # an entry that does not compare with an int
-        return False
+    return all(
+        set(range(least, size)).issuperset(values)
+        for values, least, size in bounds
+    )
 
 
 class TraceCursor:
